@@ -30,6 +30,7 @@ from .regret import (
 from .detector import (
     BeliefDynamics,
     BeliefGrid,
+    BeliefOperator,
     BeliefValueTable,
     DivergenceError,
     ImpossibleTransitionError,

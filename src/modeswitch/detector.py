@@ -12,6 +12,7 @@ concavity in the belief, which is what makes per-state thresholds optimal.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,10 +120,6 @@ class BeliefValueTable:
     def n_states(self) -> int:
         return self.values.shape[1]
 
-    def value_at(self, belief: float, state: int) -> float:
-        """Linear interpolation in the belief at a fixed state."""
-        return float(np.interp(belief, self.grid.points, self.values[:, state]))
-
 
 def stop_cost_table(grid: BeliefGrid, weight: float, n_states: int) -> BeliefValueTable:
     """The stopping payoff weight*(1-p), copied across states."""
@@ -162,45 +159,72 @@ def mixture_transition(dyn: BeliefDynamics, state: int, belief: float) -> np.nda
     return drifted * dyn.kernel_post[state] + (1.0 - drifted) * dyn.kernel_pre[state]
 
 
-class _DpKernel:
-    """Precomputed per-(dynamics, grid) tables for applying the DP operator.
+class BeliefOperator:
+    """The belief-grid stopping operator for one (dynamics, grid) pair.
 
-    For every (grid belief i, state x, next state x') this fixes the mixture
-    probability and the updated belief's interpolation stencil; applying the
-    operator to a table is then a pure gather-blend-reduce, each output cell
-    depending only on the input table (deterministic regardless of how the
-    cells are scheduled).  The blend uses the form (1-w)*v0 + w*v1, whose
-    floating-point evaluation is monotone in the table values; combined with
-    nonnegative mixture weights this makes the applied operator exactly
-    monotone, not merely up to rounding.
+    For every grid belief i and state x the expected interpolated table value
+    after one observation is a fixed linear form in the table: each next
+    state x' contributes the mixture probability times the linear
+    interpolation between the two grid rows around the updated belief.  The
+    stencil is stored flattened, one row of 2n terms per (i, x): ``index``
+    holds positions in the raveled (grid, n) table (``lower*n + x'`` then the
+    row above, ``lower*n + x' + n``) and ``weights`` holds
+    ``mix*(1-blend)`` and ``mix*blend``.  Applying the operator is one gather
+    and one row-wise dot product, each output cell depending only on the
+    input table (deterministic regardless of how the cells are scheduled).
+
+    Every weight is nonnegative, and each row's products and sums (fused or
+    not) are evaluated in a fixed order under round-to-nearest, where each
+    step is monotone in its operands; raising any table entry therefore
+    cannot lower any output, so the applied operator is exactly monotone, not
+    merely up to rounding.  That order follows the CPU's vector width, so the
+    last bits of a table may differ between machines, never between runs.
+
+    Raises:
+        ValueError: the stencil would not fit in physical memory.
     """
 
     def __init__(self, dyn: BeliefDynamics, grid: BeliefGrid):
-        self.dyn = dyn
-        self.grid = grid
-        points = grid.points
         size = grid.size
         n = dyn.n_states
+        rows = size * n
+        needed = rows * 2 * n * (np.dtype(np.intp).itemsize + np.dtype(float).itemsize)
+        available = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if needed > available:
+            raise ValueError(
+                f"belief operator stencil for grid {size} x {n} states needs "
+                f"{needed} bytes, more than the {available} bytes of physical memory"
+            )
+        self.grid = grid
+        self.n_states = n
+        index = np.empty((size, n, 2 * n), dtype=np.intp)
+        weights = np.empty((size, n, 2 * n))
+        points = grid.points
         drifted = points + dyn.change_rate * (1.0 - points)
-        changed = drifted[:, None, None] * dyn.kernel_post[None, :, :]
-        mix = changed + (1.0 - drifted)[:, None, None] * dyn.kernel_pre[None, :, :]
-        feasible = mix > 0.0
-        updated = np.where(feasible, changed / np.where(feasible, mix, 1.0), 1.0)
-        position = updated * (size - 1)
-        lower = np.minimum(position.astype(np.int64), size - 2)
-        self.mix = mix
-        self.lower = lower
-        self.blend = position - lower
-        self.next_cols = np.broadcast_to(np.arange(n), (size, n, n))
+        next_cols = np.arange(n)
+        # One state at a time keeps construction temporaries at grid*n.
+        for state in range(n):
+            changed = drifted[:, None] * dyn.kernel_post[state]
+            mix = changed + (1.0 - drifted)[:, None] * dyn.kernel_pre[state]
+            feasible = mix > 0.0
+            updated = np.where(feasible, changed / np.where(feasible, mix, 1.0), 1.0)
+            position = updated * (size - 1)
+            lower = np.minimum(position.astype(np.intp), size - 2)
+            blend = position - lower
+            index[:, state, :n] = lower * n + next_cols
+            index[:, state, n:] = index[:, state, :n] + n
+            weights[:, state, :n] = mix * (1.0 - blend)
+            weights[:, state, n:] = mix * blend
+        self.index = index.reshape(rows, 2 * n)
+        self.weights = weights.reshape(rows, 2 * n)
 
     def continuation(self, values: np.ndarray) -> np.ndarray:
         """Expected interpolated table value after one more observation."""
-        v_lo = values[self.lower, self.next_cols]
-        v_hi = values[self.lower + 1, self.next_cols]
-        blended = (1.0 - self.blend) * v_lo + self.blend * v_hi
-        return np.sum(self.mix * blended, axis=2)
+        gathered = values.ravel().take(self.index)
+        return np.einsum("ij,ij->i", self.weights, gathered).reshape(-1, self.n_states)
 
     def apply(self, values: np.ndarray, weight: float) -> np.ndarray:
+        """One application of min{weight*(1-p), p + continuation} to a table."""
         points = self.grid.points
         stop = weight * (1.0 - points)[:, None]
         return np.minimum(stop, points[:, None] + self.continuation(values))
@@ -208,13 +232,13 @@ class _DpKernel:
 
 def continuation_values(table: BeliefValueTable, dyn: BeliefDynamics) -> np.ndarray:
     """Continuation table E[table(updated belief, next state)] per (p, x)."""
-    return _DpKernel(dyn, table.grid).continuation(table.values)
+    return BeliefOperator(dyn, table.grid).continuation(table.values)
 
 
 def bellman_apply(table: BeliefValueTable, dyn: BeliefDynamics, weight: float) -> BeliefValueTable:
     """One application of the stopping operator min{stop payoff, p + continuation}."""
-    kernel = _DpKernel(dyn, table.grid)
-    return BeliefValueTable(table.grid, kernel.apply(table.values, weight))
+    operator = BeliefOperator(dyn, table.grid)
+    return BeliefValueTable(table.grid, operator.apply(table.values, weight))
 
 
 def solve_fixed_point(
@@ -242,7 +266,7 @@ def solve_fixed_point(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    kernel = _DpKernel(dyn, grid)
+    operator = BeliefOperator(dyn, grid)
     if start is None:
         values = stop_cost_table(grid, weight, dyn.n_states).values
     else:
@@ -252,7 +276,7 @@ def solve_fixed_point(
     threshold = tol * dyn.change_rate
     residual = np.inf
     for iteration in range(1, max_iter + 1):
-        new_values = kernel.apply(values, weight)
+        new_values = operator.apply(values, weight)
         residual = float(np.max(np.abs(new_values - values)))
         values = new_values
         if residual <= threshold:
@@ -272,10 +296,10 @@ def finite_horizon_dp(
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    kernel = _DpKernel(dyn, grid)
+    operator = BeliefOperator(dyn, grid)
     values = stop_cost_table(grid, weight, dyn.n_states).values
     for _ in range(horizon):
-        values = kernel.apply(values, weight)
+        values = operator.apply(values, weight)
     return BeliefValueTable(grid, values)
 
 
@@ -289,8 +313,7 @@ def extract_thresholds(
     be an upper interval of the grid; a single interior grid cell of slack is
     tolerated, anything worse signals a concavity violation.
     """
-    kernel = _DpKernel(dyn, table.grid)
-    cont = kernel.continuation(table.values)
+    cont = BeliefOperator(dyn, table.grid).continuation(table.values)
     points = table.grid.points
     stop = weight * (1.0 - points)[:, None] <= points[:, None] + cont
     thresholds = np.empty(dyn.n_states)
@@ -332,7 +355,7 @@ def evaluate_switch_rule(
         raise ValueError("thresholds must lie in [0, 1]")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    kernel = _DpKernel(dyn, grid)
+    operator = BeliefOperator(dyn, grid)
     points = grid.points
     stop_mask = points[:, None] >= thresholds[None, :]
     stop_values = weight * (1.0 - points)[:, None]
@@ -342,7 +365,7 @@ def evaluate_switch_rule(
     residual = np.inf
     for _ in range(max_iter):
         new_values = np.where(
-            stop_mask, stop_values, points[:, None] + kernel.continuation(values)
+            stop_mask, stop_values, points[:, None] + operator.continuation(values)
         )
         if float(new_values.max()) > cap:
             raise DivergenceError(

@@ -10,8 +10,8 @@ import numpy as np
 from .detector import (
     BeliefDynamics,
     BeliefGrid,
+    BeliefOperator,
     BeliefValueTable,
-    _DpKernel,
     extract_thresholds,
     solve_fixed_point,
 )
@@ -110,7 +110,7 @@ def solve_env(env: SwitchingEnv, options: SolveOptions = SolveOptions()) -> Solv
         dyn, weight, grid, options.fp_tol, options.fp_max_iter
     )
     fp_residual = float(
-        np.max(np.abs(_DpKernel(dyn, grid).apply(table.values, weight) - table.values))
+        np.max(np.abs(BeliefOperator(dyn, grid).apply(table.values, weight) - table.values))
     )
     thresholds = extract_thresholds(table, dyn, weight)
 

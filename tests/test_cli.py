@@ -1,6 +1,7 @@
 """Tests for the command-line front end: artifacts, determinism, exit codes."""
 
 import json
+import os
 
 import pytest
 
@@ -167,3 +168,20 @@ class TestErrorPaths:
         assert main(["solve", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert "solve" in err and "numerator nonpositive" in err
+
+    def test_oversized_belief_stencil_is_refused_up_front(self, tmp_path, capsys):
+        # 16 states at grid 10**7: an 80 MB grid but an 82 GB operator stencil.
+        grid_size = 10**7
+        needed = grid_size * 16 * 32 * 16
+        if needed <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+            pytest.skip("this host's physical memory would hold the stencil")
+        config = write_config(
+            tmp_path,
+            environment={"kind": "inventory", "capacity": 15, "rho": 0.01},
+            grid_size=grid_size,
+        )
+        assert main(["solve", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "error in stage 'solve'" in err
+        assert f"needs {needed} bytes" in err
+        assert "Traceback" not in err

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from modeswitch.detector import (
     BeliefDynamics,
     BeliefGrid,
+    BeliefOperator,
     BeliefValueTable,
     DivergenceError,
     ImpossibleTransitionError,
@@ -168,6 +169,50 @@ class TestBellmanApply:
         vectorized = bellman_apply(table, dyn, 3.0)
         oracle = naive_bellman_apply(table, dyn, 3.0)
         assert np.abs(vectorized.values - oracle).max() <= 1e-12
+
+
+class TestBeliefOperator:
+    @pytest.mark.parametrize("grid_size", [2, 3, 21])
+    def test_apply_matches_naive_oracle_with_one_sided_zeros(self, grid_size):
+        # Row 0 and 1 each hold a transition impossible only before and one
+        # impossible only after the change; row 2 one impossible under both.
+        pre = np.array([[0.0, 0.7, 0.3], [0.5, 0.0, 0.5], [0.2, 0.8, 0.0]])
+        post = np.array([[0.4, 0.0, 0.6], [0.5, 0.5, 0.0], [0.0, 1.0, 0.0]])
+        dyn = BeliefDynamics(pre, post, 0.1)
+        grid = BeliefGrid.uniform(grid_size)
+        operator = BeliefOperator(dyn, grid)
+        rng = np.random.default_rng(grid_size)
+        values = rng.uniform(0.0, 4.0, (grid_size, 3))
+        for _ in range(3):
+            applied = operator.apply(values, 4.0)
+            oracle = naive_bellman_apply(BeliefValueTable(grid, values), dyn, 4.0)
+            assert np.abs(applied - oracle).max() <= 1e-12
+            values = applied
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_states=st.integers(1, 4),
+        grid_size=st.integers(2, 12),
+        rate=st.floats(0.001, 0.999),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_apply_is_exactly_monotone(self, seed, n_states, grid_size, rate):
+        rng = np.random.default_rng(seed)
+
+        def sparse_kernel():
+            kernel = rng.random((n_states, n_states)) * (rng.random((n_states, n_states)) < 0.6)
+            kernel[np.arange(n_states), rng.integers(0, n_states, n_states)] += 0.1
+            return kernel / kernel.sum(axis=1, keepdims=True)
+
+        dyn = BeliefDynamics(sparse_kernel(), sparse_kernel(), rate)
+        operator = BeliefOperator(dyn, BeliefGrid.uniform(grid_size))
+        weight = rng.uniform(0.0, 20.0)
+        low = rng.uniform(-5.0, 20.0, (grid_size, n_states))
+        # Leave entries alone, raise them by one ulp, or raise them by up to 1.
+        bump = rng.integers(0, 3, low.shape)
+        high = np.where(bump == 1, np.nextafter(low, np.inf), low)
+        high = np.where(bump == 2, low + rng.random(low.shape), high)
+        assert np.all(operator.apply(low, weight) <= operator.apply(high, weight))
 
 
 class TestSolveFixedPoint:
