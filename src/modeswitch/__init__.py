@@ -21,12 +21,7 @@ from .chains import (
     stationary_distribution,
     verify_mixing_bound,
 )
-from .regret import (
-    DetectionStats,
-    SwitchingCostRates,
-    detection_objective,
-    false_alarm_weight,
-)
+from .regret import SwitchingCostRates, false_alarm_weight
 from .detector import (
     BeliefDynamics,
     BeliefGrid,
@@ -51,10 +46,9 @@ from .environments import (
     SwitchingEnv,
     build_inventory,
     gen_random_mdp,
-    inventory_expected_stage_costs,
     random_env,
 )
-from .pipeline import SolveOptions, SolvedEnv, solve_env
+from .pipeline import SolveOptions, SolvedEnv, mode_pair_weight, solve_env
 from .simulate import (
     EpisodeBatch,
     EpisodeRecord,

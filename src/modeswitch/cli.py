@@ -125,31 +125,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config
 
 
+#: Config keys whose spec field has another name.
+_SPEC_FIELDS = {"rho": "change_rate", "gamma": "discount"}
+
+
 def _build_env(config: ExperimentConfig, rho: float | None = None) -> SwitchingEnv:
     env = config.environment
     kind = env["kind"]
-    if kind == "random-mdp":
-        spec = RandomMdpSpec(
-            n_states=env.get("n_states", 5),
-            n_actions=env.get("n_actions", 3),
-            seed=env.get("seed", 0),
-            change_rate=rho if rho is not None else env.get("rho", 0.01),
-            discount=env.get("gamma", 0.999),
-        )
-        return random_env(spec)
-    if kind == "inventory":
-        spec = InventorySpec(
-            capacity=env.get("capacity", 10),
-            order_cost=env.get("order_cost", 1.0),
-            holding_cost=env.get("holding_cost", 5.0),
-            shortfall_cost=env.get("shortfall_cost", 100.0),
-            demand_rate=env.get("demand_rate", 2.0),
-            discount=env.get("gamma", 0.999),
-            change_rate=rho if rho is not None else env.get("rho", 0.01),
-            demand_tail_eps=env.get("demand_tail_eps", 1e-12),
-            order_cost_basis=env.get("order_cost_basis", "stock"),
-        )
-        return build_inventory(spec)
+    if kind in ("random-mdp", "inventory"):
+        # Pass only the keys present, so defaults live in the spec classes.
+        fields = {_SPEC_FIELDS.get(k, k): v for k, v in env.items() if k != "kind"}
+        if rho is not None:
+            fields["change_rate"] = rho
+        if kind == "random-mdp":
+            return random_env(RandomMdpSpec(**fields))
+        return build_inventory(InventorySpec(**fields))
     kernel_pre = np.asarray(env["kernel_pre"], dtype=float)
     kernel_post = np.asarray(env["kernel_post"], dtype=float)
     stage_cost = np.asarray(env["stage_cost"], dtype=float)

@@ -174,18 +174,3 @@ def build_inventory(spec: InventorySpec) -> SwitchingEnv:
             f"rho={spec.change_rate:g})"
         ),
     )
-
-
-def inventory_expected_stage_costs(
-    spec: InventorySpec, policy: np.ndarray, mode: int
-) -> np.ndarray:
-    """Exact per-state expected stage cost of ``policy`` under one demand mode."""
-    if mode not in (1, 2):
-        raise ValueError("mode must be 1 (pre-change) or 2 (post-change)")
-    if mode == 1:
-        pmf = _poisson_pmf_lumped(spec.demand_rate, spec.demand_tail_eps)
-    else:
-        pmf = np.full(spec.capacity + 1, 1.0 / (spec.capacity + 1))
-    _, cost = _demand_kernel_and_cost(spec, pmf)
-    policy = np.asarray(policy, dtype=np.int64)
-    return cost[np.arange(spec.capacity + 1), policy]

@@ -71,18 +71,18 @@ def _bellman_residual(kernel, cost, discount, values) -> float:
     return float(np.max(np.abs(backed_up - values)))
 
 
-def solve_env(env: SwitchingEnv, options: SolveOptions = SolveOptions()) -> SolvedEnv:
-    """Run the full pipeline for one environment."""
+def mode_pair_weight(
+    env: SwitchingEnv, policy_pre: np.ndarray, policy_post: np.ndarray
+) -> tuple[dict, dict, SwitchingCostRates, float]:
+    """Induced chain and stationary law for every (policy, kernel) mode pair,
+    the stationary average-cost rates they give, and the false-alarm weight.
+
+    Returns ``(chains, stationary, rates, weight)``; the two dicts are keyed
+    by the pairs in :data:`MODE_PAIRS`.
+    """
     mdp = env.mdp
-    policy_pre, values_pre = value_iteration(
-        mdp.kernel_pre, env.cost_pre, mdp.discount, options.vi_tol, options.vi_max_iter
-    )
-    policy_post, values_post = value_iteration(
-        mdp.kernel_post, env.cost_post, mdp.discount, options.vi_tol, options.vi_max_iter
-    )
     policies = {1: policy_pre, 2: policy_post}
     kernels = {1: mdp.kernel_pre, 2: mdp.kernel_post}
-
     chains: dict[tuple[int, int], InducedChain] = {}
     stationary: dict[tuple[int, int], np.ndarray] = {}
     averages: dict[tuple[int, int], float] = {}
@@ -102,7 +102,19 @@ def solve_env(env: SwitchingEnv, options: SolveOptions = SolveOptions()) -> Solv
         post_in_post=averages[2, 2],
         change_rate=mdp.change_rate,
     )
-    weight = false_alarm_weight(rates)
+    return chains, stationary, rates, false_alarm_weight(rates)
+
+
+def solve_env(env: SwitchingEnv, options: SolveOptions = SolveOptions()) -> SolvedEnv:
+    """Run the full pipeline for one environment."""
+    mdp = env.mdp
+    policy_pre, values_pre = value_iteration(
+        mdp.kernel_pre, env.cost_pre, mdp.discount, options.vi_tol, options.vi_max_iter
+    )
+    policy_post, values_post = value_iteration(
+        mdp.kernel_post, env.cost_post, mdp.discount, options.vi_tol, options.vi_max_iter
+    )
+    chains, stationary, rates, weight = mode_pair_weight(env, policy_pre, policy_post)
 
     dyn = BeliefDynamics.from_mdp(mdp, policy_pre)
     grid = BeliefGrid.uniform(options.grid_size)

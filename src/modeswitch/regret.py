@@ -1,5 +1,4 @@
-"""Tradeoff weight between false alarms and detection delay, and the
-approximate-regret objective controlled by it."""
+"""Tradeoff weight between false alarms and detection delay."""
 
 from __future__ import annotations
 
@@ -57,23 +56,3 @@ def false_alarm_weight(rates: SwitchingCostRates) -> float:
             "must be strictly positive"
         )
     return rates.false_alarm_gap / (rates.delay_gap * rates.change_rate)
-
-
-@dataclass(frozen=True)
-class DetectionStats:
-    """Aggregate detection behaviour of a switching rule."""
-
-    mean_delay: float
-    false_alarm_prob: float
-    mean_lead: float
-
-    def __post_init__(self):
-        if self.mean_delay < 0.0 or self.mean_lead < 0.0:
-            raise ValueError("mean delay and lead must be nonnegative")
-        if not 0.0 <= self.false_alarm_prob <= 1.0:
-            raise ValueError("false_alarm_prob must lie in [0, 1]")
-
-
-def detection_objective(stats: DetectionStats, weight: float) -> float:
-    """Expected delay plus ``weight`` times the false-alarm probability."""
-    return stats.mean_delay + weight * stats.false_alarm_prob

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,6 +39,12 @@ class EpisodeRecord:
     defined as P(change strictly before t), prices; the plain detection
     metrics ``delay`` = (switch_time - change_point)_+ and ``false_alarm`` =
     (switch_time < change_point) are recorded alongside.
+
+    ``state_at_switch`` is the detection controller's state when the rule
+    fired (-1 if it never fired), ``state_at_change`` its state at the change
+    point (-1 if the change lies at or past the horizon), and
+    ``regret_pre_switch`` is ``cost_cd - cost_mo`` as it stood when the rule
+    fired (at the horizon if it never fired).
     """
 
     change_point: int
@@ -49,6 +55,9 @@ class EpisodeRecord:
     delay: int
     objective_realized: float
     truncated: bool
+    state_at_switch: int
+    state_at_change: int
+    regret_pre_switch: float
 
 
 @dataclass(frozen=True)
@@ -63,6 +72,9 @@ class EpisodeBatch:
     delay: np.ndarray
     objective_realized: np.ndarray
     truncated: np.ndarray
+    state_at_switch: np.ndarray
+    state_at_change: np.ndarray
+    regret_pre_switch: np.ndarray
 
     @property
     def n_episodes(self) -> int:
@@ -78,6 +90,9 @@ class EpisodeBatch:
             delay=int(self.delay[index]),
             objective_realized=float(self.objective_realized[index]),
             truncated=bool(self.truncated[index]),
+            state_at_switch=int(self.state_at_switch[index]),
+            state_at_change=int(self.state_at_change[index]),
+            regret_pre_switch=float(self.regret_pre_switch[index]),
         )
 
 
@@ -93,8 +108,6 @@ class SimReport:
     stderr_cost_mo: float
     false_alarm_rate: float
     mean_delay: float
-    mean_lead: float
-    approx_regret: float
     welch_t: float
     welch_df: float
     truncated_frac: float
@@ -176,16 +189,22 @@ def run_episode(
     belief = 0.0
     switched = False
     switch_time = horizon
+    state_at_switch = -1
+    state_at_change = -1
     cost_cd = 0.0
     cost_mo = 0.0
     objective = 0.0
     disc = 1.0
     for t in range(horizon):
+        if t == change_point:
+            state_at_change = state_cd
         if not switched:
             fire = (t == change_point) if switch_at_change else (belief >= thresholds[state_cd])
             if fire:
                 switched = True
                 switch_time = t
+                state_at_switch = state_cd
+                regret_pre_switch = cost_cd - cost_mo
                 if change_point >= t:
                     objective += weight
         pre_change = t < change_point
@@ -206,8 +225,10 @@ def run_episode(
         state_mo = next_mo
         disc *= mdp.discount
     truncated = not switched
-    if truncated and change_point >= horizon:
-        objective += weight
+    if truncated:
+        regret_pre_switch = cost_cd - cost_mo
+        if change_point >= horizon:
+            objective += weight
     return EpisodeRecord(
         change_point=change_point,
         switch_time=switch_time,
@@ -217,6 +238,9 @@ def run_episode(
         delay=max(switch_time - change_point, 0),
         objective_realized=objective,
         truncated=truncated,
+        state_at_switch=state_at_switch,
+        state_at_change=state_at_change,
+        regret_pre_switch=regret_pre_switch,
     )
 
 
@@ -251,8 +275,10 @@ def _run_chunk(
         step_u[i] = rng.random(horizon)
 
     cum_initial = np.cumsum(env.initial_dist)
-    cum_pre = np.cumsum(mdp.kernel_pre, axis=2)
-    cum_post = np.cumsum(mdp.kernel_post, axis=2)
+    # Pre/post tables stacked on a leading mode axis (0 pre-change, 1 post-change).
+    cum_kernel = np.cumsum(np.stack((mdp.kernel_pre, mdp.kernel_post)), axis=3)
+    cost = np.stack((env.cost_pre, env.cost_post))
+    policy = np.stack((solved.policy_pre, solved.policy_post))
     pre_rows = solved.dyn.kernel_pre
     post_rows = solved.dyn.kernel_post
 
@@ -263,41 +289,38 @@ def _run_chunk(
     belief = np.zeros(size)
     switched = np.zeros(size, dtype=bool)
     switch_time = np.full(size, horizon, dtype=np.int64)
+    state_at_switch = np.full(size, -1, dtype=np.int64)
+    state_at_change = np.full(size, -1, dtype=np.int64)
+    regret_pre_switch = np.zeros(size)
     cost_cd = np.zeros(size)
     cost_mo = np.zeros(size)
     objective = np.zeros(size)
     disc = 1.0
     for t in range(horizon):
+        at_change = change_point == t
+        state_at_change[at_change] = state_cd[at_change]
         if switch_at_change:
-            fire = ~switched & (change_point == t)
+            fire = ~switched & at_change
         else:
             fire = ~switched & (belief >= thresholds[state_cd])
         switch_time[fire] = t
+        state_at_switch[fire] = state_cd[fire]
+        regret_pre_switch[fire] = cost_cd[fire] - cost_mo[fire]
         objective[fire & (change_point >= t)] += weight
         switched |= fire
 
-        pre_change = t < change_point
-        action_cd = np.where(switched, solved.policy_post[state_cd], solved.policy_pre[state_cd])
-        action_mo = np.where(pre_change, solved.policy_pre[state_mo], solved.policy_post[state_mo])
-        step_cost_cd = np.where(
-            pre_change, env.cost_pre[state_cd, action_cd], env.cost_post[state_cd, action_cd]
-        )
-        step_cost_mo = np.where(
-            pre_change, env.cost_pre[state_mo, action_mo], env.cost_post[state_mo, action_mo]
-        )
-        cost_cd += disc * step_cost_cd
-        cost_mo += disc * step_cost_mo
+        mode = (change_point <= t).astype(np.intp)
+        action_cd = policy[switched.astype(np.intp), state_cd]
+        action_mo = policy[mode, state_mo]
+        cost_cd += disc * cost[mode, state_cd, action_cd]
+        cost_mo += disc * cost[mode, state_mo, action_mo]
         objective[~switched & (change_point < t)] += 1.0
 
-        u = step_u[:, t]
-        rows_cd = np.where(
-            pre_change[:, None], cum_pre[state_cd, action_cd], cum_post[state_cd, action_cd]
-        )
-        rows_mo = np.where(
-            pre_change[:, None], cum_pre[state_mo, action_mo], cum_post[state_mo, action_mo]
-        )
-        next_cd = np.minimum((rows_cd <= u[:, None]).sum(axis=1), n_states - 1)
-        next_mo = np.minimum((rows_mo <= u[:, None]).sum(axis=1), n_states - 1)
+        u = step_u[:, t, None]
+        rows_cd = cum_kernel[mode, state_cd, action_cd]
+        rows_mo = cum_kernel[mode, state_mo, action_mo]
+        next_cd = np.minimum((rows_cd <= u).sum(axis=1), n_states - 1)
+        next_mo = np.minimum((rows_mo <= u).sum(axis=1), n_states - 1)
 
         drifted = belief + rate * (1.0 - belief)
         changed_mass = drifted * post_rows[state_cd, next_cd]
@@ -312,6 +335,7 @@ def _run_chunk(
 
     truncated = ~switched
     objective[truncated & (change_point >= horizon)] += weight
+    regret_pre_switch[truncated] = cost_cd[truncated] - cost_mo[truncated]
     return EpisodeBatch(
         change_point=change_point,
         switch_time=switch_time,
@@ -321,23 +345,17 @@ def _run_chunk(
         delay=np.maximum(switch_time - change_point, 0),
         objective_realized=objective,
         truncated=truncated,
+        state_at_switch=state_at_switch,
+        state_at_change=state_at_change,
+        regret_pre_switch=regret_pre_switch,
     )
 
 
 def _concat(batches: list[EpisodeBatch]) -> EpisodeBatch:
     return EpisodeBatch(
         **{
-            name: np.concatenate([getattr(b, name) for b in batches])
-            for name in (
-                "change_point",
-                "switch_time",
-                "cost_cd",
-                "cost_mo",
-                "false_alarm",
-                "delay",
-                "objective_realized",
-                "truncated",
-            )
+            f.name: np.concatenate([getattr(b, f.name) for b in batches])
+            for f in fields(EpisodeBatch)
         }
     )
 
@@ -402,7 +420,6 @@ def summarize(batch: EpisodeBatch, horizon: int, master_seed: int) -> SimReport:
     else:
         welch_t = 0.0
         welch_df = float(n - 1)
-    lead = np.maximum(batch.change_point - batch.switch_time, 0)
     return SimReport(
         n_episodes=n,
         horizon=horizon,
@@ -412,8 +429,6 @@ def summarize(batch: EpisodeBatch, horizon: int, master_seed: int) -> SimReport:
         stderr_cost_mo=_stderr(batch.cost_mo),
         false_alarm_rate=float(batch.false_alarm.mean()),
         mean_delay=float(batch.delay.mean()),
-        mean_lead=float(lead.mean()),
-        approx_regret=float(batch.objective_realized.mean()),
         welch_t=welch_t,
         welch_df=float(welch_df),
         truncated_frac=float(batch.truncated.mean()),
@@ -467,28 +482,21 @@ def estimate_exact_regret(
     thresholds: np.ndarray | None = None,
     switch_at_change: bool = False,
 ) -> RegretEstimate:
-    """Monte Carlo mean of the discounted stage-regret sum, truncated at the horizon.
+    """Monte Carlo mean of the discounted coupled cost difference, truncated at the horizon.
 
-    The per-step regret is the coupled cost difference between the two
-    controllers, by cases on (switch decision, active mode); before both the
-    switch and the change the trajectories coincide and the regret is zero by
-    construction.  The reported truncation bound ``discount^horizon * max
-    cost / (1 - discount)`` caps what the cut tail could have contributed.
+    The per-episode regret is ``cost_cd - cost_mo`` of one coupled batch.
+    Before both the switch and the change the two trajectories coincide, so
+    every stage difference there is exactly zero.  The reported truncation
+    bound ``discount^horizon * max cost / (1 - discount)`` caps what the cut
+    tail could have contributed.
     """
     env = solved.env
     mdp = env.mdp
-    if thresholds is None:
-        thresholds = solved.thresholds
-    else:
-        thresholds = np.asarray(thresholds, dtype=float)
-    totals = np.zeros(n_episodes)
-    offset = 0
-    for lo in range(0, n_episodes, _CHUNK_SIZE):
-        hi = min(lo + _CHUNK_SIZE, n_episodes)
-        totals[offset : offset + hi - lo] = _regret_chunk(
-            solved, horizon, master_seed, lo, hi, thresholds, switch_at_change
-        )
-        offset += hi - lo
+    batch = run_batch(
+        solved, n_episodes, horizon, master_seed,
+        thresholds=thresholds, switch_at_change=switch_at_change,
+    )
+    totals = batch.cost_cd - batch.cost_mo
     cost_max = max(
         float(np.max(np.abs(env.cost_pre))), float(np.max(np.abs(env.cost_post)))
     )
@@ -496,97 +504,22 @@ def estimate_exact_regret(
     return RegretEstimate(float(totals.mean()), _stderr(totals), bound)
 
 
-def _regret_chunk(
-    solved, horizon, master_seed, lo, hi, thresholds, switch_at_change
-) -> np.ndarray:
-    """Discounted three-case stage-regret sums for episodes [lo, hi)."""
-    env = solved.env
-    mdp = env.mdp
-    n_states = mdp.n_states
-    rate = solved.dyn.change_rate
-    size = hi - lo
-
-    change_point = np.empty(size, dtype=np.int64)
-    start_u = np.empty(size)
-    step_u = np.empty((size, horizon))
-    for i in range(size):
-        rng = episode_rng(master_seed, lo + i)
-        change_point[i] = rng.geometric(rate)
-        start_u[i] = rng.random()
-        step_u[i] = rng.random(horizon)
-
-    cum_initial = np.cumsum(env.initial_dist)
-    cum_pre = np.cumsum(mdp.kernel_pre, axis=2)
-    cum_post = np.cumsum(mdp.kernel_post, axis=2)
-    pre_rows = solved.dyn.kernel_pre
-    post_rows = solved.dyn.kernel_post
-
-    state_cd = np.minimum(
-        np.searchsorted(cum_initial, start_u, side="right"), n_states - 1
-    ).astype(np.int64)
-    state_mo = state_cd.copy()
-    belief = np.zeros(size)
-    switched = np.zeros(size, dtype=bool)
-    regret = np.zeros(size)
-    disc = 1.0
-    for t in range(horizon):
-        if switch_at_change:
-            fire = ~switched & (change_point == t)
-        else:
-            fire = ~switched & (belief >= thresholds[state_cd])
-        switched |= fire
-
-        pre_change = t < change_point
-        action_cd = np.where(switched, solved.policy_post[state_cd], solved.policy_pre[state_cd])
-        action_mo = np.where(pre_change, solved.policy_pre[state_mo], solved.policy_post[state_mo])
-        step_cost_cd = np.where(
-            pre_change, env.cost_pre[state_cd, action_cd], env.cost_post[state_cd, action_cd]
-        )
-        step_cost_mo = np.where(
-            pre_change, env.cost_pre[state_mo, action_mo], env.cost_post[state_mo, action_mo]
-        )
-        both_unswitched = ~switched & pre_change
-        regret += np.where(both_unswitched, 0.0, disc * (step_cost_cd - step_cost_mo))
-
-        u = step_u[:, t]
-        rows_cd = np.where(
-            pre_change[:, None], cum_pre[state_cd, action_cd], cum_post[state_cd, action_cd]
-        )
-        rows_mo = np.where(
-            pre_change[:, None], cum_pre[state_mo, action_mo], cum_post[state_mo, action_mo]
-        )
-        next_cd = np.minimum((rows_cd <= u[:, None]).sum(axis=1), n_states - 1)
-        next_mo = np.minimum((rows_mo <= u[:, None]).sum(axis=1), n_states - 1)
-
-        drifted = belief + rate * (1.0 - belief)
-        changed_mass = drifted * post_rows[state_cd, next_cd]
-        total_mass = changed_mass + (1.0 - drifted) * pre_rows[state_cd, next_cd]
-        updated = np.where(
-            total_mass > 0.0, changed_mass / np.where(total_mass > 0.0, total_mass, 1.0), 1.0
-        )
-        belief = np.where(switched, belief, updated)
-        state_cd = next_cd
-        state_mo = next_mo
-        disc *= mdp.discount
-    return regret
-
-
 def estimate_regret_decomposition(
     solved: SolvedEnv, n_episodes: int, horizon: int, master_seed: int
 ) -> tuple[float, float]:
     """Regret estimate from realized pre-switch terms plus exact cost-to-go.
 
-    Each episode contributes its realized discounted cost differences over
-    the delay period (change seen, switch pending) plus, at the switch, the
-    expected regret-to-go evaluated in closed form from the induced chains:
-    the false-alarm branch compares running the two policies until the
-    realized change and then matching infinite tails; the delay branch
-    compares the post-change chain started at the switch state against the
-    same chain started (and propagated) from the state at the change.
-    Episodes whose rule never fired contribute their realized part only.
+    Each episode of one coupled batch contributes its realized discounted
+    cost difference up to the switch (``regret_pre_switch``, nonzero only
+    over the delay period) plus, at the switch, the expected regret-to-go
+    evaluated in closed form from the induced chains: the false-alarm branch
+    compares running the two policies until the realized change and then
+    matching infinite tails; the delay branch compares the post-change chain
+    started at the switch state against the same chain started (and
+    propagated) from the state at the change.  Episodes whose rule never
+    fired contribute their realized part only.
     """
-    env = solved.env
-    mdp = env.mdp
+    mdp = solved.env.mdp
     discount = mdp.discount
     chain_21 = solved.chains[2, 1]
     chain_11 = solved.chains[1, 1]
@@ -594,62 +527,10 @@ def estimate_regret_decomposition(
     eye = np.eye(mdp.n_states)
     tail_22 = np.linalg.solve(eye - discount * chain_22.transition, chain_22.cost_vec)
 
-    # Realized per-episode data.
-    taus = np.empty(n_episodes, dtype=np.int64)
-    gammas = np.empty(n_episodes, dtype=np.int64)
-    states_at_switch = np.empty(n_episodes, dtype=np.int64)
-    states_at_change = np.full(n_episodes, -1, dtype=np.int64)
-    realized = np.zeros(n_episodes)
-    truncated = np.zeros(n_episodes, dtype=bool)
-    cum_initial = np.cumsum(env.initial_dist)
-    cum_pre = np.cumsum(mdp.kernel_pre, axis=2)
-    cum_post = np.cumsum(mdp.kernel_post, axis=2)
-    for i in range(n_episodes):
-        rng = episode_rng(master_seed, i)
-        gamma = sample_change_point(mdp.change_rate, rng)
-        state_cd = _inverse_cdf(cum_initial, float(rng.random()))
-        state_mo = state_cd
-        step_u = rng.random(horizon)
-        belief = 0.0
-        switched = False
-        tau = horizon
-        disc = 1.0
-        part = 0.0
-        for t in range(horizon):
-            if t == gamma:
-                states_at_change[i] = state_cd
-            if not switched and belief >= solved.thresholds[state_cd]:
-                switched = True
-                tau = t
-                states_at_switch[i] = state_cd
-                break
-            pre_change = t < gamma
-            kernel_cum = cum_pre if pre_change else cum_post
-            cost_table = env.cost_pre if pre_change else env.cost_post
-            action_cd = solved.policy_pre[state_cd]
-            action_mo = (solved.policy_pre if pre_change else solved.policy_post)[state_mo]
-            if not pre_change:
-                part += disc * (
-                    cost_table[state_cd, action_cd] - cost_table[state_mo, action_mo]
-                )
-            u = float(step_u[t])
-            next_cd = _inverse_cdf(kernel_cum[state_cd, action_cd], u)
-            next_mo = _inverse_cdf(kernel_cum[state_mo, action_mo], u)
-            belief = belief_update(solved.dyn, state_cd, next_cd, belief)
-            state_cd = next_cd
-            state_mo = next_mo
-            disc *= discount
-        else:
-            truncated[i] = True
-            states_at_switch[i] = state_cd
-        taus[i] = tau
-        gammas[i] = gamma
-        realized[i] = part
+    batch = run_batch(solved, n_episodes, horizon, master_seed)
 
     # Closed-form cost-to-go pieces, built once up to the largest realized lag.
-    fa_lags = np.maximum(gammas - taus, 0)
-    delay_lags = np.maximum(taus - gammas, 0)
-    max_lag = int(max(fa_lags.max(initial=0), delay_lags.max(initial=0)))
+    max_lag = int(np.abs(batch.change_point - batch.switch_time).max())
     steps_21 = np.zeros((max_lag + 1, mdp.n_states))
     steps_11 = np.zeros((max_lag + 1, mdp.n_states))
     pow_21 = [np.eye(mdp.n_states)]
@@ -664,13 +545,11 @@ def estimate_regret_decomposition(
         pow_22.append(pow_22[-1] @ chain_22.transition)
         disc *= discount
 
-    totals = realized.copy()
-    for i in range(n_episodes):
-        if truncated[i]:
-            continue
-        tau = int(taus[i])
-        gamma = int(gammas[i])
-        state = int(states_at_switch[i])
+    totals = batch.regret_pre_switch.copy()
+    for i in np.flatnonzero(~batch.truncated):
+        tau = int(batch.switch_time[i])
+        gamma = int(batch.change_point[i])
+        state = int(batch.state_at_switch[i])
         disc_tau = discount**tau
         if tau < gamma:
             lag = gamma - tau
@@ -682,7 +561,7 @@ def estimate_regret_decomposition(
             )
         else:
             lag = tau - gamma
-            origin = int(states_at_change[i])
+            origin = int(batch.state_at_change[i])
             to_go = float(tail_22[state] - pow_22[lag][origin] @ tail_22)
         totals[i] += disc_tau * to_go
     return float(totals.mean()), _stderr(totals)

@@ -9,12 +9,9 @@ from modeswitch import (
     BeliefDynamics,
     RandomMdpSpec,
     SolveOptions,
-    SwitchingCostRates,
-    false_alarm_weight,
-    induced_chain,
+    mode_pair_weight,
     random_env,
     solve_env,
-    stationary_distribution,
     value_iteration,
 )
 
@@ -45,20 +42,7 @@ def light_solve_cached(seed: int, rho: float):
         mdp = env.mdp
         policy_pre, _ = value_iteration(mdp.kernel_pre, env.cost_pre, mdp.discount)
         policy_post, _ = value_iteration(mdp.kernel_post, env.cost_post, mdp.discount)
-        averages = {}
-        for i, policy in ((1, policy_pre), (2, policy_post)):
-            for j, kernel in ((1, mdp.kernel_pre), (2, mdp.kernel_post)):
-                chain = induced_chain(policy, kernel, env.cost_for_mode(j))
-                averages[i, j] = float(chain.cost_vec @ stationary_distribution(chain))
-        weight = false_alarm_weight(
-            SwitchingCostRates(
-                post_in_pre=averages[2, 1],
-                pre_in_pre=averages[1, 1],
-                pre_in_post=averages[1, 2],
-                post_in_post=averages[2, 2],
-                change_rate=rho,
-            )
-        )
+        weight = mode_pair_weight(env, policy_pre, policy_post)[3]
         dyn = BeliefDynamics.from_mdp(mdp, policy_pre)
         _LIGHT_CACHE[key] = (env, weight, dyn)
     return _LIGHT_CACHE[key]

@@ -25,8 +25,7 @@ from modeswitch.detector import (
 )
 from modeswitch.environments import InventorySpec, build_inventory
 from modeswitch.mdp import induced_chain, value_iteration
-from modeswitch.chains import stationary_distribution
-from modeswitch.regret import SwitchingCostRates, false_alarm_weight
+from modeswitch.pipeline import mode_pair_weight
 from modeswitch.simulate import regret_consistency, run_batch, run_experiment
 
 from conftest import (
@@ -155,20 +154,7 @@ def _inventory_weight(capacity, shortfall, basis):
     mdp = env.mdp
     policy_pre, _ = value_iteration(mdp.kernel_pre, env.cost_pre, mdp.discount)
     policy_post, _ = value_iteration(mdp.kernel_post, env.cost_post, mdp.discount)
-    averages = {}
-    for i, policy in ((1, policy_pre), (2, policy_post)):
-        for j, kernel in ((1, mdp.kernel_pre), (2, mdp.kernel_post)):
-            chain = induced_chain(policy, kernel, env.cost_for_mode(j))
-            averages[i, j] = float(chain.cost_vec @ stationary_distribution(chain))
-    return false_alarm_weight(
-        SwitchingCostRates(
-            post_in_pre=averages[2, 1],
-            pre_in_pre=averages[1, 1],
-            pre_in_post=averages[1, 2],
-            post_in_post=averages[2, 2],
-            change_rate=mdp.change_rate,
-        )
-    )
+    return mode_pair_weight(env, policy_pre, policy_post)[3]
 
 
 def test_criterion_08_inventory_weight_table():

@@ -1,14 +1,9 @@
-"""Tests for the false-alarm weight and the detection objective."""
+"""Tests for the false-alarm weight."""
 
 import numpy as np
 import pytest
 
-from modeswitch.regret import (
-    DetectionStats,
-    SwitchingCostRates,
-    detection_objective,
-    false_alarm_weight,
-)
+from modeswitch.regret import SwitchingCostRates, false_alarm_weight
 
 
 def rates_with(num=1.0, den=1.0, rho=0.5):
@@ -50,24 +45,3 @@ class TestFalseAlarmWeight:
             rates_with(rho=0.0)
         with pytest.raises(ValueError):
             rates_with(rho=1.5)
-
-
-class TestDetectionObjective:
-    def test_perfect_detection_is_free(self):
-        stats = DetectionStats(mean_delay=0.0, false_alarm_prob=0.0, mean_lead=0.0)
-        assert detection_objective(stats, 5.0) == 0.0
-
-    def test_arithmetic(self):
-        stats = DetectionStats(mean_delay=2.0, false_alarm_prob=0.1, mean_lead=1.0)
-        assert detection_objective(stats, 5.0) == pytest.approx(2.5)
-
-    def test_stop_immediately_pays_the_weight(self):
-        # Switching at time 0 always beats a change point of at least 1.
-        stats = DetectionStats(mean_delay=0.0, false_alarm_prob=1.0, mean_lead=2.0)
-        assert detection_objective(stats, 5.0) == 5.0
-
-    def test_stats_validation(self):
-        with pytest.raises(ValueError):
-            DetectionStats(mean_delay=-1.0, false_alarm_prob=0.0, mean_lead=0.0)
-        with pytest.raises(ValueError):
-            DetectionStats(mean_delay=0.0, false_alarm_prob=1.5, mean_lead=0.0)

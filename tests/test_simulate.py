@@ -1,5 +1,7 @@
 """Tests for the coupled Monte Carlo harness and the regret estimators."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from modeswitch.environments import RandomMdpSpec, SwitchingEnv, gen_random_mdp,
 from modeswitch.mdp import ModePairMdp
 from modeswitch.pipeline import SolveOptions, solve_env
 from modeswitch.simulate import (
+    EpisodeBatch,
     episode_rng,
     estimate_exact_regret,
     estimate_regret_decomposition,
@@ -158,17 +161,35 @@ class TestRunBatch:
     def test_worker_count_does_not_matter(self, small_solved):
         serial = run_batch(small_solved, 2100, 60, 5, workers=1)
         threaded = run_batch(small_solved, 2100, 60, 5, workers=4)
-        for name in (
-            "change_point",
-            "switch_time",
-            "cost_cd",
-            "cost_mo",
-            "false_alarm",
-            "delay",
-            "objective_realized",
-            "truncated",
-        ):
-            assert np.array_equal(getattr(serial, name), getattr(threaded, name))
+        for field in fields(EpisodeBatch):
+            assert np.array_equal(getattr(serial, field.name), getattr(threaded, field.name))
+
+    def test_switch_and_change_states_exact_properties(self, small_solved):
+        # No stage difference accrues before both the switch and the change:
+        # mirroring the baseline fires at the change itself, zero thresholds
+        # fire at time 0, and any rule firing no later than the change has
+        # nothing to show for it yet.
+        horizon = 40
+        solved_rule = run_batch(small_solved, 600, horizon, 27)
+        early = solved_rule.switch_time <= solved_rule.change_point
+        assert 0 < early.sum() < early.size
+        assert np.all(solved_rule.regret_pre_switch[early] == 0.0)
+
+        mirror = run_batch(small_solved, 600, horizon, 27, switch_at_change=True)
+        inside = mirror.change_point < horizon
+        assert 0 < inside.sum() < inside.size
+        assert np.array_equal(mirror.state_at_switch[inside], mirror.state_at_change[inside])
+        assert np.all(mirror.regret_pre_switch[inside] == 0.0)
+        assert np.all(mirror.state_at_change[~inside] == -1)
+
+        for start in range(3):
+            pinned = replace(
+                small_solved, env=replace(small_solved.env, initial_dist=np.eye(3)[start])
+            )
+            eager = run_batch(pinned, 300, horizon, 27, thresholds=np.zeros(3))
+            assert np.all(eager.switch_time == 0)
+            assert np.all(eager.state_at_switch == start)
+            assert np.all(eager.regret_pre_switch == 0.0)
 
     def test_coupling_exact_on_unswitched_episodes(self, small_solved):
         horizon = 30
