@@ -62,7 +62,6 @@ from .simulate import (
     run_batch,
     run_episode,
     run_experiment,
-    sample_change_point,
     summarize,
 )
 

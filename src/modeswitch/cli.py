@@ -12,9 +12,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -30,14 +31,9 @@ class ConfigError(ValueError):
     """The config file is malformed or inconsistent."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(SolveOptions):
     environment: dict
-    grid_size: int = 1000
-    vi_tol: float = 1e-10
-    vi_max_iter: int = 2_000_000
-    fp_tol: float = 1e-9
-    fp_max_iter: int = 1_000_000
     rho_sweep: tuple[float, ...] | None = None
     n_episodes: int = 6000
     horizon: int | None = None
@@ -48,39 +44,58 @@ class ExperimentConfig:
     write_episodes: bool = False
 
 
-_TOP_KEYS = {
-    "environment",
-    "grid_size",
-    "vi_tol",
-    "vi_max_iter",
-    "fp_tol",
-    "fp_max_iter",
-    "rho_sweep",
-    "n_episodes",
-    "horizon",
-    "master_seed",
-    "workers",
-    "out_dir",
-    "mixing_k_max",
-    "write_episodes",
+_TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
+
+#: Config keys whose spec field has another name.
+_SPEC_FIELDS = {"rho": "change_rate", "gamma": "discount"}
+
+
+def _spec_keys(spec) -> dict[str, bool]:
+    """Config key -> whether the config must give it, one per field of ``spec``."""
+    renamed = {field: key for key, field in _SPEC_FIELDS.items()}
+    return {renamed.get(f.name, f.name): f.default is MISSING for f in fields(spec)}
+
+
+#: Environment kind -> {config key: whether it is required}.
+_ENV_FIELDS = {
+    "random-mdp": _spec_keys(RandomMdpSpec),
+    "inventory": _spec_keys(InventorySpec),
+    "custom-kernels": _spec_keys(ModePairMdp),
+}
+_ENV_KEYS = {kind: {"kind", *keys} for kind, keys in _ENV_FIELDS.items()}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: Config field annotation -> (what a value must be, the check it must pass).
+_TYPE_CHECKS = {
+    int: ("an integer", _is_int),
+    int | None: ("an integer or null", lambda v: v is None or _is_int(v)),
+    float: ("a number", _is_number),
+    tuple[float, ...] | None: (
+        "a list of numbers or null",
+        lambda v: v is None or (isinstance(v, list) and all(map(_is_number, v))),
+    ),
+}
+_FIELD_CHECKS = {
+    key: _TYPE_CHECKS[hint]
+    for key, hint in get_type_hints(ExperimentConfig).items()
+    if hint in _TYPE_CHECKS
 }
 
-_ENV_KEYS = {
-    "random-mdp": {"kind", "n_states", "n_actions", "seed", "rho", "gamma"},
-    "inventory": {
-        "kind",
-        "capacity",
-        "order_cost",
-        "holding_cost",
-        "shortfall_cost",
-        "demand_rate",
-        "rho",
-        "gamma",
-        "demand_tail_eps",
-        "order_cost_basis",
-    },
-    "custom-kernels": {"kind", "kernel_pre", "kernel_post", "stage_cost", "rho", "gamma"},
-}
+#: (config key, smallest allowed value, message when it is smaller).
+_MINIMA = (
+    ("n_episodes", 1, "no episodes requested"),
+    ("grid_size", 2, "grid_size must be at least 2"),
+    ("workers", 1, "workers must be at least 1"),
+    ("horizon", 1, "horizon must be at least 1"),
+)
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
@@ -89,79 +104,54 @@ def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def load_config(path: str | Path, **overrides) -> ExperimentConfig:
+    """Read a JSON config, apply ``overrides`` (config key -> value) and check
+    the result; any problem raises :class:`ConfigError`."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    raw.update(overrides)
     _reject_unknown(raw, _TOP_KEYS, "config")
     env = raw.get("environment")
     if not isinstance(env, dict) or "kind" not in env:
         raise ConfigError("config needs an 'environment' object with a 'kind'")
     kind = env["kind"]
-    if kind not in _ENV_KEYS:
+    if not isinstance(kind, str) or kind not in _ENV_FIELDS:
         raise ConfigError(f"unknown environment kind {kind!r}")
     _reject_unknown(env, _ENV_KEYS[kind], f"environment ({kind})")
+    missing = sorted(k for k, required in _ENV_FIELDS[kind].items() if required and k not in env)
+    if missing:
+        raise ConfigError(f"environment ({kind}) is missing keys: {', '.join(missing)}")
+    for key, (what, check) in _FIELD_CHECKS.items():
+        if key in raw and not check(raw[key]):
+            raise ConfigError(f"{key} must be {what}, got {json.dumps(raw[key])}")
     sweep = raw.get("rho_sweep")
-    if sweep is not None:
-        sweep = tuple(float(value) for value in sweep)
-    config = ExperimentConfig(
-        environment=env,
-        **{
-            key: raw[key]
-            for key in _TOP_KEYS - {"environment", "rho_sweep"}
-            if key in raw
-        },
-    )
-    config = replace(config, rho_sweep=sweep)
-    if config.n_episodes < 1:
-        raise ConfigError("no episodes requested")
-    if config.grid_size < 2:
-        raise ConfigError("grid_size must be at least 2")
-    if config.workers < 1:
-        raise ConfigError("workers must be at least 1")
+    raw["rho_sweep"] = tuple(float(value) for value in sweep) if sweep else None
+    config = ExperimentConfig(**raw)
+    for key, low, message in _MINIMA:
+        value = getattr(config, key)
+        if value is not None and value < low:
+            raise ConfigError(message)
     return config
-
-
-#: Config keys whose spec field has another name.
-_SPEC_FIELDS = {"rho": "change_rate", "gamma": "discount"}
 
 
 def _build_env(config: ExperimentConfig, rho: float | None = None) -> SwitchingEnv:
     env = config.environment
     kind = env["kind"]
-    if kind in ("random-mdp", "inventory"):
-        # Pass only the keys present, so defaults live in the spec classes.
-        fields = {_SPEC_FIELDS.get(k, k): v for k, v in env.items() if k != "kind"}
-        if rho is not None:
-            fields["change_rate"] = rho
-        if kind == "random-mdp":
-            return random_env(RandomMdpSpec(**fields))
-        return build_inventory(InventorySpec(**fields))
-    kernel_pre = np.asarray(env["kernel_pre"], dtype=float)
-    kernel_post = np.asarray(env["kernel_post"], dtype=float)
-    stage_cost = np.asarray(env["stage_cost"], dtype=float)
-    mdp = ModePairMdp(
-        kernel_pre,
-        kernel_post,
-        stage_cost,
-        env.get("gamma", 0.999),
-        rho if rho is not None else env.get("rho", 0.01),
-    )
+    # Pass only the keys present, so defaults live in the spec classes.
+    spec = {_SPEC_FIELDS.get(k, k): v for k, v in env.items() if k != "kind"}
+    if rho is not None:
+        spec["change_rate"] = rho
+    if kind == "random-mdp":
+        return random_env(RandomMdpSpec(**spec))
+    if kind == "inventory":
+        return build_inventory(InventorySpec(**spec))
+    mdp = ModePairMdp(**spec)
     uniform = np.full(mdp.n_states, 1.0 / mdp.n_states)
-    return SwitchingEnv(mdp, stage_cost, stage_cost, uniform, "custom-kernels")
-
-
-def _solve_options(config: ExperimentConfig) -> SolveOptions:
-    return SolveOptions(
-        grid_size=config.grid_size,
-        vi_tol=config.vi_tol,
-        vi_max_iter=config.vi_max_iter,
-        fp_tol=config.fp_tol,
-        fp_max_iter=config.fp_max_iter,
-    )
+    return SwitchingEnv(mdp, mdp.stage_cost, mdp.stage_cost, uniform, "custom-kernels")
 
 
 def _fmt(value) -> str:
@@ -178,22 +168,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _horizon_for(config: ExperimentConfig, rho: float) -> int:
-    if config.horizon is not None:
-        return int(config.horizon)
-    return math.ceil(2.0 / rho)
-
-
 def _manifest(config: ExperimentConfig, out: Path, extra: dict) -> None:
     body = {
-        "config": {
-            **{
-                key: getattr(config, key)
-                for key in sorted(_TOP_KEYS - {"environment", "rho_sweep"})
-            },
-            "environment": config.environment,
-            "rho_sweep": list(config.rho_sweep) if config.rho_sweep else None,
-        },
+        "config": asdict(config),
         "versions": {"modeswitch": __version__, "numpy": np.__version__},
         "created_at": datetime.now(timezone.utc).isoformat(),
         **extra,
@@ -221,7 +198,7 @@ def _solved_summary(solved: SolvedEnv) -> dict:
 
 def cmd_solve(config: ExperimentConfig, out: Path) -> None:
     env = _build_env(config)
-    solved = solve_env(env, _solve_options(config))
+    solved = solve_env(env, config)
     n = env.mdp.n_states
     _write_csv(
         out / "policies.csv",
@@ -260,96 +237,53 @@ def cmd_solve(config: ExperimentConfig, out: Path) -> None:
 
 
 def _simulate_one(config: ExperimentConfig, rho: float | None):
+    """Solve and simulate at one change rate; also returns its manifest entry."""
     env = _build_env(config, rho)
-    solved = solve_env(env, _solve_options(config))
-    horizon = _horizon_for(config, env.mdp.change_rate)
-    batch = run_batch(
-        solved, config.n_episodes, horizon, config.master_seed, config.workers
-    )
-    return env, solved, horizon, batch, summarize(batch, horizon, config.master_seed)
+    solved = solve_env(env, config)
+    rate = env.mdp.change_rate
+    horizon = config.horizon or math.ceil(2.0 / rate)
+    batch = run_batch(solved, config.n_episodes, horizon, config.master_seed, config.workers)
+    run = {"label": env.label, "rho": rate, "horizon": horizon, **_solved_summary(solved)}
+    return env, solved, batch, summarize(batch, horizon, config.master_seed), run
+
+
+#: report.csv columns after ``rho`` and ``lambda`` -> their SimReport fields.
+_REPORT_COLUMNS = {
+    "j_mo": "mean_cost_mo",
+    "j_cd": "mean_cost_cd",
+    "stderr_mo": "stderr_cost_mo",
+    "stderr_cd": "stderr_cost_cd",
+    "pfa": "false_alarm_rate",
+    "mean_delay": "mean_delay",
+    "t_stat": "welch_t",
+    "t_df": "welch_df",
+    "truncated_frac": "truncated_frac",
+}
+
+#: episodes.csv columns after ``rho`` and ``episode``, each an EpisodeBatch field.
+_EPISODE_COLUMNS = (
+    "change_point", "switch_time", "cost_cd", "cost_mo",
+    "false_alarm", "delay", "objective_realized", "truncated",
+)
 
 
 def cmd_simulate(config: ExperimentConfig, out: Path) -> None:
-    sweep = config.rho_sweep if config.rho_sweep else (None,)
     rows = []
     manifest_runs = []
     episode_rows = []
-    for rho in sweep:
-        env, solved, horizon, batch, report = _simulate_one(config, rho)
+    for rho in config.rho_sweep or (None,):
+        env, solved, batch, report, run = _simulate_one(config, rho)
+        rate = env.mdp.change_rate
         rows.append(
-            [
-                env.mdp.change_rate,
-                solved.weight,
-                report.mean_cost_mo,
-                report.mean_cost_cd,
-                report.stderr_cost_mo,
-                report.stderr_cost_cd,
-                report.false_alarm_rate,
-                report.mean_delay,
-                report.welch_t,
-                report.welch_df,
-                report.truncated_frac,
-            ]
+            [rate, solved.weight, *(getattr(report, name) for name in _REPORT_COLUMNS.values())]
         )
-        manifest_runs.append(
-            {
-                "label": env.label,
-                "rho": env.mdp.change_rate,
-                "horizon": horizon,
-                **_solved_summary(solved),
-            }
-        )
+        manifest_runs.append(run)
         if config.write_episodes:
-            for i in range(batch.n_episodes):
-                rec = batch.record(i)
-                episode_rows.append(
-                    [
-                        env.mdp.change_rate,
-                        i,
-                        rec.change_point,
-                        rec.switch_time,
-                        rec.cost_cd,
-                        rec.cost_mo,
-                        rec.false_alarm,
-                        rec.delay,
-                        rec.objective_realized,
-                        rec.truncated,
-                    ]
-                )
-    _write_csv(
-        out / "report.csv",
-        [
-            "rho",
-            "lambda",
-            "j_mo",
-            "j_cd",
-            "stderr_mo",
-            "stderr_cd",
-            "pfa",
-            "mean_delay",
-            "t_stat",
-            "t_df",
-            "truncated_frac",
-        ],
-        rows,
-    )
+            columns = [getattr(batch, name).tolist() for name in _EPISODE_COLUMNS]
+            episode_rows.extend([rate, i, *cells] for i, cells in enumerate(zip(*columns)))
+    _write_csv(out / "report.csv", ["rho", "lambda", *_REPORT_COLUMNS], rows)
     if config.write_episodes:
-        _write_csv(
-            out / "episodes.csv",
-            [
-                "rho",
-                "episode",
-                "change_point",
-                "switch_time",
-                "cost_cd",
-                "cost_mo",
-                "false_alarm",
-                "delay",
-                "objective_realized",
-                "truncated",
-            ],
-            episode_rows,
-        )
+        _write_csv(out / "episodes.csv", ["rho", "episode", *_EPISODE_COLUMNS], episode_rows)
     _manifest(config, out, {"simulate": manifest_runs})
 
 
@@ -360,7 +294,7 @@ def cmd_figure1(config: ExperimentConfig, out: Path) -> None:
     pfa_rows = []
     manifest_runs = []
     for rho in config.rho_sweep:
-        env, solved, horizon, _, report = _simulate_one(config, rho)
+        env, solved, _, report, run = _simulate_one(config, rho)
         for x in range(env.mdp.n_states):
             threshold_rows.append([rho, x, solved.thresholds[x]])
         stderr = math.sqrt(
@@ -368,9 +302,7 @@ def cmd_figure1(config: ExperimentConfig, out: Path) -> None:
             / config.n_episodes
         )
         pfa_rows.append([rho, report.false_alarm_rate, stderr])
-        manifest_runs.append(
-            {"label": env.label, "rho": rho, "horizon": horizon, **_solved_summary(solved)}
-        )
+        manifest_runs.append(run)
     _write_csv(out / "thresholds.csv", ["rho", "state", "threshold"], threshold_rows)
     _write_csv(out / "pfa.csv", ["rho", "pfa", "stderr"], pfa_rows)
     _manifest(config, out, {"figure1": manifest_runs})
@@ -378,7 +310,7 @@ def cmd_figure1(config: ExperimentConfig, out: Path) -> None:
 
 def cmd_mixing(config: ExperimentConfig, out: Path) -> None:
     env = _build_env(config)
-    solved = solve_env(env, _solve_options(config))
+    solved = solve_env(env, config)
     profile_rows = []
     envelope_rows = []
     for i, j in MODE_PAIRS:
@@ -419,16 +351,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, default=None, help="override workers")
     args = parser.parse_args(argv)
 
+    overrides = {"master_seed": args.seed, "out_dir": args.out, "workers": args.workers}
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config = replace(config, master_seed=args.seed)
-        if args.out is not None:
-            config = replace(config, out_dir=args.out)
-        if args.workers is not None:
-            if args.workers < 1:
-                raise ConfigError("workers must be at least 1")
-            config = replace(config, workers=args.workers)
+        config = load_config(
+            args.config, **{key: value for key, value in overrides.items() if value is not None}
+        )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -19,6 +19,10 @@ import numpy as np
 
 from .mdp import ConvergenceError, ModePairMdp, check_stochastic
 
+#: Default fixed-point distance target and iteration budget of the belief solvers.
+DEFAULT_FP_TOL = 1e-9
+DEFAULT_FP_MAX_ITER = 1_000_000
+
 
 class ImpossibleTransitionError(ValueError):
     """A transition with probability zero under both kernels was observed."""
@@ -245,8 +249,8 @@ def solve_fixed_point(
     dyn: BeliefDynamics,
     weight: float,
     grid: BeliefGrid,
-    tol: float = 1e-9,
-    max_iter: int = 1_000_000,
+    tol: float = DEFAULT_FP_TOL,
+    max_iter: int = DEFAULT_FP_MAX_ITER,
     start: BeliefValueTable | None = None,
 ) -> tuple[BeliefValueTable, int]:
     """Iterate the stopping operator to its fixed point.
@@ -337,8 +341,8 @@ def evaluate_switch_rule(
     dyn: BeliefDynamics,
     weight: float,
     grid: BeliefGrid,
-    tol: float = 1e-9,
-    max_iter: int = 1_000_000,
+    tol: float = DEFAULT_FP_TOL,
+    max_iter: int = DEFAULT_FP_MAX_ITER,
 ) -> BeliefValueTable:
     """Value table of a fixed threshold rule (stop once belief >= threshold).
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import ModePairMdp
+from .mdp import DEFAULT_CHANGE_RATE, DEFAULT_DISCOUNT, ModePairMdp
 
 
 @dataclass(frozen=True)
@@ -18,8 +18,8 @@ class RandomMdpSpec:
     n_states: int = 5
     n_actions: int = 3
     seed: int = 0
-    change_rate: float = 0.01
-    discount: float = 0.999
+    change_rate: float = DEFAULT_CHANGE_RATE
+    discount: float = DEFAULT_DISCOUNT
 
     def __post_init__(self):
         if self.n_states < 1 or self.n_actions < 1:
@@ -42,8 +42,8 @@ class InventorySpec:
     holding_cost: float = 5.0
     shortfall_cost: float = 100.0
     demand_rate: float = 2.0
-    discount: float = 0.999
-    change_rate: float = 0.01
+    discount: float = DEFAULT_DISCOUNT
+    change_rate: float = DEFAULT_CHANGE_RATE
     demand_tail_eps: float = 1e-12
     order_cost_basis: str = "stock"
 

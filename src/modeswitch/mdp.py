@@ -11,6 +11,14 @@ import numpy as np
 #: Tolerance for "rows sum to one" checks on transition kernels.
 ROW_SUM_TOL = 1e-12
 
+#: Default discount factor and per-step change rate of every environment.
+DEFAULT_DISCOUNT = 0.999
+DEFAULT_CHANGE_RATE = 0.01
+
+#: Default Bellman-residual target and iteration budget of value iteration.
+DEFAULT_VI_TOL = 1e-10
+DEFAULT_VI_MAX_ITER = 2_000_000
+
 
 class ConvergenceError(RuntimeError):
     """An iterative solver exhausted its iteration budget."""
@@ -45,8 +53,8 @@ class ModePairMdp:
     kernel_pre: np.ndarray
     kernel_post: np.ndarray
     stage_cost: np.ndarray
-    discount: float
-    change_rate: float
+    discount: float = DEFAULT_DISCOUNT
+    change_rate: float = DEFAULT_CHANGE_RATE
 
     def __post_init__(self):
         for field in ("kernel_pre", "kernel_post", "stage_cost"):
@@ -115,8 +123,8 @@ def value_iteration(
     kernel: np.ndarray,
     stage_cost: np.ndarray,
     discount: float,
-    tol: float = 1e-10,
-    max_iter: int = 2_000_000,
+    tol: float = DEFAULT_VI_TOL,
+    max_iter: int = DEFAULT_VI_MAX_ITER,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve one mode's discounted MDP to a Bellman residual below ``tol``.
 

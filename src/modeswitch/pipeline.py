@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detector import (
+    DEFAULT_FP_MAX_ITER,
+    DEFAULT_FP_TOL,
     BeliefDynamics,
     BeliefGrid,
     BeliefOperator,
@@ -16,7 +18,14 @@ from .detector import (
     solve_fixed_point,
 )
 from .environments import SwitchingEnv
-from .mdp import InducedChain, greedy_backup, induced_chain, value_iteration
+from .mdp import (
+    DEFAULT_VI_MAX_ITER,
+    DEFAULT_VI_TOL,
+    InducedChain,
+    greedy_backup,
+    induced_chain,
+    value_iteration,
+)
 from .chains import stationary_distribution
 from .regret import SwitchingCostRates, false_alarm_weight
 
@@ -27,10 +36,10 @@ MODE_PAIRS = ((1, 1), (2, 1), (1, 2), (2, 2))
 @dataclass(frozen=True)
 class SolveOptions:
     grid_size: int = 1000
-    vi_tol: float = 1e-10
-    vi_max_iter: int = 2_000_000
-    fp_tol: float = 1e-9
-    fp_max_iter: int = 1_000_000
+    vi_tol: float = DEFAULT_VI_TOL
+    vi_max_iter: int = DEFAULT_VI_MAX_ITER
+    fp_tol: float = DEFAULT_FP_TOL
+    fp_max_iter: int = DEFAULT_FP_MAX_ITER
 
 
 @dataclass(frozen=True)

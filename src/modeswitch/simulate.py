@@ -132,13 +132,6 @@ class RegretEstimate:
     truncation_bound: float
 
 
-def sample_change_point(change_rate: float, rng: np.random.Generator) -> int:
-    """Draw the geometric switching time (support {1, 2, ...})."""
-    if not 0.0 < change_rate <= 1.0:
-        raise ValueError("change_rate must lie in (0, 1]")
-    return int(rng.geometric(change_rate))
-
-
 def episode_rng(master_seed: int, index: int) -> np.random.Generator:
     """The documented per-episode stream: spawn key = episode index."""
     return np.random.default_rng(

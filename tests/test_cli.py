@@ -2,10 +2,14 @@
 
 import json
 import os
+from dataclasses import MISSING, fields
 
 import pytest
 
-from modeswitch.cli import main
+from modeswitch import cli
+from modeswitch.cli import ExperimentConfig, main
+from modeswitch.environments import InventorySpec, RandomMdpSpec, gen_random_mdp
+from modeswitch.mdp import ModePairMdp
 
 
 def write_config(tmp_path, **overrides):
@@ -185,3 +189,113 @@ class TestErrorPaths:
         assert "error in stage 'solve'" in err
         assert f"needs {needed} bytes" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        ("overrides", "args", "message"),
+        [
+            ({"grid_size": "big"}, [], "grid_size must be an integer"),
+            ({"rho_sweep": "abc"}, [], "rho_sweep must be a list of numbers or null"),
+            ({"workers": 2.5}, [], "workers must be an integer"),
+            ({"n_episodes": True}, [], "n_episodes must be an integer"),
+            ({"horizon": 0}, [], "horizon must be at least 1"),
+            ({}, ["--workers", "0"], "workers must be at least 1"),
+            ({"environment": {"kind": ["random-mdp"]}}, [], "unknown environment kind"),
+            (
+                {"environment": {"kind": "custom-kernels", "kernel_post": [[[1.0]]]}},
+                [],
+                "environment (custom-kernels) is missing keys: kernel_pre, stage_cost",
+            ),
+        ],
+        ids=[
+            "grid-size-string",
+            "rho-sweep-string",
+            "workers-float",
+            "episodes-bool",
+            "horizon-zero",
+            "workers-flag-zero",
+            "kind-list",
+            "missing-kernels",
+        ],
+    )
+    def test_invalid_config_exits_1_with_one_line(self, tmp_path, capsys, overrides, args, message):
+        config = write_config(tmp_path, **overrides)
+        assert main(["simulate", "--config", str(config), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert err.count("\n") == 1
+
+
+class TestConfigSchema:
+    def test_accepted_keys(self):
+        assert cli._TOP_KEYS == {
+            "environment",
+            "grid_size",
+            "vi_tol",
+            "vi_max_iter",
+            "fp_tol",
+            "fp_max_iter",
+            "rho_sweep",
+            "n_episodes",
+            "horizon",
+            "master_seed",
+            "workers",
+            "out_dir",
+            "mixing_k_max",
+            "write_episodes",
+        }
+        assert cli._ENV_KEYS == {
+            "random-mdp": {"kind", "n_states", "n_actions", "seed", "rho", "gamma"},
+            "inventory": {
+                "kind",
+                "capacity",
+                "order_cost",
+                "holding_cost",
+                "shortfall_cost",
+                "demand_rate",
+                "rho",
+                "gamma",
+                "demand_tail_eps",
+                "order_cost_basis",
+            },
+            "custom-kernels": {"kind", "kernel_pre", "kernel_post", "stage_cost", "rho", "gamma"},
+        }
+
+    @pytest.mark.parametrize("kind", ["random-mdp", "inventory", "custom-kernels"])
+    def test_spelled_out_defaults_change_nothing(self, tmp_path, kind):
+        # A config that leaves optional keys out solves exactly like one that
+        # gives each at its dataclass default, so no other default is in play.
+        mdp = gen_random_mdp(RandomMdpSpec(n_states=3, n_actions=2, seed=0))
+        spec, given = {
+            "random-mdp": (RandomMdpSpec, {"seed": 10}),  # seed 0 has no weight
+            "inventory": (InventorySpec, {}),
+            "custom-kernels": (
+                ModePairMdp,
+                {
+                    "kernel_pre": mdp.kernel_pre.tolist(),
+                    "kernel_post": mdp.kernel_post.tolist(),
+                    "stage_cost": mdp.stage_cost.tolist(),
+                },
+            ),
+        }[kind]
+        renamed = {"change_rate": "rho", "discount": "gamma"}
+        minimal = {"environment": {"kind": kind, **given}}
+        spelled = {
+            **{f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING},
+            "environment": {
+                **{
+                    renamed.get(f.name, f.name): f.default
+                    for f in fields(spec)
+                    if f.default is not MISSING
+                },
+                **minimal["environment"],
+            },
+        }
+        results = []
+        for name, body in (("minimal", minimal), ("spelled", spelled)):
+            out = tmp_path / name
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**body, "out_dir": str(out)}))
+            assert main(["solve", "--config", str(path)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            results.append((read_outputs(out), manifest["solve"], manifest["label"]))
+        assert results[0] == results[1]

@@ -17,7 +17,6 @@ from modeswitch.simulate import (
     run_batch,
     run_episode,
     run_experiment,
-    sample_change_point,
     summarize,
 )
 
@@ -78,32 +77,6 @@ def degenerate_solved():
     )
 
 
-class TestSampleChangePoint:
-    def test_unit_rate_always_one(self):
-        rng = np.random.default_rng(0)
-        assert all(sample_change_point(1.0, rng) == 1 for _ in range(50))
-
-    def test_mean_matches_geometric(self):
-        rng = np.random.default_rng(1)
-        n = 300_000
-        draws = np.array([sample_change_point(0.5, rng) for _ in range(n)])
-        sigma = np.sqrt((1 - 0.5) / 0.5**2 / n)
-        assert abs(draws.mean() - 2.0) <= 3 * sigma
-        assert draws.min() >= 1
-
-    def test_pmf_at_one(self):
-        rng = np.random.default_rng(2)
-        n = 300_000
-        draws = np.array([sample_change_point(0.01, rng) for _ in range(n)])
-        p_hat = float((draws == 1).mean())
-        sigma = np.sqrt(0.01 * 0.99 / n)
-        assert abs(p_hat - 0.01) <= 3 * sigma
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            sample_change_point(0.0, np.random.default_rng(0))
-
-
 class TestRunEpisode:
     def test_replay_is_identical(self, small_solved):
         first = run_episode(small_solved, 12, 80, episode_rng(9, 4))
@@ -134,7 +107,7 @@ class TestRunEpisode:
         weight = small_solved.weight
         for index in range(30):
             rng = episode_rng(21, index)
-            gamma = sample_change_point(0.05, rng)
+            gamma = int(rng.geometric(0.05))
             record = run_episode(small_solved, gamma, 200, rng)
             expected = max(record.switch_time - gamma - 1, 0) + weight * (
                 gamma >= record.switch_time
@@ -154,7 +127,7 @@ class TestRunBatch:
         batch = run_batch(small_solved, 40, horizon, master)
         for index in range(40):
             rng = episode_rng(master, index)
-            gamma = sample_change_point(small_solved.env.mdp.change_rate, rng)
+            gamma = int(rng.geometric(small_solved.env.mdp.change_rate))
             record = run_episode(small_solved, gamma, horizon, rng)
             assert batch.record(index) == record
 
