@@ -46,21 +46,17 @@ class ExperimentConfig(SolveOptions):
 
 _TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
 
-#: Config keys whose spec field has another name.
+#: Config keys whose spec field has another name; both must lie in (0, 1).
 _SPEC_FIELDS = {"rho": "change_rate", "gamma": "discount"}
+_CONFIG_KEY = {field: key for key, field in _SPEC_FIELDS.items()}
 
-
-def _spec_keys(spec) -> dict[str, bool]:
-    """Config key -> whether the config must give it, one per field of ``spec``."""
-    renamed = {field: key for key, field in _SPEC_FIELDS.items()}
-    return {renamed.get(f.name, f.name): f.default is MISSING for f in fields(spec)}
-
+#: Environment kind -> the spec class whose fields are its keys.
+_SPECS = {"random-mdp": RandomMdpSpec, "inventory": InventorySpec, "custom-kernels": ModePairMdp}
 
 #: Environment kind -> {config key: whether it is required}.
 _ENV_FIELDS = {
-    "random-mdp": _spec_keys(RandomMdpSpec),
-    "inventory": _spec_keys(InventorySpec),
-    "custom-kernels": _spec_keys(ModePairMdp),
+    kind: {_CONFIG_KEY.get(f.name, f.name): f.default is MISSING for f in fields(spec)}
+    for kind, spec in _SPECS.items()
 }
 _ENV_KEYS = {kind: {"kind", *keys} for kind, keys in _ENV_FIELDS.items()}
 
@@ -78,16 +74,27 @@ _TYPE_CHECKS = {
     int: ("an integer", _is_int),
     int | None: ("an integer or null", lambda v: v is None or _is_int(v)),
     float: ("a number", _is_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+    np.ndarray: ("a list", lambda v: isinstance(v, list)),
     tuple[float, ...] | None: (
         "a list of numbers or null",
         lambda v: v is None or (isinstance(v, list) and all(map(_is_number, v))),
     ),
 }
-_FIELD_CHECKS = {
-    key: _TYPE_CHECKS[hint]
-    for key, hint in get_type_hints(ExperimentConfig).items()
-    if hint in _TYPE_CHECKS
-}
+
+
+def _type_checks(cls) -> dict:
+    """Config key -> its entry of ``_TYPE_CHECKS``, for each field of ``cls``
+    whose annotation has one."""
+    return {
+        _CONFIG_KEY.get(name, name): _TYPE_CHECKS[hint]
+        for name, hint in get_type_hints(cls).items()
+        if hint in _TYPE_CHECKS
+    }
+
+
+_FIELD_CHECKS = _type_checks(ExperimentConfig)
+_ENV_CHECKS = {kind: _type_checks(spec) for kind, spec in _SPECS.items()}
 
 #: (config key, smallest allowed value, message when it is smaller).
 _MINIMA = (
@@ -125,6 +132,12 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     missing = sorted(k for k, required in _ENV_FIELDS[kind].items() if required and k not in env)
     if missing:
         raise ConfigError(f"environment ({kind}) is missing keys: {', '.join(missing)}")
+    for key, (what, check) in _ENV_CHECKS[kind].items():
+        if key in env and not check(env[key]):
+            raise ConfigError(f"environment {key} must be {what}, got {json.dumps(env[key])}")
+    for key in _SPEC_FIELDS:
+        if key in env and not 0.0 < env[key] < 1.0:
+            raise ConfigError(f"environment {key} must lie in (0, 1), got {json.dumps(env[key])}")
     for key, (what, check) in _FIELD_CHECKS.items():
         if key in raw and not check(raw[key]):
             raise ConfigError(f"{key} must be {what}, got {json.dumps(raw[key])}")
@@ -348,7 +361,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--seed", type=int, default=None, help="override master_seed")
     parser.add_argument("--out", default=None, help="override out_dir")
-    parser.add_argument("--workers", type=int, default=None, help="override workers")
+    parser.add_argument(
+        "--workers", type=int, default=None,
+        help="override workers (kept for config compatibility; the Monte Carlo runs on one thread)",
+    )
     args = parser.parse_args(argv)
 
     overrides = {"master_seed": args.seed, "out_dir": args.out, "workers": args.workers}

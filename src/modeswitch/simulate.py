@@ -5,16 +5,24 @@ Per-episode randomness comes from its own stream,
 ``SeedSequence(entropy=master_seed, spawn_key=(episode_index,))``, consumed in
 a fixed order (change point, one uniform for the start state, one uniform per
 step), so results are a pure function of (master seed, episode index) no
-matter how episodes are chunked across workers.  Both controllers' transitions
-are driven by the same per-step uniform through inverse-CDF sampling over the
-natural state order, so their trajectories (and cost accumulations, operation
-for operation) coincide until the first time their policies diverge.
+matter how episodes are chunked or how many uniforms are drawn at a time.
+Both controllers' transitions are driven by the same per-step uniform through
+inverse-CDF sampling over the natural state order, so their trajectories (and
+cost accumulations, operation for operation) coincide until the first time
+their policies diverge.
+
+:func:`run_batch` steps chunks of episodes through one vectorized kernel,
+serially and in episode-index order.  Its per-step cost follows the work that
+is left: once an episode has switched and passed its change point (it is
+*settled*), both controllers run the post-change policy on the post-change
+kernel, so it takes one flat table lookup per controller and no detection
+bookkeeping.  :func:`run_episode` is the independent scalar reference the
+kernel must match bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -23,6 +31,8 @@ from .detector import belief_update
 from .pipeline import SolvedEnv
 
 _CHUNK_SIZE = 1024
+#: Steps of uniforms drawn per episode at a time (2 MB per buffer for a full chunk).
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -79,21 +89,6 @@ class EpisodeBatch:
     @property
     def n_episodes(self) -> int:
         return self.change_point.size
-
-    def record(self, index: int) -> EpisodeRecord:
-        return EpisodeRecord(
-            change_point=int(self.change_point[index]),
-            switch_time=int(self.switch_time[index]),
-            cost_cd=float(self.cost_cd[index]),
-            cost_mo=float(self.cost_mo[index]),
-            false_alarm=bool(self.false_alarm[index]),
-            delay=int(self.delay[index]),
-            objective_realized=float(self.objective_realized[index]),
-            truncated=bool(self.truncated[index]),
-            state_at_switch=int(self.state_at_switch[index]),
-            state_at_change=int(self.state_at_change[index]),
-            regret_pre_switch=float(self.regret_pre_switch[index]),
-        )
 
 
 @dataclass(frozen=True)
@@ -248,8 +243,32 @@ def _run_chunk(
 ) -> EpisodeBatch:
     """Vectorized episode runner for indices [lo, hi).
 
-    Mirrors :func:`run_episode` operation for operation so that the two paths
-    produce bitwise-identical records for the same episode index.
+    Produces, for every episode index, the record :func:`run_episode` returns,
+    bit for bit: the same comparisons and the same cost additions in the same
+    order.
+
+    Both controllers (row 0 detection, row 1 baseline) step through one flat
+    table keyed by ``(2 * policy_mode + kernel_mode) * n + state``.  The
+    kernel mode is 1 from the change point on; the baseline's policy mode
+    equals it and the detection controller's is 1 once it has switched.  Each
+    episode keeps one key offset per controller, moved only at the switch and
+    at the change.  A step is a ``take`` of stage costs and a count of the
+    cumulative-row entries at or below the step's uniform, which is
+    :func:`run_episode`'s ``searchsorted``.
+
+    An episode is *settled* once it has switched and its change point is at
+    or before the current step; from then on only its costs and states move.
+    The detection bookkeeping (change and fire checks, switch and change
+    records, pre-switch regret, belief update) runs only on the unsettled
+    episodes, an index array compacted after every step.  The realized
+    objective is written at the end in closed form.
+
+    Each episode's step uniforms come from its own generator, ``_BLOCK`` steps
+    at a time, filled episode by episode and transposed into a (block, chunk)
+    array so each step reads one contiguous row.  ``random(k)`` followed by
+    ``random(m)`` yields the same values as ``random(k + m)``, so the draws
+    do not depend on the block length and memory does not grow with the
+    horizon.
     """
     env = solved.env
     mdp = env.mdp
@@ -260,75 +279,107 @@ def _run_chunk(
 
     change_point = np.empty(size, dtype=np.int64)
     start_u = np.empty(size)
-    step_u = np.empty((size, horizon))
+    rngs = []
     for i in range(size):
         rng = episode_rng(master_seed, lo + i)
         change_point[i] = rng.geometric(rate)
         start_u[i] = rng.random()
-        step_u[i] = rng.random(horizon)
+        rngs.append(rng)
 
-    cum_initial = np.cumsum(env.initial_dist)
-    # Pre/post tables stacked on a leading mode axis (0 pre-change, 1 post-change).
+    # Flat tables over keys (2 * policy_mode + kernel_mode) * n + state.
     cum_kernel = np.cumsum(np.stack((mdp.kernel_pre, mdp.kernel_post)), axis=3)
-    cost = np.stack((env.cost_pre, env.cost_post))
+    stage_cost = np.stack((env.cost_pre, env.cost_post))
     policy = np.stack((solved.policy_pre, solved.policy_post))
-    pre_rows = solved.dyn.kernel_pre
-    post_rows = solved.dyn.kernel_post
+    kernel_mode = np.array([0, 1, 0, 1])[:, None]
+    states = np.arange(n_states)
+    action = policy[np.array([0, 0, 1, 1])[:, None], states]
+    flat_cost = stage_cost[kernel_mode, states, action].ravel()
+    # Transposed cumulative rows without their last entry: cumulative sums of
+    # nonnegative probabilities never decrease, so the last entry is at or
+    # below u only when all others are, and the count is capped at n - 1.
+    flat_cum_t = np.ascontiguousarray(
+        cum_kernel[kernel_mode, states, action, :-1].reshape(4 * n_states, n_states - 1).T
+    )
+    pre_rows = solved.dyn.kernel_pre.ravel()
+    post_rows = solved.dyn.kernel_post.ravel()
 
-    state_cd = np.minimum(
-        np.searchsorted(cum_initial, start_u, side="right"), n_states - 1
-    ).astype(np.int64)
-    state_mo = state_cd.copy()
-    belief = np.zeros(size)
-    switched = np.zeros(size, dtype=bool)
+    # Row 0 is the detection controller, row 1 the baseline.
+    state = np.empty((2, size), dtype=np.intp)
+    state[:] = np.minimum(
+        np.searchsorted(np.cumsum(env.initial_dist), start_u, side="right"), n_states - 1
+    )
+    offset = np.zeros((2, size), dtype=np.intp)
+    cost = np.zeros((2, size))
     switch_time = np.full(size, horizon, dtype=np.int64)
     state_at_switch = np.full(size, -1, dtype=np.int64)
     state_at_change = np.full(size, -1, dtype=np.int64)
     regret_pre_switch = np.zeros(size)
-    cost_cd = np.zeros(size)
-    cost_mo = np.zeros(size)
-    objective = np.zeros(size)
+    # Unsettled episodes: chunk indices plus their change points, switch flags
+    # and beliefs, compacted together.
+    live = np.arange(size)
+    live_change = change_point
+    live_switched = np.zeros(size, dtype=bool)
+    belief = np.zeros(size)
+    draws = np.empty((size, min(_BLOCK, horizon)))
+    step_u = np.empty((draws.shape[1], size))
     disc = 1.0
     for t in range(horizon):
-        at_change = change_point == t
-        state_at_change[at_change] = state_cd[at_change]
-        if switch_at_change:
-            fire = ~switched & at_change
-        else:
-            fire = ~switched & (belief >= thresholds[state_cd])
-        switch_time[fire] = t
-        state_at_switch[fire] = state_cd[fire]
-        regret_pre_switch[fire] = cost_cd[fire] - cost_mo[fire]
-        objective[fire & (change_point >= t)] += weight
-        switched |= fire
+        row = t % _BLOCK
+        if row == 0:
+            count = min(_BLOCK, horizon - t)
+            for i, rng in enumerate(rngs):
+                rng.random(out=draws[i, :count])
+            np.copyto(step_u[:count], draws[:, :count].T)
 
-        mode = (change_point <= t).astype(np.intp)
-        action_cd = policy[switched.astype(np.intp), state_cd]
-        action_mo = policy[mode, state_mo]
-        cost_cd += disc * cost[mode, state_cd, action_cd]
-        cost_mo += disc * cost[mode, state_mo, action_mo]
-        objective[~switched & (change_point < t)] += 1.0
+        if live.size:
+            live_state = state[0, live]
+            at_change = live_change == t
+            if at_change.any():
+                changed = live[at_change]
+                state_at_change[changed] = live_state[at_change]
+                offset[0, changed] += n_states
+                offset[1, changed] = 3 * n_states
+            if switch_at_change:
+                fire = ~live_switched & at_change
+            else:
+                fire = ~live_switched & (belief >= thresholds[live_state])
+            if fire.any():
+                fired = live[fire]
+                switch_time[fired] = t
+                state_at_switch[fired] = live_state[fire]
+                regret_pre_switch[fired] = cost[0, fired] - cost[1, fired]
+                offset[0, fired] += 2 * n_states
+                live_switched |= fire
 
-        u = step_u[:, t, None]
-        rows_cd = cum_kernel[mode, state_cd, action_cd]
-        rows_mo = cum_kernel[mode, state_mo, action_mo]
-        next_cd = np.minimum((rows_cd <= u).sum(axis=1), n_states - 1)
-        next_mo = np.minimum((rows_mo <= u).sum(axis=1), n_states - 1)
+        key = offset + state
+        cost += disc * flat_cost.take(key)
+        state = np.add.reduce(flat_cum_t.take(key, axis=1) <= step_u[row], axis=0, dtype=np.intp)
 
-        drifted = belief + rate * (1.0 - belief)
-        changed_mass = drifted * post_rows[state_cd, next_cd]
-        total_mass = changed_mass + (1.0 - drifted) * pre_rows[state_cd, next_cd]
-        updated = np.where(
-            total_mass > 0.0, changed_mass / np.where(total_mass > 0.0, total_mass, 1.0), 1.0
-        )
-        belief = np.where(switched, belief, updated)
-        state_cd = next_cd
-        state_mo = next_mo
+        if live.size:
+            moved = live_state * n_states + state[0, live]
+            drifted = belief + rate * (1.0 - belief)
+            changed_mass = drifted * post_rows.take(moved)
+            total_mass = changed_mass + (1.0 - drifted) * pre_rows.take(moved)
+            updated = np.where(
+                total_mass > 0.0, changed_mass / np.where(total_mass > 0.0, total_mass, 1.0), 1.0
+            )
+            belief = np.where(live_switched, belief, updated)
+            keep = ~live_switched | (live_change > t)
+            if not keep.all():
+                live = live[keep]
+                live_change = live_change[keep]
+                live_switched = live_switched[keep]
+                belief = belief[keep]
         disc *= mdp.discount
 
-    truncated = ~switched
-    objective[truncated & (change_point >= horizon)] += weight
+    cost_cd, cost_mo = cost
+    truncated = switch_time == horizon
     regret_pre_switch[truncated] = cost_cd[truncated] - cost_mo[truncated]
+    # run_episode adds either the weight once or 1.0 per step, never both, so
+    # its stepwise sum is exactly this closed form.
+    objective = np.where(
+        change_point >= switch_time, weight, np.maximum(switch_time - change_point - 1, 0)
+    )
     return EpisodeBatch(
         change_point=change_point,
         switch_time=switch_time,
@@ -362,34 +413,31 @@ def run_batch(
     thresholds: np.ndarray | None = None,
     switch_at_change: bool = False,
 ) -> EpisodeBatch:
-    """Run ``n_episodes`` coupled episodes; identical output for any worker count."""
+    """Run ``n_episodes`` coupled episodes in chunks of ``_CHUNK_SIZE``.
+
+    The chunks run one after another on the calling thread, in episode-index
+    order.  ``workers`` is accepted (and must be at least 1) for callers and
+    configs that still pass it; it changes nothing.  A thread pool measured
+    slower than this serial loop, because the kernel's numpy calls on
+    chunk-sized arrays hold the interpreter lock most of the time.
+    """
     if n_episodes < 1:
         raise ValueError("no episodes requested")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     if thresholds is None:
         thresholds = solved.thresholds
     else:
         thresholds = np.asarray(thresholds, dtype=float)
-    bounds = [
-        (lo, min(lo + _CHUNK_SIZE, n_episodes)) for lo in range(0, n_episodes, _CHUNK_SIZE)
+    parts = [
+        _run_chunk(
+            solved, horizon, master_seed, lo, min(lo + _CHUNK_SIZE, n_episodes), thresholds,
+            switch_at_change,
+        )
+        for lo in range(0, n_episodes, _CHUNK_SIZE)
     ]
-    if workers <= 1 or len(bounds) == 1:
-        parts = [
-            _run_chunk(solved, horizon, master_seed, lo, hi, thresholds, switch_at_change)
-            for lo, hi in bounds
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda span: _run_chunk(
-                        solved, horizon, master_seed, span[0], span[1], thresholds,
-                        switch_at_change,
-                    ),
-                    bounds,
-                )
-            )
     return _concat(parts)
 
 

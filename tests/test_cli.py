@@ -205,6 +205,16 @@ class TestErrorPaths:
                 [],
                 "environment (custom-kernels) is missing keys: kernel_pre, stage_cost",
             ),
+            (
+                {"environment": {"kind": "random-mdp", "n_states": "5"}},
+                [],
+                'environment n_states must be an integer, got "5"',
+            ),
+            (
+                {"environment": {"kind": "random-mdp", "rho": 1.5}},
+                [],
+                "environment rho must lie in (0, 1), got 1.5",
+            ),
         ],
         ids=[
             "grid-size-string",
@@ -215,6 +225,8 @@ class TestErrorPaths:
             "workers-flag-zero",
             "kind-list",
             "missing-kernels",
+            "env-int-string",
+            "env-rho-above-one",
         ],
     )
     def test_invalid_config_exits_1_with_one_line(self, tmp_path, capsys, overrides, args, message):

@@ -1,15 +1,20 @@
 """Tests for the coupled Monte Carlo harness and the regret estimators."""
 
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from modeswitch.detector import BeliefDynamics
 from modeswitch.environments import RandomMdpSpec, SwitchingEnv, gen_random_mdp, random_env
 from modeswitch.mdp import ModePairMdp
 from modeswitch.pipeline import SolveOptions, solve_env
 from modeswitch.simulate import (
     EpisodeBatch,
+    EpisodeRecord,
     episode_rng,
     estimate_exact_regret,
     estimate_regret_decomposition,
@@ -77,6 +82,68 @@ def degenerate_solved():
     )
 
 
+def assert_batch_matches_oracle(batch, solved, horizon, master, **options):
+    """Every batch column equals :func:`run_episode` on the same episode
+    stream, bit for bit."""
+    records = []
+    for index in range(batch.n_episodes):
+        rng = episode_rng(master, index)
+        gamma = int(rng.geometric(solved.env.mdp.change_rate))
+        records.append(run_episode(solved, gamma, horizon, rng, **options))
+    for field in fields(EpisodeRecord):
+        column = getattr(batch, field.name)
+        expected = np.array([getattr(r, field.name) for r in records], dtype=column.dtype)
+        assert column.tobytes() == expected.tobytes(), field.name
+
+
+@st.composite
+def small_instances(draw, base):
+    """A random 2-6 state instance with sparse kernels, mode-dependent costs,
+    arbitrary policies and its thresholds, wrapped around ``base``."""
+    n_states = draw(st.integers(2, 6))
+    n_actions = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def kernel():
+        raw = rng.random((n_states, n_actions, n_states)) * (
+            rng.random((n_states, n_actions, n_states)) < 0.6
+        )
+        empty = raw.sum(axis=2) == 0.0
+        raw[empty, rng.integers(n_states)] = 1.0
+        return raw / raw.sum(axis=2, keepdims=True)
+
+    mdp = ModePairMdp(
+        kernel(),
+        kernel(),
+        rng.random((n_states, n_actions)),
+        draw(st.sampled_from([0.9, 0.99, 0.999])),
+        draw(st.sampled_from([0.005, 0.02, 0.1, 0.3])),
+    )
+    env = SwitchingEnv(
+        mdp=mdp,
+        cost_pre=mdp.stage_cost,
+        cost_post=rng.random((n_states, n_actions)),
+        initial_dist=rng.dirichlet(np.ones(n_states)),
+        label="property",
+    )
+    policy_pre = rng.integers(n_actions, size=n_states)
+    kind = draw(st.sampled_from(["zero", "one", "random"]))
+    thresholds = {
+        "zero": np.zeros(n_states),
+        "one": np.ones(n_states),
+        "random": rng.random(n_states),
+    }[kind]
+    return replace(
+        base,
+        env=env,
+        policy_pre=policy_pre,
+        policy_post=rng.integers(n_actions, size=n_states),
+        dyn=BeliefDynamics.from_mdp(mdp, policy_pre),
+        weight=float(rng.uniform(0.5, 50.0)),
+        thresholds=thresholds,
+    )
+
+
 class TestRunEpisode:
     def test_replay_is_identical(self, small_solved):
         first = run_episode(small_solved, 12, 80, episode_rng(9, 4))
@@ -125,11 +192,31 @@ class TestRunBatch:
     def test_batch_matches_scalar_reference(self, small_solved):
         horizon, master = 90, 17
         batch = run_batch(small_solved, 40, horizon, master)
-        for index in range(40):
-            rng = episode_rng(master, index)
-            gamma = int(rng.geometric(small_solved.env.mdp.change_rate))
-            record = run_episode(small_solved, gamma, horizon, rng)
-            assert batch.record(index) == record
+        assert_batch_matches_oracle(batch, small_solved, horizon, master)
+
+    @given(data=st.data(), switch_at_change=st.booleans(), master=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_batch_matches_oracle_on_random_instances(
+        self, small_solved, data, switch_at_change, master
+    ):
+        solved = data.draw(small_instances(small_solved))
+        # Horizons on both sides of the 256-step uniform blocks.
+        for horizon in (1, 255, 256, 257, 601):
+            batch = run_batch(solved, 12, horizon, master, switch_at_change=switch_at_change)
+            assert_batch_matches_oracle(
+                batch, solved, horizon, master, switch_at_change=switch_at_change
+            )
+
+    def test_memory_does_not_grow_with_the_horizon(self, small_solved):
+        # One chunk of 1024 episodes: a horizon-long uniform buffer alone
+        # would be 1024 * 6000 * 8 bytes = 49 MB.
+        tracemalloc.start()
+        try:
+            run_batch(small_solved, 1024, 6000, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_worker_count_does_not_matter(self, small_solved):
         serial = run_batch(small_solved, 2100, 60, 5, workers=1)
@@ -190,13 +277,12 @@ class TestRunBatch:
 class TestSummaries:
     def test_single_episode_report_matches_record(self, small_solved):
         batch = run_batch(small_solved, 1, 50, 13)
-        record = batch.record(0)
         report = summarize(batch, 50, 13)
         assert report.n_episodes == 1
-        assert report.mean_cost_cd == record.cost_cd
-        assert report.mean_cost_mo == record.cost_mo
+        assert report.mean_cost_cd == batch.cost_cd[0]
+        assert report.mean_cost_mo == batch.cost_mo[0]
         assert report.stderr_cost_cd == 0.0
-        assert report.false_alarm_rate == float(record.false_alarm)
+        assert report.false_alarm_rate == float(batch.false_alarm[0])
 
     def test_run_experiment_aggregates(self, small_solved):
         report = run_experiment(small_solved, 600, 80, 3)
