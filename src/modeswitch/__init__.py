@@ -16,7 +16,6 @@ from .chains import (
     MixingBoundReport,
     MixingProfile,
     ReducibleChainError,
-    cost_to_go_gap,
     mixing_profile,
     stationary_distribution,
     verify_mixing_bound,
@@ -30,9 +29,7 @@ from .detector import (
     DivergenceError,
     ImpossibleTransitionError,
     ThresholdStructureError,
-    bellman_apply,
     belief_update,
-    continuation_values,
     evaluate_switch_rule,
     extract_thresholds,
     finite_horizon_dp,
@@ -61,7 +58,6 @@ from .simulate import (
     regret_consistency,
     run_batch,
     run_episode,
-    run_experiment,
     summarize,
 )
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import InducedChain, finite_horizon_cost
+from .mdp import InducedChain
 
 _STATIONARY_RESIDUAL_TOL = 1e-10
 _ENVELOPE_BETA_FLOOR = 1e-6
@@ -54,12 +54,14 @@ class MixingProfile:
 
 @dataclass(frozen=True)
 class MixingBoundReport:
-    """Slack of the geometric cost-gap bound over all (start state, horizon)."""
+    """Slack of the geometric cost-gap bound over all (start state, horizon),
+    with the mixing profile whose envelope gave the bound."""
 
     k_max: int
     discount: float
     max_slack: float
     min_slack: float
+    profile: MixingProfile
 
 
 def _reachability(transition: np.ndarray) -> np.ndarray:
@@ -183,19 +185,6 @@ def mixing_profile(chain: InducedChain, t_max: int) -> MixingProfile:
     return MixingProfile(tv, envelope_b, envelope_beta)
 
 
-def cost_to_go_gap(
-    chain: InducedChain, initial_dist: np.ndarray, discount: float, horizon: int | float
-) -> float:
-    """|k-step cost from ``initial_dist``  -  k-step cost at stationarity|."""
-    dist = stationary_distribution(chain)
-    if math.isinf(horizon):
-        factor = 1.0 / (1.0 - discount)
-    else:
-        factor = (1.0 - discount ** int(horizon)) / (1.0 - discount)
-    stationary_cost = factor * float(chain.cost_vec @ dist)
-    return abs(finite_horizon_cost(chain, initial_dist, horizon, discount) - stationary_cost)
-
-
 def verify_mixing_bound(chain: InducedChain, discount: float, k_max: int) -> MixingBoundReport:
     """Check the geometric cost-gap bound for every start state and horizon.
 
@@ -249,4 +238,4 @@ def verify_mixing_bound(chain: InducedChain, discount: float, k_max: int) -> Mix
         slack = envelope[k] - gaps
         max_slack = max(max_slack, float(slack.max()))
         min_slack = min(min_slack, float(slack.min()))
-    return MixingBoundReport(k_max, discount, max_slack, min_slack)
+    return MixingBoundReport(k_max, discount, max_slack, min_slack, profile)

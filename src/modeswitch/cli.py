@@ -20,7 +20,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .chains import mixing_profile, verify_mixing_bound
+from .chains import verify_mixing_bound
 from .environments import InventorySpec, RandomMdpSpec, SwitchingEnv, build_inventory, random_env
 from .mdp import ModePairMdp
 from .pipeline import MODE_PAIRS, SolveOptions, SolvedEnv, solve_env
@@ -142,6 +142,9 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         if key in raw and not check(raw[key]):
             raise ConfigError(f"{key} must be {what}, got {json.dumps(raw[key])}")
     sweep = raw.get("rho_sweep")
+    for value in sweep or ():
+        if not 0.0 < value < 1.0:
+            raise ConfigError(f"rho_sweep values must lie in (0, 1), got {json.dumps(value)}")
     raw["rho_sweep"] = tuple(float(value) for value in sweep) if sweep else None
     config = ExperimentConfig(**raw)
     for key, low, message in _MINIMA:
@@ -328,8 +331,8 @@ def cmd_mixing(config: ExperimentConfig, out: Path) -> None:
     envelope_rows = []
     for i, j in MODE_PAIRS:
         chain = solved.chains[i, j]
-        profile = mixing_profile(chain, config.mixing_k_max)
         report = verify_mixing_bound(chain, env.mdp.discount, config.mixing_k_max)
+        profile = report.profile
         for t, tv in enumerate(profile.tv_by_step):
             profile_rows.append([i, j, t, tv])
         envelope_rows.append(

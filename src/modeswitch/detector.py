@@ -13,7 +13,9 @@ concavity in the belief, which is what makes per-state thresholds optimal.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -199,6 +201,7 @@ class BeliefOperator:
                 f"belief operator stencil for grid {size} x {n} states needs "
                 f"{needed} bytes, more than the {available} bytes of physical memory"
             )
+        self.dyn = dyn
         self.grid = grid
         self.n_states = n
         index = np.empty((size, n, 2 * n), dtype=np.intp)
@@ -234,21 +237,25 @@ class BeliefOperator:
         return np.minimum(stop, points[:, None] + self.continuation(values))
 
 
-def continuation_values(table: BeliefValueTable, dyn: BeliefDynamics) -> np.ndarray:
-    """Continuation table E[table(updated belief, next state)] per (p, x)."""
-    return BeliefOperator(dyn, table.grid).continuation(table.values)
-
-
-def bellman_apply(table: BeliefValueTable, dyn: BeliefDynamics, weight: float) -> BeliefValueTable:
-    """One application of the stopping operator min{stop payoff, p + continuation}."""
-    operator = BeliefOperator(dyn, table.grid)
-    return BeliefValueTable(table.grid, operator.apply(table.values, weight))
+def _iterate(
+    step: Callable, values: np.ndarray, threshold: float, max_iter: int, what: str
+) -> tuple[np.ndarray, int]:
+    """Apply ``step`` until one application moves no entry by more than
+    ``threshold``; returns ``(values, iterations)``.  Raises
+    :class:`ConvergenceError` after ``max_iter`` applications."""
+    residual = np.inf
+    for iteration in range(1, max_iter + 1):
+        new_values = step(values)
+        residual = float(np.max(np.abs(new_values - values)))
+        values = new_values
+        if residual <= threshold:
+            return values, iteration
+    raise ConvergenceError(f"{what} did not converge", residual)
 
 
 def solve_fixed_point(
-    dyn: BeliefDynamics,
+    operator: BeliefOperator,
     weight: float,
-    grid: BeliefGrid,
     tol: float = DEFAULT_FP_TOL,
     max_iter: int = DEFAULT_FP_MAX_ITER,
     start: BeliefValueTable | None = None,
@@ -270,22 +277,17 @@ def solve_fixed_point(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    operator = BeliefOperator(dyn, grid)
+    grid = operator.grid
     if start is None:
-        values = stop_cost_table(grid, weight, dyn.n_states).values
+        values = stop_cost_table(grid, weight, operator.n_states).values
     else:
         if start.grid.size != grid.size:
             raise ValueError("start table lives on a different grid")
         values = start.values
-    threshold = tol * dyn.change_rate
-    residual = np.inf
-    for iteration in range(1, max_iter + 1):
-        new_values = operator.apply(values, weight)
-        residual = float(np.max(np.abs(new_values - values)))
-        values = new_values
-        if residual <= threshold:
-            return BeliefValueTable(grid, values), iteration
-    raise ConvergenceError("stopping-operator iteration did not converge", residual)
+    step = partial(operator.apply, weight=weight)
+    threshold = tol * operator.dyn.change_rate
+    values, iterations = _iterate(step, values, threshold, max_iter, "stopping-operator iteration")
+    return BeliefValueTable(grid, values), iterations
 
 
 def finite_horizon_dp(
@@ -308,7 +310,7 @@ def finite_horizon_dp(
 
 
 def extract_thresholds(
-    table: BeliefValueTable, dyn: BeliefDynamics, weight: float
+    table: BeliefValueTable, operator: BeliefOperator, weight: float
 ) -> np.ndarray:
     """Per-state belief thresholds of the stop region of a fixed-point table.
 
@@ -317,11 +319,13 @@ def extract_thresholds(
     be an upper interval of the grid; a single interior grid cell of slack is
     tolerated, anything worse signals a concavity violation.
     """
-    cont = BeliefOperator(dyn, table.grid).continuation(table.values)
-    points = table.grid.points
+    if table.values.shape != (operator.grid.size, operator.n_states):
+        raise ValueError("table does not match the operator's grid and states")
+    cont = operator.continuation(table.values)
+    points = operator.grid.points
     stop = weight * (1.0 - points)[:, None] <= points[:, None] + cont
-    thresholds = np.empty(dyn.n_states)
-    for state in range(dyn.n_states):
+    thresholds = np.empty(operator.n_states)
+    for state in range(operator.n_states):
         column = stop[:, state]
         first = int(np.argmax(column))
         if not column[first]:
@@ -338,9 +342,8 @@ def extract_thresholds(
 
 def evaluate_switch_rule(
     thresholds: np.ndarray,
-    dyn: BeliefDynamics,
+    operator: BeliefOperator,
     weight: float,
-    grid: BeliefGrid,
     tol: float = DEFAULT_FP_TOL,
     max_iter: int = DEFAULT_FP_MAX_ITER,
 ) -> BeliefValueTable:
@@ -352,6 +355,7 @@ def evaluate_switch_rule(
     mean change time); a rule that effectively never stops crosses the cap
     and raises instead of looping forever.
     """
+    dyn, grid = operator.dyn, operator.grid
     thresholds = np.asarray(thresholds, dtype=float)
     if thresholds.shape != (dyn.n_states,):
         raise ValueError("thresholds length must match the state count")
@@ -359,15 +363,12 @@ def evaluate_switch_rule(
         raise ValueError("thresholds must lie in [0, 1]")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    operator = BeliefOperator(dyn, grid)
     points = grid.points
     stop_mask = points[:, None] >= thresholds[None, :]
     stop_values = weight * (1.0 - points)[:, None]
     cap = weight + 1.0 / dyn.change_rate
-    values = np.broadcast_to(stop_values, (grid.size, dyn.n_states)).copy()
-    threshold = tol * dyn.change_rate
-    residual = np.inf
-    for _ in range(max_iter):
+
+    def step(values: np.ndarray) -> np.ndarray:
         new_values = np.where(
             stop_mask, stop_values, points[:, None] + operator.continuation(values)
         )
@@ -376,8 +377,8 @@ def evaluate_switch_rule(
                 "rule evaluation exceeded the cap weight + 1/change_rate; "
                 "the rule appears never to stop"
             )
-        residual = float(np.max(np.abs(new_values - values)))
-        values = new_values
-        if residual <= threshold:
-            return BeliefValueTable(grid, values)
-    raise ConvergenceError("switch-rule evaluation did not converge", residual)
+        return new_values
+
+    values = np.broadcast_to(stop_values, (grid.size, dyn.n_states)).copy()
+    values, _ = _iterate(step, values, tol * dyn.change_rate, max_iter, "switch-rule evaluation")
+    return BeliefValueTable(grid, values)

@@ -125,15 +125,12 @@ def solve_env(env: SwitchingEnv, options: SolveOptions = SolveOptions()) -> Solv
     )
     chains, stationary, rates, weight = mode_pair_weight(env, policy_pre, policy_post)
 
-    dyn = BeliefDynamics.from_mdp(mdp, policy_pre)
-    grid = BeliefGrid.uniform(options.grid_size)
-    table, iterations = solve_fixed_point(
-        dyn, weight, grid, options.fp_tol, options.fp_max_iter
+    operator = BeliefOperator(
+        BeliefDynamics.from_mdp(mdp, policy_pre), BeliefGrid.uniform(options.grid_size)
     )
-    fp_residual = float(
-        np.max(np.abs(BeliefOperator(dyn, grid).apply(table.values, weight) - table.values))
-    )
-    thresholds = extract_thresholds(table, dyn, weight)
+    table, iterations = solve_fixed_point(operator, weight, options.fp_tol, options.fp_max_iter)
+    fp_residual = float(np.max(np.abs(operator.apply(table.values, weight) - table.values)))
+    thresholds = extract_thresholds(table, operator, weight)
 
     return SolvedEnv(
         env=env,
@@ -150,8 +147,8 @@ def solve_env(env: SwitchingEnv, options: SolveOptions = SolveOptions()) -> Solv
         stationary=stationary,
         cost_rates=rates,
         weight=weight,
-        dyn=dyn,
-        grid=grid,
+        dyn=operator.dyn,
+        grid=operator.grid,
         value_table=table,
         fp_iterations=iterations,
         fp_residual=fp_residual,

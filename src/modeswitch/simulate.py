@@ -477,18 +477,6 @@ def summarize(batch: EpisodeBatch, horizon: int, master_seed: int) -> SimReport:
     )
 
 
-def run_experiment(
-    solved: SolvedEnv,
-    n_episodes: int,
-    horizon: int,
-    master_seed: int,
-    workers: int = 1,
-) -> SimReport:
-    """Simulate with the solved thresholds and aggregate."""
-    batch = run_batch(solved, n_episodes, horizon, master_seed, workers)
-    return summarize(batch, horizon, master_seed)
-
-
 def regret_consistency(
     batch: EpisodeBatch, predicted: float, slack: float
 ) -> RegretCheck:

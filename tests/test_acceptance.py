@@ -14,10 +14,9 @@ import pytest
 from modeswitch.chains import verify_mixing_bound
 from modeswitch.detector import (
     BeliefGrid,
+    BeliefOperator,
     BeliefValueTable,
-    bellman_apply,
     belief_update,
-    continuation_values,
     evaluate_switch_rule,
     mixture_transition,
     solve_fixed_point,
@@ -26,7 +25,7 @@ from modeswitch.detector import (
 from modeswitch.environments import InventorySpec, build_inventory
 from modeswitch.mdp import induced_chain, value_iteration
 from modeswitch.pipeline import mode_pair_weight
-from modeswitch.simulate import regret_consistency, run_batch, run_experiment
+from modeswitch.simulate import regret_consistency, run_batch, summarize
 
 from conftest import (
     CANONICAL_SEED,
@@ -45,7 +44,7 @@ def test_criterion_01_one_step_continuation_is_affine(light_solve):
     for seed in VALID_SEEDS:
         _, weight, dyn = light_solve(seed, 0.01)
         table = stop_cost_table(grid, weight, dyn.n_states)
-        cont = continuation_values(table, dyn)
+        cont = BeliefOperator(dyn, grid).continuation(table.values)
         expected = weight * (1.0 - dyn.change_rate) * (1.0 - grid.points)
         worst = float(np.abs(cont - expected[:, None]).max())
         assert worst <= 1e-12, (seed, worst)
@@ -81,12 +80,13 @@ def test_criterion_03_fixed_point_matches_finite_horizon_oracle(canonical):
 
 def test_criterion_04_operator_iterates_decrease_monotonically(canonical):
     """201 operator applications from the stop payoff never increase a cell."""
-    table = stop_cost_table(canonical.grid, canonical.weight, canonical.dyn.n_states)
+    operator = BeliefOperator(canonical.dyn, canonical.grid)
+    values = stop_cost_table(canonical.grid, canonical.weight, canonical.dyn.n_states).values
     violations = 0
     for _ in range(201):
-        nxt = bellman_apply(table, canonical.dyn, canonical.weight)
-        violations += int(np.any(nxt.values > table.values))
-        table = nxt
+        nxt = operator.apply(values, canonical.weight)
+        violations += int(np.any(nxt > values))
+        values = nxt
     assert violations == 0
 
 
@@ -107,9 +107,8 @@ def test_criterion_06_fixed_point_unique_from_both_ends(canonical):
         canonical.grid, np.zeros((canonical.grid.size, canonical.dyn.n_states))
     )
     from_below, _ = solve_fixed_point(
-        canonical.dyn,
+        BeliefOperator(canonical.dyn, canonical.grid),
         canonical.weight,
-        canonical.grid,
         tol=canonical.options.fp_tol,
         start=zeros,
     )
@@ -192,6 +191,7 @@ def test_criterion_10_perturbed_rules_cost_at_least_the_optimum(canonical):
     rng = np.random.default_rng(MASTER_SEED)
     slack = 2.0 * canonical.grid_slack
     top = canonical.grid.points[-2]
+    operator = BeliefOperator(canonical.dyn, canonical.grid)
     for trial in range(20):
         rule = np.clip(
             canonical.thresholds
@@ -199,9 +199,7 @@ def test_criterion_10_perturbed_rules_cost_at_least_the_optimum(canonical):
             0.0,
             top,
         )
-        evaluated = evaluate_switch_rule(
-            rule, canonical.dyn, canonical.weight, canonical.grid, tol=1e-6
-        )
+        evaluated = evaluate_switch_rule(rule, operator, canonical.weight, tol=1e-6)
         shortfall = float((canonical.value_table.values - evaluated.values).max())
         assert shortfall <= slack, (trial, shortfall, slack)
 
@@ -217,7 +215,8 @@ def test_criterion_11_cost_trends_across_the_rate_grid(solve_random):
         cd, mo = [], []
         for seed in seeds:
             solved = solve_random(seed, rho)
-            report = run_experiment(solved, 6000, horizon, MASTER_SEED)
+            batch = run_batch(solved, 6000, horizon, MASTER_SEED)
+            report = summarize(batch, horizon, MASTER_SEED)
             cd.append(report.mean_cost_cd)
             mo.append(report.mean_cost_mo)
         means[rho] = (float(np.mean(cd)), float(np.mean(mo)))
@@ -242,7 +241,8 @@ def test_criterion_12_threshold_and_false_alarm_trends(solve_random):
         solved = solve_random(CANONICAL_SEED, rho)
         thresholds[rho] = solved.thresholds
         horizon = math.ceil(16.0 / rho)
-        report = run_experiment(solved, n_episodes, horizon, MASTER_SEED)
+        batch = run_batch(solved, n_episodes, horizon, MASTER_SEED)
+        report = summarize(batch, horizon, MASTER_SEED)
         false_alarms[rho] = report.false_alarm_rate
         print(
             f"  criterion 12: rho={rho:.4f} thresholds={np.round(solved.thresholds, 4)}"

@@ -6,17 +6,24 @@ import pytest
 from modeswitch.chains import (
     MixingProfile,
     ReducibleChainError,
-    cost_to_go_gap,
     mixing_profile,
     stationary_distribution,
     verify_mixing_bound,
 )
 from modeswitch.environments import RandomMdpSpec, gen_random_mdp
-from modeswitch.mdp import InducedChain, induced_chain
+from modeswitch.mdp import InducedChain, finite_horizon_cost, induced_chain
 
 
 def two_state_chain(a, b, costs=(1.0, 2.0)):
     return InducedChain(np.array([[1 - a, a], [b, 1 - b]]), np.array(costs))
+
+
+def cost_to_go_gap(chain, initial_dist, discount, horizon):
+    """|horizon-step cost from ``initial_dist`` - the closed-form cost at
+    stationarity|."""
+    factor = (1.0 - discount**horizon) / (1.0 - discount)
+    stationary_cost = factor * float(chain.cost_vec @ stationary_distribution(chain))
+    return abs(finite_horizon_cost(chain, initial_dist, horizon, discount) - stationary_cost)
 
 
 def random_chain(seed, n=5):
@@ -139,9 +146,13 @@ class TestVerifyMixingBound:
         assert report.min_slack >= -1e-12
 
     def test_two_state_analytic_chain(self):
-        report = verify_mixing_bound(two_state_chain(0.1, 0.2), 0.9, 100)
+        chain = two_state_chain(0.1, 0.2)
+        report = verify_mixing_bound(chain, 0.9, 100)
         assert report.min_slack >= 0.0
         assert report.max_slack >= report.min_slack
+        profile = mixing_profile(chain, 100)
+        assert np.array_equal(report.profile.tv_by_step, profile.tv_by_step)
+        assert report.profile.envelope_beta == profile.envelope_beta
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("discount", (0.9, 0.999))

@@ -215,6 +215,7 @@ class TestErrorPaths:
                 [],
                 "environment rho must lie in (0, 1), got 1.5",
             ),
+            ({"rho_sweep": [0.05, 1.5]}, [], "rho_sweep values must lie in (0, 1), got 1.5"),
         ],
         ids=[
             "grid-size-string",
@@ -227,6 +228,7 @@ class TestErrorPaths:
             "missing-kernels",
             "env-int-string",
             "env-rho-above-one",
+            "rho-sweep-above-one",
         ],
     )
     def test_invalid_config_exits_1_with_one_line(self, tmp_path, capsys, overrides, args, message):

@@ -13,9 +13,7 @@ from modeswitch.detector import (
     DivergenceError,
     ImpossibleTransitionError,
     ThresholdStructureError,
-    bellman_apply,
     belief_update,
-    continuation_values,
     evaluate_switch_rule,
     extract_thresholds,
     finite_horizon_dp,
@@ -139,23 +137,25 @@ class TestBellmanApply:
         dyn = make_positive_dyn(3, rate=0.07)
         grid = BeliefGrid.uniform(50)
         weight = 6.0
+        operator = BeliefOperator(dyn, grid)
         table = stop_cost_table(grid, weight, dyn.n_states)
-        cont = continuation_values(table, dyn)
+        cont = operator.continuation(table.values)
         expected = weight * (1.0 - dyn.change_rate) * (1.0 - grid.points)
         assert np.abs(cont - expected[:, None]).max() <= 1e-12
-        applied = bellman_apply(table, dyn, weight)
+        applied = operator.apply(table.values, weight)
         target = np.minimum(
             weight * (1.0 - grid.points), grid.points + expected
         )
-        assert np.abs(applied.values - target[:, None]).max() <= 1e-12
-        assert np.all(applied.values[-1] == 0.0)
+        assert np.abs(applied - target[:, None]).max() <= 1e-12
+        assert np.all(applied[-1] == 0.0)
 
     def test_matches_naive_oracle(self):
         dyn = make_positive_dyn(4, rate=0.1)
         grid = BeliefGrid.uniform(11)
+        operator = BeliefOperator(dyn, grid)
         table = stop_cost_table(grid, 4.0, dyn.n_states)
         for _ in range(3):
-            vectorized = bellman_apply(table, dyn, 4.0)
+            vectorized = BeliefValueTable(grid, operator.apply(table.values, 4.0))
             oracle = naive_bellman_apply(table, dyn, 4.0)
             assert np.abs(vectorized.values - oracle).max() <= 1e-12
             table = vectorized
@@ -166,9 +166,9 @@ class TestBellmanApply:
         dyn = BeliefDynamics(pre, post, 0.1)
         grid = BeliefGrid.uniform(21)
         table = stop_cost_table(grid, 3.0, 2)
-        vectorized = bellman_apply(table, dyn, 3.0)
+        vectorized = BeliefOperator(dyn, grid).apply(table.values, 3.0)
         oracle = naive_bellman_apply(table, dyn, 3.0)
-        assert np.abs(vectorized.values - oracle).max() <= 1e-12
+        assert np.abs(vectorized - oracle).max() <= 1e-12
 
 
 class TestBeliefOperator:
@@ -214,11 +214,23 @@ class TestBeliefOperator:
         high = np.where(bump == 2, low + rng.random(low.shape), high)
         assert np.all(operator.apply(low, weight) <= operator.apply(high, weight))
 
+        # The cone [0, weight*(1-p)] maps into itself exactly: every stencil
+        # weight is nonnegative and the stop payoff caps each cell.
+        points = operator.grid.points
+        stop = weight * (1.0 - points)[:, None]
+        inside = rng.random(low.shape) * stop
+        applied = operator.apply(inside, weight)
+        assert np.all(applied >= 0.0) and np.all(applied <= stop)
+
+        for state, nxt in zip(*np.nonzero((dyn.kernel_pre > 0.0) | (dyn.kernel_post > 0.0))):
+            for belief in (*points, *rng.random(3)):
+                assert 0.0 <= belief_update(dyn, state, nxt, belief) <= 1.0
+
 
 class TestSolveFixedPoint:
     def test_zero_weight_stops_everywhere(self):
         dyn = make_positive_dyn(5)
-        table, iterations = solve_fixed_point(dyn, 0.0, BeliefGrid.uniform(31))
+        table, iterations = solve_fixed_point(BeliefOperator(dyn, BeliefGrid.uniform(31)), 0.0)
         assert np.all(table.values == 0.0)
         assert iterations == 1
 
@@ -226,42 +238,44 @@ class TestSolveFixedPoint:
         dyn = make_positive_dyn(6, rate=0.05)
         flat = BeliefDynamics(dyn.kernel_pre, dyn.kernel_pre.copy(), 0.05)
         grid = BeliefGrid.uniform(201)
-        table, _ = solve_fixed_point(flat, 8.0, grid, tol=1e-10)
+        table, _ = solve_fixed_point(BeliefOperator(flat, grid), 8.0, tol=1e-10)
         assert np.abs(table.values - table.values[:, :1]).max() <= 1e-12
         single = BeliefDynamics(np.array([[1.0]]), np.array([[1.0]]), 0.05)
-        reduced, _ = solve_fixed_point(single, 8.0, grid, tol=1e-10)
+        reduced, _ = solve_fixed_point(BeliefOperator(single, grid), 8.0, tol=1e-10)
         assert np.abs(table.values[:, 0] - reduced.values[:, 0]).max() <= 1e-10
 
     def test_finite_horizon_oracle_small_instance(self):
         dyn = make_positive_dyn(7, rate=0.1)
         grid = BeliefGrid.uniform(301)
-        table, _ = solve_fixed_point(dyn, 5.0, grid, tol=1e-9)
+        table, _ = solve_fixed_point(BeliefOperator(dyn, grid), 5.0, tol=1e-9)
         oracle = finite_horizon_dp(dyn, 5.0, grid, 120)
         assert np.abs(table.values - oracle.values).max() <= 1e-5
 
     def test_iteration_from_zero_agrees(self):
         dyn = make_positive_dyn(8, rate=0.1)
         grid = BeliefGrid.uniform(201)
+        operator = BeliefOperator(dyn, grid)
         tol = 1e-9
-        from_top, _ = solve_fixed_point(dyn, 5.0, grid, tol=tol)
+        from_top, _ = solve_fixed_point(operator, 5.0, tol=tol)
         zeros = BeliefValueTable(grid, np.zeros((grid.size, dyn.n_states)))
-        from_bottom, _ = solve_fixed_point(dyn, 5.0, grid, tol=tol, start=zeros)
+        from_bottom, _ = solve_fixed_point(operator, 5.0, tol=tol, start=zeros)
         assert np.abs(from_top.values - from_bottom.values).max() <= 10 * tol
 
     def test_monotone_and_in_cone(self):
         dyn = make_positive_dyn(9, rate=0.08)
         grid = BeliefGrid.uniform(101)
         weight = 6.0
-        table = stop_cost_table(grid, weight, dyn.n_states)
+        operator = BeliefOperator(dyn, grid)
+        values = stop_cost_table(grid, weight, dyn.n_states).values
         for _ in range(80):
-            nxt = bellman_apply(table, dyn, weight)
-            assert np.all(nxt.values <= table.values)
-            assert np.all(nxt.values >= 0.0)
-            table = nxt
+            nxt = operator.apply(values, weight)
+            assert np.all(nxt <= values)
+            assert np.all(nxt >= 0.0)
+            values = nxt
         stop = weight * (1.0 - grid.points)[:, None]
-        assert np.all(table.values <= stop)
-        middle = table.values[1:-1]
-        assert np.all(table.values[:-2] + table.values[2:] <= 2 * middle + 1e-9)
+        assert np.all(values <= stop)
+        middle = values[1:-1]
+        assert np.all(values[:-2] + values[2:] <= 2 * middle + 1e-9)
 
 
 class TestFiniteHorizonDp:
@@ -295,16 +309,16 @@ class TestFiniteHorizonDp:
 class TestExtractThresholds:
     def test_zero_weight_stops_at_zero(self):
         dyn = make_positive_dyn(13)
-        grid = BeliefGrid.uniform(31)
-        table, _ = solve_fixed_point(dyn, 0.0, grid)
-        assert np.all(extract_thresholds(table, dyn, 0.0) == 0.0)
+        operator = BeliefOperator(dyn, BeliefGrid.uniform(31))
+        table, _ = solve_fixed_point(operator, 0.0)
+        assert np.all(extract_thresholds(table, operator, 0.0) == 0.0)
 
     def test_uninformative_observations_share_one_threshold(self):
         dyn = make_positive_dyn(14, rate=0.05)
         flat = BeliefDynamics(dyn.kernel_pre, dyn.kernel_pre.copy(), 0.05)
-        grid = BeliefGrid.uniform(301)
-        table, _ = solve_fixed_point(flat, 12.0, grid)
-        thresholds = extract_thresholds(table, flat, 12.0)
+        operator = BeliefOperator(flat, BeliefGrid.uniform(301))
+        table, _ = solve_fixed_point(operator, 12.0)
+        thresholds = extract_thresholds(table, operator, 12.0)
         assert np.all(thresholds == thresholds[0])
         assert 0.0 < thresholds[0] < 1.0
 
@@ -314,11 +328,18 @@ class TestExtractThresholds:
         for rate in (0.02, 0.05, 0.1, 0.2):
             dyn = make_positive_dyn(15, rate=rate)
             weight = 0.4 / rate  # fixed weight-times-rate product
-            table, _ = solve_fixed_point(dyn, weight, grid)
-            thresholds = extract_thresholds(table, dyn, weight)
+            operator = BeliefOperator(dyn, grid)
+            table, _ = solve_fixed_point(operator, weight)
+            thresholds = extract_thresholds(table, operator, weight)
             if previous is not None:
                 assert np.all(thresholds <= previous + 1e-15)
             previous = thresholds
+
+    def test_rejects_a_table_from_another_grid(self):
+        dyn = make_positive_dyn(13)
+        table = stop_cost_table(BeliefGrid.uniform(21), 1.0, dyn.n_states)
+        with pytest.raises(ValueError, match="grid"):
+            extract_thresholds(table, BeliefOperator(dyn, BeliefGrid.uniform(31)), 1.0)
 
     def test_non_concave_table_raises(self):
         dyn = make_positive_dyn(16, n_states=2)
@@ -329,7 +350,7 @@ class TestExtractThresholds:
         )
         table = BeliefValueTable(grid, np.tile(zigzag[:, None], (1, 2)))
         with pytest.raises(ThresholdStructureError):
-            extract_thresholds(table, dyn, weight)
+            extract_thresholds(table, BeliefOperator(dyn, grid), weight)
 
 
 class TestEvaluateSwitchRule:
@@ -337,31 +358,33 @@ class TestEvaluateSwitchRule:
         dyn = make_positive_dyn(17, rate=0.08)
         grid = BeliefGrid.uniform(301)
         weight = 6.0
-        table, _ = solve_fixed_point(dyn, weight, grid)
-        thresholds = extract_thresholds(table, dyn, weight)
-        evaluated = evaluate_switch_rule(thresholds, dyn, weight, grid)
+        operator = BeliefOperator(dyn, grid)
+        table, _ = solve_fixed_point(operator, weight)
+        thresholds = extract_thresholds(table, operator, weight)
+        evaluated = evaluate_switch_rule(thresholds, operator, weight)
         slack = 2.0 * weight * grid.spacing
         assert np.abs(evaluated.values - table.values).max() <= slack
 
     def test_stop_at_zero_rule_is_stop_payoff(self):
         dyn = make_positive_dyn(18)
         grid = BeliefGrid.uniform(51)
-        evaluated = evaluate_switch_rule(np.zeros(3), dyn, 4.0, grid)
+        evaluated = evaluate_switch_rule(np.zeros(3), BeliefOperator(dyn, grid), 4.0)
         assert np.array_equal(evaluated.values, stop_cost_table(grid, 4.0, 3).values)
 
     def test_perturbed_rules_never_beat_the_fixed_point(self):
         dyn = make_positive_dyn(19, rate=0.08)
         grid = BeliefGrid.uniform(301)
         weight = 6.0
-        table, _ = solve_fixed_point(dyn, weight, grid)
-        base = extract_thresholds(table, dyn, weight)
+        operator = BeliefOperator(dyn, grid)
+        table, _ = solve_fixed_point(operator, weight)
+        base = extract_thresholds(table, operator, weight)
         slack = 2.0 * weight * grid.spacing
         rng = np.random.default_rng(0)
         for _ in range(6):
             rule = np.clip(
                 base + rng.uniform(-0.08, 0.08, size=base.size), 0.0, grid.points[-2]
             )
-            evaluated = evaluate_switch_rule(rule, dyn, weight, grid)
+            evaluated = evaluate_switch_rule(rule, operator, weight)
             assert np.all(evaluated.values >= table.values - slack)
 
     def test_never_stopping_rule_hits_the_cap(self):
@@ -371,13 +394,13 @@ class TestEvaluateSwitchRule:
         dyn = BeliefDynamics(pre, pre.copy(), 0.01)  # belief climbs only by drift
         with pytest.raises(DivergenceError):
             evaluate_switch_rule(
-                np.ones(2), dyn, 0.01, BeliefGrid.uniform(20001), tol=1e-6
+                np.ones(2), BeliefOperator(dyn, BeliefGrid.uniform(20001)), 0.01, tol=1e-6
             )
 
     def test_rejects_bad_thresholds(self):
         dyn = make_positive_dyn(20)
-        grid = BeliefGrid.uniform(21)
+        operator = BeliefOperator(dyn, BeliefGrid.uniform(21))
         with pytest.raises(ValueError):
-            evaluate_switch_rule(np.array([0.5, 0.5]), dyn, 1.0, grid)
+            evaluate_switch_rule(np.array([0.5, 0.5]), operator, 1.0)
         with pytest.raises(ValueError):
-            evaluate_switch_rule(np.array([0.5, 1.5, 0.5]), dyn, 1.0, grid)
+            evaluate_switch_rule(np.array([0.5, 1.5, 0.5]), operator, 1.0)

@@ -21,7 +21,6 @@ from modeswitch.simulate import (
     regret_consistency,
     run_batch,
     run_episode,
-    run_experiment,
     summarize,
 )
 
@@ -49,17 +48,16 @@ def degenerate_solved():
     )
     # The tradeoff weight is undefined here (identical policies), so assemble
     # a solved bundle around the detector with an arbitrary positive weight.
-    from modeswitch.detector import BeliefDynamics, BeliefGrid, solve_fixed_point
-    from modeswitch.detector import extract_thresholds
+    from modeswitch.detector import BeliefDynamics, BeliefGrid, BeliefOperator
+    from modeswitch.detector import extract_thresholds, solve_fixed_point
     from modeswitch.mdp import value_iteration
     from modeswitch.pipeline import SolvedEnv
     from modeswitch.regret import SwitchingCostRates
 
     policy, values = value_iteration(flat.kernel_pre, flat.stage_cost, 0.9)
-    dyn = BeliefDynamics.from_mdp(flat, policy)
-    grid = BeliefGrid.uniform(201)
+    operator = BeliefOperator(BeliefDynamics.from_mdp(flat, policy), BeliefGrid.uniform(201))
     weight = 5.0
-    table, iterations = solve_fixed_point(dyn, weight, grid)
+    table, iterations = solve_fixed_point(operator, weight)
     return SolvedEnv(
         env=env,
         options=SolveOptions(grid_size=201),
@@ -73,12 +71,12 @@ def degenerate_solved():
         stationary={},
         cost_rates=SwitchingCostRates(1.0, 0.0, 1.0, 0.0, 0.1),
         weight=weight,
-        dyn=dyn,
-        grid=grid,
+        dyn=operator.dyn,
+        grid=operator.grid,
         value_table=table,
         fp_iterations=iterations,
         fp_residual=0.0,
-        thresholds=extract_thresholds(table, dyn, weight),
+        thresholds=extract_thresholds(table, operator, weight),
     )
 
 
@@ -284,8 +282,8 @@ class TestSummaries:
         assert report.stderr_cost_cd == 0.0
         assert report.false_alarm_rate == float(batch.false_alarm[0])
 
-    def test_run_experiment_aggregates(self, small_solved):
-        report = run_experiment(small_solved, 600, 80, 3)
+    def test_summarize_aggregates_a_batch(self, small_solved):
+        report = summarize(run_batch(small_solved, 600, 80, 3), 80, 3)
         assert report.n_episodes == 600
         assert 0.0 <= report.false_alarm_rate <= 1.0
         assert report.mean_delay >= 0.0
