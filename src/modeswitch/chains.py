@@ -29,17 +29,19 @@ class MixingProfile:
     """Worst-case total-variation distance to stationarity, per step.
 
     ``tv_by_step[t]`` is the maximum over start states of the TV distance
-    between the ``t``-step distribution and the stationary one.  The profile
-    is dominated by the fitted geometric envelope
-    ``envelope_b * envelope_beta ** t`` on the recorded range.
+    between the ``t``-step distribution and the stationary one, which is
+    kept as ``stationary``.  The profile is dominated by the fitted geometric
+    envelope ``envelope_b * envelope_beta ** t`` on the recorded range.
     """
 
     tv_by_step: np.ndarray
     envelope_b: float
     envelope_beta: float
+    stationary: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "tv_by_step", np.asarray(self.tv_by_step, dtype=float))
+        object.__setattr__(self, "stationary", np.asarray(self.stationary, dtype=float))
         dist = self.tv_by_step
         if np.any(dist < -1e-15) or np.any(dist > 1.0 + 1e-12):
             raise ValueError("tv distances must lie in [0, 1]")
@@ -182,7 +184,7 @@ def mixing_profile(chain: InducedChain, t_max: int) -> MixingProfile:
         if t < t_max:
             power = power @ chain.transition
     envelope_b, envelope_beta = _fit_envelope(tv)
-    return MixingProfile(tv, envelope_b, envelope_beta)
+    return MixingProfile(tv, envelope_b, envelope_beta, dist)
 
 
 def verify_mixing_bound(chain: InducedChain, discount: float, k_max: int) -> MixingBoundReport:
@@ -195,7 +197,7 @@ def verify_mixing_bound(chain: InducedChain, discount: float, k_max: int) -> Mix
     noise is reported as a bug with its witness.
     """
     profile = mixing_profile(chain, k_max)
-    dist = stationary_distribution(chain)
+    dist = profile.stationary
     n = chain.n_states
     cost_inf = float(np.max(np.abs(chain.cost_vec)))
     stationary_cost = float(chain.cost_vec @ dist)

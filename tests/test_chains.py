@@ -109,7 +109,9 @@ class TestMixingProfile:
 
     def test_profile_validation_rejects_bad_envelope(self):
         with pytest.raises(ValueError):
-            MixingProfile(np.array([0.5, 0.4]), envelope_b=0.01, envelope_beta=0.5)
+            MixingProfile(
+                np.array([0.5, 0.4]), envelope_b=0.01, envelope_beta=0.5, stationary=np.full(2, 0.5)
+            )
 
 
 class TestCostToGoGap:
@@ -153,6 +155,20 @@ class TestVerifyMixingBound:
         profile = mixing_profile(chain, 100)
         assert np.array_equal(report.profile.tv_by_step, profile.tv_by_step)
         assert report.profile.envelope_beta == profile.envelope_beta
+        assert np.array_equal(report.profile.stationary, stationary_distribution(chain))
+
+    def test_solves_the_stationary_law_once(self, monkeypatch):
+        import modeswitch.chains as chains
+
+        calls = []
+
+        def counting(chain):
+            calls.append(chain)
+            return stationary_distribution(chain)
+
+        monkeypatch.setattr(chains, "stationary_distribution", counting)
+        verify_mixing_bound(random_chain(1), 0.9, 50)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("discount", (0.9, 0.999))

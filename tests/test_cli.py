@@ -2,7 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +71,23 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(config)]) == 0
         second = read_outputs(tmp_path / "out")
         assert first == second
+
+    def test_value_table_does_not_depend_on_blas_threads(self, tmp_path):
+        config = write_config(
+            tmp_path, environment={"kind": "inventory", "capacity": 15, "rho": 0.01}
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+            command = ["solve", "--config", str(config), "--out", str(out)]
+            subprocess.run(
+                [sys.executable, "-m", "modeswitch.cli", *command], env=env, check=True, timeout=120
+            )
+            tables.append((out / "value_table.csv").read_bytes())
+        assert tables[0] == tables[1]
 
     def test_inventory_manifest_lambda(self, tmp_path):
         config = write_config(

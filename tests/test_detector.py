@@ -1,5 +1,7 @@
 """Tests for belief filtering and the optimal-stopping solver."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from modeswitch.detector import (
     DivergenceError,
     ImpossibleTransitionError,
     ThresholdStructureError,
+    _iterate,
     belief_update,
     evaluate_switch_rule,
     extract_thresholds,
@@ -21,6 +24,7 @@ from modeswitch.detector import (
     solve_fixed_point,
     stop_cost_table,
 )
+from modeswitch.mdp import ConvergenceError
 from conftest import make_positive_dyn
 
 
@@ -38,6 +42,13 @@ def naive_bellman_apply(table, dyn, weight):
                     acc += mix[nxt] * np.interp(updated, grid.points, table.values[:, nxt])
             out[i, state] = min(weight * (1.0 - p), p + acc)
     return out
+
+
+def sparse_kernel(rng, n_states):
+    """Random stochastic rows with about 40% zeros and at least one positive entry."""
+    kernel = rng.random((n_states, n_states)) * (rng.random((n_states, n_states)) < 0.6)
+    kernel[np.arange(n_states), rng.integers(0, n_states, n_states)] += 0.1
+    return kernel / kernel.sum(axis=1, keepdims=True)
 
 
 class TestBeliefGrid:
@@ -198,13 +209,7 @@ class TestBeliefOperator:
     @settings(max_examples=100, deadline=None)
     def test_apply_is_exactly_monotone(self, seed, n_states, grid_size, rate):
         rng = np.random.default_rng(seed)
-
-        def sparse_kernel():
-            kernel = rng.random((n_states, n_states)) * (rng.random((n_states, n_states)) < 0.6)
-            kernel[np.arange(n_states), rng.integers(0, n_states, n_states)] += 0.1
-            return kernel / kernel.sum(axis=1, keepdims=True)
-
-        dyn = BeliefDynamics(sparse_kernel(), sparse_kernel(), rate)
+        dyn = BeliefDynamics(sparse_kernel(rng, n_states), sparse_kernel(rng, n_states), rate)
         operator = BeliefOperator(dyn, BeliefGrid.uniform(grid_size))
         weight = rng.uniform(0.0, 20.0)
         low = rng.uniform(-5.0, 20.0, (grid_size, n_states))
@@ -261,6 +266,33 @@ class TestSolveFixedPoint:
         from_bottom, _ = solve_fixed_point(operator, 5.0, tol=tol, start=zeros)
         assert np.abs(from_top.values - from_bottom.values).max() <= 10 * tol
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_states=st.integers(1, 4),
+        grid_size=st.integers(2, 40),
+        rate=st.floats(0.05, 0.3),
+        sparse=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_converged_finite_horizon_oracle(self, seed, n_states, grid_size, rate, sparse):
+        rng = np.random.default_rng(seed)
+        if sparse:
+            dyn = BeliefDynamics(sparse_kernel(rng, n_states), sparse_kernel(rng, n_states), rate)
+        else:
+            dyn = make_positive_dyn(seed, n_states, rate)
+        weight = rng.uniform(0.5, 20.0)
+        grid = BeliefGrid.uniform(grid_size)
+        operator = BeliefOperator(dyn, grid)
+        # (1 - rate)**(40 / rate) < e**-40: backward induction has converged.
+        oracle = finite_horizon_dp(dyn, weight, grid, math.ceil(40.0 / rate))
+        oracle_thresholds = extract_thresholds(oracle, operator, weight)
+        tol = 1e-9
+        zeros = BeliefValueTable(grid, np.zeros((grid_size, n_states)))
+        for start in (None, zeros):
+            table, _ = solve_fixed_point(operator, weight, tol=tol, start=start)
+            assert np.abs(table.values - oracle.values).max() <= tol
+            assert np.array_equal(extract_thresholds(table, operator, weight), oracle_thresholds)
+
     def test_monotone_and_in_cone(self):
         dyn = make_positive_dyn(9, rate=0.08)
         grid = BeliefGrid.uniform(101)
@@ -276,6 +308,74 @@ class TestSolveFixedPoint:
         assert np.all(values <= stop)
         middle = values[1:-1]
         assert np.all(values[:-2] + values[2:] <= 2 * middle + 1e-9)
+
+
+class TestIterate:
+    """The accelerated loop shared by both belief solvers, on a linear map."""
+
+    @staticmethod
+    def linear_map(kick_at=None):
+        """x -> 0.95 P x + b on 60 cells, recording every input and output;
+        the ``kick_at``-th application returns an output shifted by 1e3."""
+        rng = np.random.default_rng(0)
+        matrix = rng.random((60, 60))
+        matrix *= 0.95 / matrix.sum(axis=1, keepdims=True)
+        offset = rng.random(60)
+        inputs, outputs = [], []
+
+        def step(values):
+            inputs.append(values.copy())
+            out = (matrix @ values.ravel() + offset).reshape(values.shape)
+            if len(inputs) == kick_at:
+                out = out + 1e3
+            outputs.append(out)
+            return out
+
+        fixed = np.linalg.solve(np.eye(60) - matrix, offset)
+        return step, inputs, outputs, fixed
+
+    def test_restart_after_a_residual_jump_takes_the_plain_step(self):
+        step, inputs, outputs, _ = self.linear_map()
+        _iterate(step, np.zeros((20, 3)), 1e-12, 1000, "linear map")
+        # Undisturbed, only the first step is plain; every later input is
+        # extrapolated and differs from the previous output.
+        assert np.array_equal(inputs[1], outputs[0])
+        assert not any(np.array_equal(x, g) for x, g in zip(inputs[2:], outputs[1:]))
+
+        step, inputs, outputs, fixed = self.linear_map(kick_at=4)
+        values, applications = _iterate(step, np.zeros((20, 3)), 1e-12, 1000, "linear map")
+        assert applications == len(inputs)
+        # The kick multiplies the residual by far more than the restart
+        # factor: the history is cleared and the next input is g(x) itself.
+        assert np.array_equal(inputs[4], outputs[3])
+        assert not np.array_equal(inputs[5], outputs[4])
+        assert np.abs(values.ravel() - fixed).max() <= 1e-10
+
+    def test_max_iter_bounds_the_applications(self):
+        step, inputs, _, _ = self.linear_map()
+        _, needed = _iterate(step, np.zeros((20, 3)), 1e-12, 1000, "linear map")
+        assert needed == len(inputs)
+
+        step = self.linear_map()[0]
+        assert _iterate(step, np.zeros((20, 3)), 1e-12, needed, "linear map")[1] == needed
+
+        step, inputs, outputs, _ = self.linear_map()
+        with pytest.raises(ConvergenceError, match="linear map did not converge") as info:
+            _iterate(step, np.zeros((20, 3)), 1e-12, needed - 1, "linear map")
+        assert len(inputs) == needed - 1
+        assert info.value.residual == np.abs(outputs[-1] - inputs[-1]).max() > 1e-12
+
+    def test_a_step_that_never_settles_raises_with_its_residual(self):
+        calls = []
+
+        def drift(values):
+            calls.append(values)
+            return values + 0.5
+
+        with pytest.raises(ConvergenceError) as info:
+            _iterate(drift, np.zeros((2, 2)), 1e-9, 7, "drift")
+        assert len(calls) == 7
+        assert info.value.residual == 0.5
 
 
 class TestFiniteHorizonDp:
