@@ -102,6 +102,7 @@ _MINIMA = (
     ("grid_size", 2, "grid_size must be at least 2"),
     ("workers", 1, "workers must be at least 1"),
     ("horizon", 1, "horizon must be at least 1"),
+    ("master_seed", 0, "master_seed must be non-negative"),
 )
 
 
@@ -331,7 +332,9 @@ def cmd_mixing(config: ExperimentConfig, out: Path) -> None:
     envelope_rows = []
     for i, j in MODE_PAIRS:
         chain = solved.chains[i, j]
-        report = verify_mixing_bound(chain, env.mdp.discount, config.mixing_k_max)
+        report = verify_mixing_bound(
+            chain, env.mdp.discount, config.mixing_k_max, solved.stationary[i, j]
+        )
         profile = report.profile
         for t, tv in enumerate(profile.tv_by_step):
             profile_rows.append([i, j, t, tv])

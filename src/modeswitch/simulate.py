@@ -12,12 +12,14 @@ cost accumulations, operation for operation) coincide until the first time
 their policies diverge.
 
 :func:`run_batch` steps chunks of episodes through one vectorized kernel,
-serially and in episode-index order.  Its per-step cost follows the work that
-is left: once an episode has switched and passed its change point (it is
-*settled*), both controllers run the post-change policy on the post-change
-kernel, so it takes one flat table lookup per controller and no detection
-bookkeeping.  :func:`run_episode` is the independent scalar reference the
-kernel must match bit for bit.
+serially and in episode-index order; a byte budget sets the chunk width.  Its
+per-step cost follows the work that is left: the detection bookkeeping runs
+only for episodes whose rule has not fired, and an episode whose two
+controllers share a key (most of them, once switched and past the change)
+steps one row for both.  The kernel seeds its generators from SeedSequence
+words hashed for a whole chunk at once; :func:`episode_rng` builds the same
+streams one episode at a time and, with :func:`run_episode`, is the
+independent scalar reference the kernel must match bit for bit.
 """
 
 from __future__ import annotations
@@ -30,9 +32,16 @@ import numpy as np
 from .detector import belief_update
 from .pipeline import SolvedEnv
 
-_CHUNK_SIZE = 1024
-#: Steps of uniforms drawn per episode at a time (2 MB per buffer for a full chunk).
-_BLOCK = 256
+#: Steps of uniforms drawn per episode at a time.
+_BLOCK = 128
+#: Episodes whose uniforms are drawn into the episode-major scratch at a time.
+_SCRATCH_EPISODES = 256
+#: Bytes one episode holds while its chunk runs: its generator (about 0.7 KB
+#: seeded from precomputed words) and one block of step-major uniforms.
+_EPISODE_BYTES = 768 + 8 * _BLOCK
+#: Memory budget of a chunk's per-episode buffers; it sets the chunk width.
+_CHUNK_BYTES = 11 * 2**19  # 5.5 MiB
+_CHUNK_SIZE = _CHUNK_BYTES // _EPISODE_BYTES
 
 
 @dataclass(frozen=True)
@@ -232,6 +241,24 @@ def run_episode(
     )
 
 
+def _fill_uniforms(
+    rngs: list[np.random.Generator], step_u: np.ndarray, count: int, scratch: np.ndarray
+) -> None:
+    """Draw the next ``count`` step uniforms of every episode into the first
+    ``count`` rows of the step-major ``step_u``.
+
+    A generator fills only contiguous memory, so groups of episodes draw
+    into the rows of the episode-major ``scratch`` and are transposed from
+    there.
+    """
+    rows = [scratch[i, :count] for i in range(scratch.shape[0])]
+    for lo in range(0, len(rngs), len(rows)):
+        part = rngs[lo : lo + len(rows)]
+        for rng, row in zip(part, rows):
+            rng.random(out=row)
+        step_u[:count, lo : lo + len(part)] = scratch[: len(part), :count].T
+
+
 def _run_chunk(
     solved: SolvedEnv,
     horizon: int,
@@ -245,30 +272,38 @@ def _run_chunk(
 
     Produces, for every episode index, the record :func:`run_episode` returns,
     bit for bit: the same comparisons and the same cost additions in the same
-    order.
+    order.  Its generators are built from vectorized seed words in the states
+    :func:`episode_rng` gives them.
 
-    Both controllers (row 0 detection, row 1 baseline) step through one flat
-    table keyed by ``(2 * policy_mode + kernel_mode) * n + state``.  The
-    kernel mode is 1 from the change point on; the baseline's policy mode
-    equals it and the detection controller's is 1 once it has switched.  Each
-    episode keeps one key offset per controller, moved only at the switch and
-    at the change.  A step is a ``take`` of stage costs and a count of the
-    cumulative-row entries at or below the step's uniform, which is
-    :func:`run_episode`'s ``searchsorted``.
+    Both controllers step through one flat table keyed by ``(2 * policy_mode
+    + kernel_mode) * n + state``.  The kernel mode is 1 from the change point
+    on; the baseline's policy mode equals it and the detection controller's
+    is 1 once it has switched.  Each episode keeps one key offset per
+    controller, moved only at the switch and at the change.  A step is a
+    ``take`` of stage costs and a count of the cumulative-row entries at or
+    below the step's uniform, which is :func:`run_episode`'s ``searchsorted``.
 
-    An episode is *settled* once it has switched and its change point is at
-    or before the current step; from then on only its costs and states move.
-    The detection bookkeeping (change and fire checks, switch and change
-    records, pre-switch regret, belief update) runs only on the unsettled
-    episodes, an index array compacted after every step.  The realized
+    The baseline sits on the detection controller's key until a change or
+    switch leaves their offsets unequal, and again once the offsets agree and
+    a step lands both on the same state: from then on both see the same key
+    and the same uniforms.  So one key per episode is stepped, and the
+    baseline is stepped on its own only for the *split* episodes in between.
+    A merged episode's cost increment is computed once and added to each
+    controller's sum separately, so each sum keeps its own rounding.  With
+    ``switch_at_change`` the switch and the change fall on the same step and
+    no episode ever splits.
+
+    Changes are read from a schedule of the chunk's change points.  The fire
+    check and the belief update run only on the *live* episodes, those whose
+    rule has not fired, an index array compacted when some fire; mirroring
+    the baseline fires from the schedule and keeps no beliefs.  The realized
     objective is written at the end in closed form.
 
     Each episode's step uniforms come from its own generator, ``_BLOCK`` steps
-    at a time, filled episode by episode and transposed into a (block, chunk)
-    array so each step reads one contiguous row.  ``random(k)`` followed by
-    ``random(m)`` yields the same values as ``random(k + m)``, so the draws
-    do not depend on the block length and memory does not grow with the
-    horizon.
+    at a time, into a (block, chunk) array so each step reads one contiguous
+    row.  ``random(k)`` followed by ``random(m)`` yields the same values as
+    ``random(k + m)``, so the draws do not depend on the block length and
+    memory does not grow with the horizon.
     """
     env = solved.env
     mdp = env.mdp
@@ -277,14 +312,13 @@ def _run_chunk(
     rate = solved.dyn.change_rate
     size = hi - lo
 
-    change_point = np.empty(size, dtype=np.int64)
-    start_u = np.empty(size)
-    rngs = []
-    for i in range(size):
-        rng = episode_rng(master_seed, lo + i)
-        change_point[i] = rng.geometric(rate)
-        start_u[i] = rng.random()
-        rngs.append(rng)
+    # numpy.random loads here, not at import: commands without a Monte
+    # Carlo never pay for it.
+    from ._seeding import episode_generators
+
+    rngs = episode_generators(master_seed, lo, hi)
+    change_point = np.array([rng.geometric(rate) for rng in rngs], dtype=np.int64)
+    start_u = np.array([rng.random() for rng in rngs])
 
     # Flat tables over keys (2 * policy_mode + kernel_mode) * n + state.
     cum_kernel = np.cumsum(np.stack((mdp.kernel_pre, mdp.kernel_post)), axis=3)
@@ -300,79 +334,104 @@ def _run_chunk(
     flat_cum_t = np.ascontiguousarray(
         cum_kernel[kernel_mode, states, action, :-1].reshape(4 * n_states, n_states - 1).T
     )
+
+    def next_state(key: np.ndarray, u: np.ndarray) -> np.ndarray:
+        below = flat_cum_t.take(key, axis=1) <= u
+        return np.add.reduce(below, axis=0, dtype=np.intp)
+
     pre_rows = solved.dyn.kernel_pre.ravel()
     post_rows = solved.dyn.kernel_post.ravel()
 
-    # Row 0 is the detection controller, row 1 the baseline.
-    state = np.empty((2, size), dtype=np.intp)
-    state[:] = np.minimum(
+    state = np.minimum(
         np.searchsorted(np.cumsum(env.initial_dist), start_u, side="right"), n_states - 1
     )
-    offset = np.zeros((2, size), dtype=np.intp)
-    cost = np.zeros((2, size))
+    offset_cd = np.zeros(size, dtype=np.intp)
+    offset_mo = np.zeros(size, dtype=np.intp)
+    cost_cd = np.zeros(size)
+    cost_mo = np.zeros(size)
+    # Split episodes and their baseline states.
+    split = np.empty(0, dtype=np.intp)
+    split_state = np.empty(0, dtype=np.intp)
     switch_time = np.full(size, horizon, dtype=np.int64)
     state_at_switch = np.full(size, -1, dtype=np.int64)
     state_at_change = np.full(size, -1, dtype=np.int64)
     regret_pre_switch = np.zeros(size)
-    # Unsettled episodes: chunk indices plus their change points, switch flags
-    # and beliefs, compacted together.
-    live = np.arange(size)
-    live_change = change_point
-    live_switched = np.zeros(size, dtype=bool)
-    belief = np.zeros(size)
-    draws = np.empty((size, min(_BLOCK, horizon)))
-    step_u = np.empty((draws.shape[1], size))
+    # Episodes by change point, for the steps at which any change falls.
+    order = np.argsort(change_point, kind="stable")
+    change_steps, starts = np.unique(change_point[order], return_index=True)
+    changes_at = dict(zip(change_steps.tolist(), np.split(order, starts[1:])))
+    # Episodes whose rule may still fire, with their beliefs; mirroring the
+    # baseline fires at the change and needs no belief.
+    live = np.empty(0, dtype=np.intp) if switch_at_change else np.arange(size)
+    belief = np.zeros(live.size)
+    step_u = np.empty((min(_BLOCK, horizon), size))
+    scratch = np.empty((min(_SCRATCH_EPISODES, size), step_u.shape[0]))
     disc = 1.0
     for t in range(horizon):
         row = t % _BLOCK
         if row == 0:
-            count = min(_BLOCK, horizon - t)
-            for i, rng in enumerate(rngs):
-                rng.random(out=draws[i, :count])
-            np.copyto(step_u[:count], draws[:, :count].T)
+            _fill_uniforms(rngs, step_u, min(_BLOCK, horizon - t), scratch)
+        u = step_u[row]
 
-        if live.size:
-            live_state = state[0, live]
-            at_change = live_change == t
-            if at_change.any():
-                changed = live[at_change]
-                state_at_change[changed] = live_state[at_change]
-                offset[0, changed] += n_states
-                offset[1, changed] = 3 * n_states
-            if switch_at_change:
-                fire = ~live_switched & at_change
-            else:
-                fire = ~live_switched & (belief >= thresholds[live_state])
+        events = []
+        changed = changes_at.get(t)
+        if changed is not None:
+            state_at_change[changed] = state[changed]
+            offset_cd[changed] += n_states
+            offset_mo[changed] = 3 * n_states
+            events.append(changed)
+        fired = None
+        if switch_at_change:
+            fired = changed
+        elif live.size:
+            live_state = state.take(live)
+            fire = belief >= thresholds.take(live_state)
             if fire.any():
                 fired = live[fire]
-                switch_time[fired] = t
-                state_at_switch[fired] = live_state[fire]
-                regret_pre_switch[fired] = cost[0, fired] - cost[1, fired]
-                offset[0, fired] += 2 * n_states
-                live_switched |= fire
+                waiting = ~fire
+                live = live[waiting]
+                live_state = live_state[waiting]
+                belief = belief[waiting]
+        if fired is not None:
+            switch_time[fired] = t
+            state_at_switch[fired] = state[fired]
+            regret_pre_switch[fired] = cost_cd[fired] - cost_mo[fired]
+            offset_cd[fired] += 2 * n_states
+            events.append(fired)
+        if events:
+            # An episode's first event splits it unless the change and the
+            # switch fall on the same step.
+            events = np.concatenate(events)
+            entering = events[offset_cd[events] != offset_mo[events]]
+            split = np.concatenate((split, entering))
+            split_state = np.concatenate((split_state, state[entering]))
 
-        key = offset + state
-        cost += disc * flat_cost.take(key)
-        state = np.add.reduce(flat_cum_t.take(key, axis=1) <= step_u[row], axis=0, dtype=np.intp)
+        key = offset_cd + state
+        step_cost = disc * flat_cost
+        increment = step_cost.take(key)
+        cost_cd += increment
+        if split.size:
+            split_key = offset_mo[split] + split_state
+            increment[split] = step_cost.take(split_key)
+        cost_mo += increment
+        state = next_state(key, u)
+        if split.size:
+            split_state = next_state(split_key, u[split])
+            rejoined = (split_state == state[split]) & (offset_cd[split] == offset_mo[split])
+            if rejoined.any():
+                split = split[~rejoined]
+                split_state = split_state[~rejoined]
 
         if live.size:
-            moved = live_state * n_states + state[0, live]
+            moved = live_state * n_states + state.take(live)
             drifted = belief + rate * (1.0 - belief)
             changed_mass = drifted * post_rows.take(moved)
             total_mass = changed_mass + (1.0 - drifted) * pre_rows.take(moved)
-            updated = np.where(
-                total_mass > 0.0, changed_mass / np.where(total_mass > 0.0, total_mass, 1.0), 1.0
+            belief = np.divide(
+                changed_mass, total_mass, out=np.ones(live.size), where=total_mass > 0.0
             )
-            belief = np.where(live_switched, belief, updated)
-            keep = ~live_switched | (live_change > t)
-            if not keep.all():
-                live = live[keep]
-                live_change = live_change[keep]
-                live_switched = live_switched[keep]
-                belief = belief[keep]
         disc *= mdp.discount
 
-    cost_cd, cost_mo = cost
     truncated = switch_time == horizon
     regret_pre_switch[truncated] = cost_cd[truncated] - cost_mo[truncated]
     # run_episode adds either the weight once or 1.0 per step, never both, so

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from modeswitch.chains import verify_mixing_bound
+from modeswitch.chains import stationary_distribution, verify_mixing_bound
 from modeswitch.detector import (
     BeliefGrid,
     BeliefOperator,
@@ -130,8 +130,9 @@ def test_criterion_07_cost_gap_bound_never_violated(light_solve):
                 (mdp.kernel_post, env.cost_post),
             ):
                 chain = induced_chain(policy, kernel, cost)
+                dist = stationary_distribution(chain)
                 for discount in (0.9, 0.999):
-                    report = verify_mixing_bound(chain, discount, 200)
+                    report = verify_mixing_bound(chain, discount, 200, dist)
                     assert report.min_slack >= -1e-12, (seed, discount)
 
 

@@ -74,18 +74,19 @@ class TestStationaryDistribution:
 class TestMixingProfile:
     def test_single_absorbing_state(self):
         chain = InducedChain(np.array([[1.0]]), np.array([1.0]))
-        profile = mixing_profile(chain, 10)
+        profile = mixing_profile(chain, 10, np.ones(1))
         assert np.all(profile.tv_by_step == 0.0)
         assert profile.envelope_b > 0.0
 
     def test_one_step_mixing_with_uniform_rows(self):
-        profile = mixing_profile(two_state_chain(0.5, 0.5), 10)
+        profile = mixing_profile(two_state_chain(0.5, 0.5), 10, np.full(2, 0.5))
         assert profile.tv_by_step[0] == 0.5
         assert np.all(profile.tv_by_step[1:] == 0.0)
 
     def test_two_state_spectral_oracle(self):
         a, b, t_max = 0.1, 0.2, 40
-        profile = mixing_profile(two_state_chain(a, b), t_max)
+        chain = two_state_chain(a, b)
+        profile = mixing_profile(chain, t_max, stationary_distribution(chain))
         decay = abs(1.0 - a - b)
         expected = profile.tv_by_step[0] * decay ** np.arange(t_max + 1)
         assert np.abs(profile.tv_by_step - expected).max() < 1e-12
@@ -100,12 +101,13 @@ class TestMixingProfile:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_profile_nonincreasing(self, seed):
-        profile = mixing_profile(random_chain(seed), 100)
+        chain = random_chain(seed)
+        profile = mixing_profile(chain, 100, stationary_distribution(chain))
         assert np.all(np.diff(profile.tv_by_step) <= 1e-12)
 
     def test_rejects_zero_horizon(self):
         with pytest.raises(ValueError):
-            mixing_profile(two_state_chain(0.5, 0.5), 0)
+            mixing_profile(two_state_chain(0.5, 0.5), 0, np.full(2, 0.5))
 
     def test_profile_validation_rejects_bad_envelope(self):
         with pytest.raises(ValueError):
@@ -144,18 +146,19 @@ class TestVerifyMixingBound:
         chain = InducedChain(np.array([[1.0]]), np.array([2.0]))
         point = np.array([1.0])
         assert cost_to_go_gap(chain, point, 0.9, 50) < 1e-12
-        report = verify_mixing_bound(chain, 0.9, 50)
+        report = verify_mixing_bound(chain, 0.9, 50, point)
         assert report.min_slack >= -1e-12
 
     def test_two_state_analytic_chain(self):
         chain = two_state_chain(0.1, 0.2)
-        report = verify_mixing_bound(chain, 0.9, 100)
+        dist = stationary_distribution(chain)
+        report = verify_mixing_bound(chain, 0.9, 100, dist)
         assert report.min_slack >= 0.0
         assert report.max_slack >= report.min_slack
-        profile = mixing_profile(chain, 100)
+        profile = mixing_profile(chain, 100, dist)
         assert np.array_equal(report.profile.tv_by_step, profile.tv_by_step)
         assert report.profile.envelope_beta == profile.envelope_beta
-        assert np.array_equal(report.profile.stationary, stationary_distribution(chain))
+        assert np.array_equal(report.profile.stationary, dist)
 
     def test_solves_the_stationary_law_once(self, monkeypatch):
         import modeswitch.chains as chains
@@ -167,11 +170,13 @@ class TestVerifyMixingBound:
             return stationary_distribution(chain)
 
         monkeypatch.setattr(chains, "stationary_distribution", counting)
-        verify_mixing_bound(random_chain(1), 0.9, 50)
+        chain = random_chain(1)
+        verify_mixing_bound(chain, 0.9, 50, chains.stationary_distribution(chain))
         assert len(calls) == 1
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("discount", (0.9, 0.999))
     def test_random_chains_no_violations(self, seed, discount):
-        report = verify_mixing_bound(random_chain(seed), discount, 200)
+        chain = random_chain(seed)
+        report = verify_mixing_bound(chain, discount, 200, stationary_distribution(chain))
         assert report.min_slack >= -1e-12

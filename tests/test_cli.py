@@ -161,6 +161,23 @@ class TestMixingCommand:
         profile_lines = (out / "mixing_profile.csv").read_text().splitlines()
         assert len(profile_lines) == 1 + 4 * 61
 
+    def test_solves_each_stationary_law_once(self, tmp_path, monkeypatch):
+        import modeswitch.chains as chains
+        import modeswitch.pipeline as pipeline
+
+        solve = chains.stationary_distribution
+        calls = []
+
+        def counting(chain):
+            calls.append(chain.transition.tobytes())
+            return solve(chain)
+
+        monkeypatch.setattr(chains, "stationary_distribution", counting)
+        monkeypatch.setattr(pipeline, "stationary_distribution", counting)
+        assert main(["mixing", "--config", str(write_config(tmp_path))]) == 0
+        assert len(calls) == 4
+        assert len(set(calls)) == 4
+
 
 class TestErrorPaths:
     def test_unknown_key_is_config_error(self, tmp_path):
@@ -236,6 +253,7 @@ class TestErrorPaths:
                 "environment rho must lie in (0, 1), got 1.5",
             ),
             ({"rho_sweep": [0.05, 1.5]}, [], "rho_sweep values must lie in (0, 1), got 1.5"),
+            ({}, ["--seed", "-1"], "master_seed must be non-negative"),
         ],
         ids=[
             "grid-size-string",
@@ -249,6 +267,7 @@ class TestErrorPaths:
             "env-int-string",
             "env-rho-above-one",
             "rho-sweep-above-one",
+            "seed-flag-negative",
         ],
     )
     def test_invalid_config_exits_1_with_one_line(self, tmp_path, capsys, overrides, args, message):

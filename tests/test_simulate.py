@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modeswitch import simulate
+from modeswitch._seeding import episode_generators, seed_words
 from modeswitch.detector import BeliefDynamics
 from modeswitch.environments import RandomMdpSpec, SwitchingEnv, gen_random_mdp, random_env
 from modeswitch.mdp import ModePairMdp
@@ -198,12 +200,32 @@ class TestRunBatch:
         self, small_solved, data, switch_at_change, master
     ):
         solved = data.draw(small_instances(small_solved))
-        # Horizons on both sides of the 256-step uniform blocks.
-        for horizon in (1, 255, 256, 257, 601):
+        # Horizons on both sides of one and two uniform blocks.
+        block = simulate._BLOCK
+        for horizon in (1, block - 1, block, block + 1, 2 * block + 89):
             batch = run_batch(solved, 12, horizon, master, switch_at_change=switch_at_change)
             assert_batch_matches_oracle(
                 batch, solved, horizon, master, switch_at_change=switch_at_change
             )
+
+    def test_batch_across_a_chunk_boundary_matches_oracle(self, small_solved):
+        # One full chunk, then a chunk of three episodes.
+        horizon, master = 20, 2**40 + 3
+        batch = run_batch(small_solved, simulate._CHUNK_SIZE + 3, horizon, master)
+        assert_batch_matches_oracle(batch, small_solved, horizon, master)
+
+    def test_full_width_batch_stays_within_the_chunk_budget(self, small_solved):
+        # 6000 episodes run as two chunks.  The budget covers a chunk's
+        # generators and uniform block; 2 MiB more covers the uniform
+        # scratch, the per-step arrays and the batch's output columns.
+        run_batch(small_solved, 10, 10, 0)
+        tracemalloc.start()
+        try:
+            run_batch(small_solved, 6000, 600, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < simulate._CHUNK_BYTES + 2 * 2**20
 
     def test_memory_does_not_grow_with_the_horizon(self, small_solved):
         # One chunk of 1024 episodes: a horizon-long uniform buffer alone
@@ -270,6 +292,57 @@ class TestRunBatch:
     def test_rejects_empty_run(self, small_solved):
         with pytest.raises(ValueError, match="no episodes"):
             run_batch(small_solved, 0, 10, 0)
+
+
+#: Master seeds of one to five 32-bit words; from five words on, the seed
+#: fills SeedSequence's pool without padding.
+SEED_ORACLE_MASTERS = (
+    0, 1, 7, 12345, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5, 2**127 + 11, 2**128 + 9
+)
+
+
+def seed_sequence_words(master, index):
+    return np.random.SeedSequence(entropy=master, spawn_key=(index,)).generate_state(
+        4, np.uint64
+    )
+
+
+class TestSeedWords:
+    @pytest.mark.parametrize("master", SEED_ORACLE_MASTERS)
+    def test_matches_seed_sequence(self, master):
+        indices = np.arange(10_000, dtype=np.uint64)
+        expected = np.array([seed_sequence_words(master, int(i)) for i in indices])
+        assert np.array_equal(seed_words(master, indices), expected)
+
+    @pytest.mark.parametrize("master", SEED_ORACLE_MASTERS)
+    def test_multi_word_indices(self, master):
+        indices = [0, 2**32 - 1, 2**32, 2**33 + 7, 2**63, 2**64 - 1]
+        expected = np.array([seed_sequence_words(master, i) for i in indices])
+        assert np.array_equal(seed_words(master, np.array(indices, dtype=np.uint64)), expected)
+
+    @given(master=st.integers(0, 2**128 - 1), index=st.integers(0, 2**64 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_seed_sequence_for_any_master(self, master, index):
+        indices = np.array([index, 0, 2**32 - 1], dtype=np.uint64)
+        expected = np.array([seed_sequence_words(master, int(i)) for i in indices])
+        assert np.array_equal(seed_words(master, indices), expected)
+
+    def test_negative_master_seed_raises(self, small_solved):
+        with pytest.raises(ValueError, match="non-negative"):
+            seed_words(-1, np.arange(3, dtype=np.uint64))
+        with pytest.raises(ValueError, match="non-negative"):
+            np.random.SeedSequence(entropy=-1, spawn_key=(0,))
+        with pytest.raises(ValueError, match="non-negative"):
+            run_batch(small_solved, 5, 10, -1)
+
+    def test_generators_continue_the_documented_streams(self):
+        for master in (0, 2**64 + 5):
+            generators = episode_generators(master, 2**32 - 2, 2**32 + 2)
+            for index, generator in zip(range(2**32 - 2, 2**32 + 2), generators):
+                oracle = episode_rng(master, index)
+                assert generator.bit_generator.state == oracle.bit_generator.state
+                assert generator.geometric(0.01) == oracle.geometric(0.01)
+                assert np.array_equal(generator.random(300), oracle.random(300))
 
 
 class TestSummaries:
