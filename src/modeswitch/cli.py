@@ -171,18 +171,19 @@ def _build_env(config: ExperimentConfig, rho: float | None = None) -> SwitchingE
     return SwitchingEnv(mdp, mdp.stage_cost, mdp.stage_cost, uniform, "custom-kernels")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write equal-length columns under ``header``: bool and integer columns
+    as decimal integers, floats with 17 significant digits (round-trip exact)."""
+    row_format = ",".join("%d" if column.dtype.kind in "biu" else "%.17g" for column in columns)
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    lines.extend(row_format % row for row in zip(*(column.tolist() for column in columns)))
     path.write_text("\n".join(lines) + "\n", newline="\n")
+
+
+def _columns(blocks: list[list]) -> list[np.ndarray]:
+    """Join blocks of columns column by column; a block is one list of
+    equal-length arrays, or one row of scalars."""
+    return [np.concatenate([np.atleast_1d(part) for part in parts]) for parts in zip(*blocks)]
 
 
 def _manifest(config: ExperimentConfig, out: Path, extra: dict) -> None:
@@ -217,39 +218,38 @@ def cmd_solve(config: ExperimentConfig, out: Path) -> None:
     env = _build_env(config)
     solved = solve_env(env, config)
     n = env.mdp.n_states
+    states = np.arange(n)
     _write_csv(
         out / "policies.csv",
         ["state", "action_pre", "action_post"],
-        [[x, solved.policy_pre[x], solved.policy_post[x]] for x in range(n)],
+        [states, solved.policy_pre, solved.policy_post],
     )
     _write_csv(
         out / "values.csv",
         ["state", "value_pre", "value_post"],
-        [[x, solved.values_pre[x], solved.values_post[x]] for x in range(n)],
+        [states, solved.values_pre, solved.values_post],
     )
+    modes = np.repeat(np.array(MODE_PAIRS), n, axis=0)
     _write_csv(
         out / "stationary.csv",
         ["policy_mode", "kernel_mode", "state", "probability"],
         [
-            [i, j, x, solved.stationary[i, j][x]]
-            for i, j in MODE_PAIRS
-            for x in range(n)
+            modes[:, 0],
+            modes[:, 1],
+            np.tile(states, len(MODE_PAIRS)),
+            np.concatenate([solved.stationary[pair] for pair in MODE_PAIRS]),
         ],
     )
     _write_csv(
         out / "value_table.csv",
         ["state", "p", "value"],
         [
-            [x, solved.grid.points[k], solved.value_table.values[k, x]]
-            for x in range(n)
-            for k in range(solved.grid.size)
+            np.repeat(states, solved.grid.size),
+            np.tile(solved.grid.points, n),
+            solved.value_table.values.T.ravel(),
         ],
     )
-    _write_csv(
-        out / "thresholds.csv",
-        ["state", "threshold"],
-        [[x, solved.thresholds[x]] for x in range(n)],
-    )
+    _write_csv(out / "thresholds.csv", ["state", "threshold"], [states, solved.thresholds])
     _manifest(config, out, {"solve": _solved_summary(solved), "label": env.label})
 
 
@@ -287,7 +287,7 @@ _EPISODE_COLUMNS = (
 def cmd_simulate(config: ExperimentConfig, out: Path) -> None:
     rows = []
     manifest_runs = []
-    episode_rows = []
+    episode_columns = []
     for rho in config.rho_sweep or (None,):
         env, solved, batch, report, run = _simulate_one(config, rho)
         rate = env.mdp.change_rate
@@ -296,39 +296,53 @@ def cmd_simulate(config: ExperimentConfig, out: Path) -> None:
         )
         manifest_runs.append(run)
         if config.write_episodes:
-            columns = [getattr(batch, name).tolist() for name in _EPISODE_COLUMNS]
-            episode_rows.extend([rate, i, *cells] for i, cells in enumerate(zip(*columns)))
-    _write_csv(out / "report.csv", ["rho", "lambda", *_REPORT_COLUMNS], rows)
+            n_episodes = batch.n_episodes
+            episode_columns.append(
+                [
+                    np.full(n_episodes, rate),
+                    np.arange(n_episodes),
+                    *(getattr(batch, name) for name in _EPISODE_COLUMNS),
+                ]
+            )
+    _write_csv(out / "report.csv", ["rho", "lambda", *_REPORT_COLUMNS], _columns(rows))
     if config.write_episodes:
-        _write_csv(out / "episodes.csv", ["rho", "episode", *_EPISODE_COLUMNS], episode_rows)
+        _write_csv(
+            out / "episodes.csv",
+            ["rho", "episode", *_EPISODE_COLUMNS],
+            _columns(episode_columns),
+        )
     _manifest(config, out, {"simulate": manifest_runs})
 
 
 def cmd_figure1(config: ExperimentConfig, out: Path) -> None:
     if not config.rho_sweep:
         raise ConfigError("figure1 needs a rho_sweep")
-    threshold_rows = []
+    threshold_columns = []
     pfa_rows = []
     manifest_runs = []
     for rho in config.rho_sweep:
         env, solved, _, report, run = _simulate_one(config, rho)
-        for x in range(env.mdp.n_states):
-            threshold_rows.append([rho, x, solved.thresholds[x]])
+        n = env.mdp.n_states
+        threshold_columns.append([np.full(n, rho), np.arange(n), solved.thresholds])
         stderr = math.sqrt(
             max(report.false_alarm_rate * (1.0 - report.false_alarm_rate), 0.0)
             / config.n_episodes
         )
         pfa_rows.append([rho, report.false_alarm_rate, stderr])
         manifest_runs.append(run)
-    _write_csv(out / "thresholds.csv", ["rho", "state", "threshold"], threshold_rows)
-    _write_csv(out / "pfa.csv", ["rho", "pfa", "stderr"], pfa_rows)
+    _write_csv(
+        out / "thresholds.csv",
+        ["rho", "state", "threshold"],
+        _columns(threshold_columns),
+    )
+    _write_csv(out / "pfa.csv", ["rho", "pfa", "stderr"], _columns(pfa_rows))
     _manifest(config, out, {"figure1": manifest_runs})
 
 
 def cmd_mixing(config: ExperimentConfig, out: Path) -> None:
     env = _build_env(config)
     solved = solve_env(env, config)
-    profile_rows = []
+    profile_columns = []
     envelope_rows = []
     for i, j in MODE_PAIRS:
         chain = solved.chains[i, j]
@@ -336,16 +350,22 @@ def cmd_mixing(config: ExperimentConfig, out: Path) -> None:
             chain, env.mdp.discount, config.mixing_k_max, solved.stationary[i, j]
         )
         profile = report.profile
-        for t, tv in enumerate(profile.tv_by_step):
-            profile_rows.append([i, j, t, tv])
+        steps = profile.tv_by_step.size
+        profile_columns.append(
+            [np.full(steps, i), np.full(steps, j), np.arange(steps), profile.tv_by_step]
+        )
         envelope_rows.append(
             [i, j, profile.envelope_b, profile.envelope_beta, report.max_slack, report.min_slack]
         )
-    _write_csv(out / "mixing_profile.csv", ["policy_mode", "kernel_mode", "t", "tv"], profile_rows)
+    _write_csv(
+        out / "mixing_profile.csv",
+        ["policy_mode", "kernel_mode", "t", "tv"],
+        _columns(profile_columns),
+    )
     _write_csv(
         out / "mixing_envelope.csv",
         ["policy_mode", "kernel_mode", "envelope_b", "envelope_beta", "max_slack", "min_slack"],
-        envelope_rows,
+        _columns(envelope_rows),
     )
     _manifest(config, out, {"mixing": {"label": env.label, **_solved_summary(solved)}})
 

@@ -35,6 +35,14 @@ _ANDERSON_DEPTH = 5
 #: A residual this many times the previous one restarts the acceleration.
 _RESTART_GROWTH = 10.0
 
+#: Points of the coarse grid on which a solve from the stopping payoff first
+#: settles its stop region; only grids with more than ``_COARSE_FACTOR``
+#: times as many intervals take the coarse pass.
+_COARSE_POINTS = 51
+_COARSE_FACTOR = 4
+#: The coarse pass stops at this multiple of the fine stop threshold.
+_COARSE_SLACK = 1e5
+
 
 class ImpossibleTransitionError(ValueError):
     """A transition with probability zero under both kernels was observed."""
@@ -181,13 +189,21 @@ class BeliefOperator:
     For every grid belief i and state x the expected interpolated table value
     after one observation is a fixed linear form in the table: each next
     state x' contributes the mixture probability times the linear
-    interpolation between the two grid rows around the updated belief.  The
-    stencil is stored flattened, one row of 2n terms per (i, x): ``index``
-    holds positions in the raveled (grid, n) table (``lower*n + x'`` then the
-    row above, ``lower*n + x' + n``) and ``weights`` holds
-    ``mix*(1-blend)`` and ``mix*blend``.  Applying the operator is one gather
-    and one row-wise dot product, each output cell depending only on the
-    input table (deterministic regardless of how the cells are scheduled).
+    interpolation between the two grid rows around the updated belief.  Next
+    states that are impossible under both kernels carry zero weight at every
+    belief and are left out, so state x has 2k terms per grid belief, where k
+    is the size of its support (the x' possible under either kernel).
+
+    The stencil is stored in ``blocks``, one ``(states, index, weights)``
+    triple per support size k, holding the states with k successors in
+    increasing order.  ``index`` and ``weights`` have one row of 2k terms per
+    (i, x) pair, grid belief major: ``index`` holds positions in the raveled
+    (grid, n) table (``lower*n + x'`` for each x' of the support in
+    increasing order, then the same for the row above, ``lower*n + x' + n``)
+    and ``weights`` holds ``mix*(1-blend)`` and ``mix*blend``.  Applying the
+    operator is one gather and one row-wise dot product per block, each
+    output cell depending only on the input table (deterministic regardless
+    of how the cells are scheduled).  Dense kernels give a single block.
 
     Every weight is nonnegative, and each row's products and sums (fused or
     not) are evaluated in a fixed order under round-to-nearest, where each
@@ -203,8 +219,13 @@ class BeliefOperator:
     def __init__(self, dyn: BeliefDynamics, grid: BeliefGrid):
         size = grid.size
         n = dyn.n_states
-        rows = size * n
-        needed = rows * 2 * n * (np.dtype(np.intp).itemsize + np.dtype(float).itemsize)
+        supports = [
+            np.flatnonzero((dyn.kernel_pre[x] > 0.0) | (dyn.kernel_post[x] > 0.0))
+            for x in range(n)
+        ]
+        counts = np.array([support.size for support in supports])
+        term_bytes = np.dtype(np.intp).itemsize + np.dtype(float).itemsize
+        needed = size * 2 * int(counts.sum()) * term_bytes
         available = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if needed > available:
             raise ValueError(
@@ -214,31 +235,40 @@ class BeliefOperator:
         self.dyn = dyn
         self.grid = grid
         self.n_states = n
-        index = np.empty((size, n, 2 * n), dtype=np.intp)
-        weights = np.empty((size, n, 2 * n))
         points = grid.points
         drifted = points + dyn.change_rate * (1.0 - points)
-        next_cols = np.arange(n)
-        # One state at a time keeps construction temporaries at grid*n.
-        for state in range(n):
-            changed = drifted[:, None] * dyn.kernel_post[state]
-            mix = changed + (1.0 - drifted)[:, None] * dyn.kernel_pre[state]
-            feasible = mix > 0.0
-            updated = np.where(feasible, changed / np.where(feasible, mix, 1.0), 1.0)
-            position = updated * (size - 1)
-            lower = np.minimum(position.astype(np.intp), size - 2)
-            blend = position - lower
-            index[:, state, :n] = lower * n + next_cols
-            index[:, state, n:] = index[:, state, :n] + n
-            weights[:, state, :n] = mix * (1.0 - blend)
-            weights[:, state, n:] = mix * blend
-        self.index = index.reshape(rows, 2 * n)
-        self.weights = weights.reshape(rows, 2 * n)
+        self.blocks = []
+        # sorted(set()) rather than np.unique, whose first call costs about 1 MB of RSS.
+        for k in sorted(set(counts.tolist())):
+            states = np.flatnonzero(counts == k)
+            index = np.empty((size, states.size, 2 * k), dtype=np.intp)
+            weights = np.empty((size, states.size, 2 * k))
+            # One state at a time keeps construction temporaries at grid*k.
+            for slot, state in enumerate(states):
+                support = supports[state]
+                changed = drifted[:, None] * dyn.kernel_post[state, support]
+                mix = changed + (1.0 - drifted)[:, None] * dyn.kernel_pre[state, support]
+                feasible = mix > 0.0
+                updated = np.where(feasible, changed / np.where(feasible, mix, 1.0), 1.0)
+                position = updated * (size - 1)
+                lower = np.minimum(position.astype(np.intp), size - 2)
+                blend = position - lower
+                index[:, slot, :k] = lower * n + support
+                index[:, slot, k:] = index[:, slot, :k] + n
+                weights[:, slot, :k] = mix * (1.0 - blend)
+                weights[:, slot, k:] = mix * blend
+            rows = size * states.size
+            self.blocks.append((states, index.reshape(rows, 2 * k), weights.reshape(rows, 2 * k)))
 
     def continuation(self, values: np.ndarray) -> np.ndarray:
         """Expected interpolated table value after one more observation."""
-        gathered = values.ravel().take(self.index)
-        return np.einsum("ij,ij->i", self.weights, gathered).reshape(-1, self.n_states)
+        flat = values.ravel()
+        out = np.empty((self.grid.size, self.n_states))
+        for states, index, weights in self.blocks:
+            out[:, states] = np.einsum("ij,ij->i", weights, flat.take(index)).reshape(
+                -1, states.size
+            )
+        return out
 
     def apply(self, values: np.ndarray, weight: float) -> np.ndarray:
         """One application of min{weight*(1-p), p + continuation} to a table."""
@@ -334,9 +364,19 @@ def solve_fixed_point(
     table is then about ``tol / 100`` from the fixed point, a hundredfold
     margin inside ``tol`` (and its Bellman residual is well under ``tol``).
 
+    Without ``start``, a grid of more than 200 intervals
+    (``_COARSE_FACTOR * (_COARSE_POINTS - 1)``) starts instead from the solve
+    on a 51-point grid, stopped at ``_COARSE_SLACK`` times the fine threshold
+    and interpolated linearly onto the fine grid: most applications go by
+    before the stop region settles, and on the coarse grid they are cheap
+    (the one-way multigrid of Chow & Tsitsiklis, IEEE Trans. Automat. Control
+    1991).  The start changes where the fine iteration begins, not where it
+    stops.
+
     Returns:
         ``(table, iterations)``, where ``iterations`` counts operator
-        applications, including the plain steps the safeguard takes.
+        applications on this grid, including the plain steps the safeguard
+        takes (not those of the coarse pass).
 
     Raises:
         ConvergenceError: ``max_iter`` applications were not enough.
@@ -344,7 +384,15 @@ def solve_fixed_point(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     grid = operator.grid
-    if start is None:
+    if start is None and grid.size - 1 > _COARSE_FACTOR * (_COARSE_POINTS - 1):
+        coarse_grid = BeliefGrid.uniform(_COARSE_POINTS)
+        coarse, _ = solve_fixed_point(
+            BeliefOperator(operator.dyn, coarse_grid), weight, tol * _COARSE_SLACK, max_iter
+        )
+        values = np.column_stack(
+            [np.interp(grid.points, coarse_grid.points, column) for column in coarse.values.T]
+        )
+    elif start is None:
         values = stop_cost_table(grid, weight, operator.n_states).values
     else:
         if start.grid.size != grid.size:

@@ -1,18 +1,21 @@
 """Tests for the command-line front end: artifacts, determinism, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from modeswitch import cli
 from modeswitch.cli import ExperimentConfig, main
-from modeswitch.environments import InventorySpec, RandomMdpSpec, gen_random_mdp
+from modeswitch.environments import InventorySpec, RandomMdpSpec, build_inventory, gen_random_mdp
 from modeswitch.mdp import ModePairMdp
+from modeswitch.pipeline import SolveOptions, solve_env
 
 
 def write_config(tmp_path, **overrides):
@@ -179,6 +182,39 @@ class TestMixingCommand:
         assert len(set(calls)) == 4
 
 
+class TestCsvWriter:
+    def test_cell_formats(self, tmp_path):
+        floats = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 0.1, 2.0**53 + 1]
+        ints = [0, -1, 7, 2**53 + 1, -(2**63), 2**63 - 1, 42, -42]
+        flags = [True, False] * 4
+        path = tmp_path / "cells.csv"
+        cli._write_csv(
+            path,
+            ["flag", "int64", "intp", "float"],
+            [
+                np.array(flags),
+                np.array(ints, dtype=np.int64),
+                np.array(ints[::-1], dtype=np.intp),
+                np.array(floats),
+            ],
+        )
+        expected = ["flag,int64,intp,float"] + [
+            f"{int(flag)},{a},{b},{format(x, '.17g')}"
+            for flag, a, b, x in zip(flags, ints, ints[::-1], floats)
+        ]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+        assert [line.split(",")[3] for line in expected[1:]] == [
+            "-0", "nan", "inf", "-inf", "4.9406564584124654e-324",
+            "1.0000000000000001e+300", "0.10000000000000001", "9007199254740992",
+        ]
+        assert expected[4].split(",")[1] == "9007199254740993"
+
+    def test_header_only_without_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        cli._write_csv(path, ["a", "b"], [np.array([], dtype=np.intp), np.array([])])
+        assert path.read_bytes() == b"a,b\n"
+
+
 class TestErrorPaths:
     def test_unknown_key_is_config_error(self, tmp_path):
         config = write_config(tmp_path, typo_key=1)
@@ -211,9 +247,14 @@ class TestErrorPaths:
         assert "solve" in err and "numerator nonpositive" in err
 
     def test_oversized_belief_stencil_is_refused_up_front(self, tmp_path, capsys):
-        # 16 states at grid 10**7: an 80 MB grid but an 82 GB operator stencil.
+        # 16 states at grid 10**7: an 80 MB grid but a 47 GB operator stencil,
+        # two 16-byte terms per grid point for each (state, next state) pair
+        # possible under either kernel (146 of the 256).
         grid_size = 10**7
-        needed = grid_size * 16 * 32 * 16
+        env = build_inventory(InventorySpec(capacity=15, change_rate=0.01))
+        dyn = solve_env(env, SolveOptions(grid_size=2)).dyn
+        pairs = int(np.count_nonzero((dyn.kernel_pre > 0.0) | (dyn.kernel_post > 0.0)))
+        needed = grid_size * pairs * 2 * 16
         if needed <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
             pytest.skip("this host's physical memory would hold the stencil")
         config = write_config(

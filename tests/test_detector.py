@@ -24,8 +24,16 @@ from modeswitch.detector import (
     solve_fixed_point,
     stop_cost_table,
 )
+from modeswitch.environments import InventorySpec, RandomMdpSpec, build_inventory, random_env
 from modeswitch.mdp import ConvergenceError
-from conftest import make_positive_dyn
+from modeswitch.pipeline import SolveOptions, solve_env
+from conftest import (
+    CANONICAL_SEED,
+    TABLE1_RHOS,
+    VALID_SEEDS,
+    make_positive_dyn,
+    solve_random_cached,
+)
 
 
 def naive_bellman_apply(table, dyn, weight):
@@ -49,6 +57,35 @@ def sparse_kernel(rng, n_states):
     kernel = rng.random((n_states, n_states)) * (rng.random((n_states, n_states)) < 0.6)
     kernel[np.arange(n_states), rng.integers(0, n_states, n_states)] += 0.1
     return kernel / kernel.sum(axis=1, keepdims=True)
+
+
+def mixed_support_dyn(rng, n_states, rate):
+    """Sparse kernel pair whose rows reach different numbers of states: row 0
+    reaches every state, the last row exactly one under both kernels, and the
+    rows between random subsets (one-sided zeros included)."""
+    pre, post = sparse_kernel(rng, n_states), sparse_kernel(rng, n_states)
+    pre[0] = rng.random(n_states) + 0.05
+    pre[0] /= pre[0].sum()
+    pre[-1] = post[-1] = np.eye(n_states)[rng.integers(0, n_states)]
+    return BeliefDynamics(pre, post, rate)
+
+
+def dense_continuation(dyn, grid, values):
+    """The documented stencil summed over every next state, possible or not:
+    mix * ((1 - blend) * v[lower, x'] + blend * v[lower + 1, x'])."""
+    points = grid.points[:, None, None]
+    drifted = points + dyn.change_rate * (1.0 - points)
+    changed = drifted * dyn.kernel_post[None]
+    mix = changed + (1.0 - drifted) * dyn.kernel_pre[None]
+    updated = np.where(mix > 0.0, changed / np.where(mix > 0.0, mix, 1.0), 1.0)
+    position = updated * (grid.size - 1)
+    lower = np.minimum(position.astype(np.intp), grid.size - 2)
+    blend = position - lower
+    nxt = np.arange(dyn.n_states)
+    terms = np.concatenate(
+        [mix * (1.0 - blend) * values[lower, nxt], mix * blend * values[lower + 1, nxt]], axis=2
+    )
+    return np.array([[math.fsum(row) for row in cell] for cell in terms])
 
 
 class TestBeliefGrid:
@@ -209,8 +246,10 @@ class TestBeliefOperator:
     @settings(max_examples=100, deadline=None)
     def test_apply_is_exactly_monotone(self, seed, n_states, grid_size, rate):
         rng = np.random.default_rng(seed)
-        dyn = BeliefDynamics(sparse_kernel(rng, n_states), sparse_kernel(rng, n_states), rate)
+        dyn = mixed_support_dyn(rng, n_states, rate)
         operator = BeliefOperator(dyn, BeliefGrid.uniform(grid_size))
+        # Row 0 and the last row differ in support size: several stencil blocks.
+        assert n_states == 1 or len(operator.blocks) > 1
         weight = rng.uniform(0.0, 20.0)
         low = rng.uniform(-5.0, 20.0, (grid_size, n_states))
         # Leave entries alone, raise them by one ulp, or raise them by up to 1.
@@ -230,6 +269,22 @@ class TestBeliefOperator:
         for state, nxt in zip(*np.nonzero((dyn.kernel_pre > 0.0) | (dyn.kernel_post > 0.0))):
             for belief in (*points, *rng.random(3)):
                 assert 0.0 <= belief_update(dyn, state, nxt, belief) <= 1.0
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_states=st.integers(1, 6),
+        grid_size=st.integers(2, 30),
+        rate=st.floats(0.001, 0.999),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_compact_stencil_matches_the_dense_formula(self, seed, n_states, grid_size, rate):
+        rng = np.random.default_rng(seed)
+        dyn = mixed_support_dyn(rng, n_states, rate)
+        grid = BeliefGrid.uniform(grid_size)
+        values = rng.uniform(-5.0, 20.0, (grid_size, n_states))
+        cont = BeliefOperator(dyn, grid).continuation(values)
+        reference = dense_continuation(dyn, grid, values)
+        assert np.abs(cont - reference).max() <= 1e-15 * np.abs(values).max()
 
 
 class TestSolveFixedPoint:
@@ -255,6 +310,33 @@ class TestSolveFixedPoint:
         table, _ = solve_fixed_point(BeliefOperator(dyn, grid), 5.0, tol=1e-9)
         oracle = finite_horizon_dp(dyn, 5.0, grid, 120)
         assert np.abs(table.values - oracle.values).max() <= 1e-5
+
+    @pytest.mark.parametrize("instance", ["inventory", "random"])
+    def test_coarse_start_lands_on_the_same_fixed_point(self, instance):
+        if instance == "inventory":
+            solved = solve_env(build_inventory(InventorySpec(capacity=15, change_rate=0.01)))
+        else:
+            solved = solve_random_cached(CANONICAL_SEED, 0.0028)
+        operator = BeliefOperator(solved.dyn, solved.grid)
+        weight, tol = solved.weight, solved.options.fp_tol
+        # An explicit start bypasses the coarse pass.
+        start = stop_cost_table(solved.grid, weight, solved.dyn.n_states)
+        plain, applications = solve_fixed_point(operator, weight, tol=tol, start=start)
+        # The coarse pass leaves fewer applications on the fine grid.
+        assert solved.fp_iterations < applications
+        assert np.abs(solved.value_table.values - plain.values).max() <= tol / 10
+        assert np.array_equal(solved.thresholds, extract_thresholds(plain, operator, weight))
+
+    def test_grids_of_201_points_take_no_coarse_pass(self):
+        dyn = make_positive_dyn(8, rate=0.02)
+        grid = BeliefGrid.uniform(201)
+        operator = BeliefOperator(dyn, grid)
+        default, applications = solve_fixed_point(operator, 5.0)
+        started, started_applications = solve_fixed_point(
+            operator, 5.0, start=stop_cost_table(grid, 5.0, dyn.n_states)
+        )
+        assert np.array_equal(default.values, started.values)
+        assert applications == started_applications
 
     def test_iteration_from_zero_agrees(self):
         dyn = make_positive_dyn(8, rate=0.1)
@@ -433,6 +515,16 @@ class TestExtractThresholds:
             thresholds = extract_thresholds(table, operator, weight)
             if previous is not None:
                 assert np.all(thresholds <= previous + 1e-15)
+            previous = thresholds
+
+    @pytest.mark.parametrize("seed", [seed for seed in VALID_SEEDS if seed < 10])
+    def test_thresholds_do_not_increase_along_the_readme_sweep(self, seed):
+        previous = None
+        for rate in sorted(TABLE1_RHOS):
+            env = random_env(RandomMdpSpec(seed=seed, change_rate=rate))
+            thresholds = solve_env(env, SolveOptions(grid_size=201)).thresholds
+            if previous is not None:
+                assert np.all(thresholds <= previous)
             previous = thresholds
 
     def test_rejects_a_table_from_another_grid(self):
