@@ -16,6 +16,7 @@ from .chains import (
     MixingBoundReport,
     MixingProfile,
     ReducibleChainError,
+    k_step_costs,
     mixing_profile,
     stationary_distribution,
     verify_mixing_bound,
@@ -29,11 +30,11 @@ from .detector import (
     DivergenceError,
     ImpossibleTransitionError,
     ThresholdStructureError,
+    bayes_step,
     belief_update,
     evaluate_switch_rule,
     extract_thresholds,
     finite_horizon_dp,
-    mixture_transition,
     solve_fixed_point,
     stop_cost_table,
 )
@@ -45,10 +46,9 @@ from .environments import (
     gen_random_mdp,
     random_env,
 )
-from .pipeline import SolveOptions, SolvedEnv, mode_pair_weight, solve_env
+from .pipeline import SolveOptions, SolvedEnv, mode_pair_chains, mode_pair_weight, solve_env
 from .simulate import (
     EpisodeBatch,
-    EpisodeRecord,
     RegretCheck,
     RegretEstimate,
     SimReport,

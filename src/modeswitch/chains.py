@@ -187,6 +187,23 @@ def mixing_profile(chain: InducedChain, t_max: int, stationary: np.ndarray) -> M
     return MixingProfile(tv, envelope_b, envelope_beta, stationary)
 
 
+def k_step_costs(
+    transition: np.ndarray, cost, discount: float, k_max: int, terminal
+) -> np.ndarray:
+    """Rows ``J_0 .. J_k_max`` of ``J_k = cost + discount * transition @ J_{k-1}``
+    from ``J_0 = terminal``.
+
+    ``J_k[x]`` is the expected discounted cost of ``k`` steps of the chain
+    started at ``x`` plus ``discount**k`` times the expected terminal value
+    after them; every start state is propagated at once.
+    """
+    costs = np.empty((k_max + 1, transition.shape[0]))
+    costs[0] = terminal
+    for k in range(1, k_max + 1):
+        costs[k] = cost + discount * (transition @ costs[k - 1])
+    return costs
+
+
 def verify_mixing_bound(
     chain: InducedChain, discount: float, k_max: int, stationary: np.ndarray
 ) -> MixingBoundReport:
@@ -200,20 +217,10 @@ def verify_mixing_bound(
     chain's solved stationary law, as :func:`mixing_profile` takes it.
     """
     profile = mixing_profile(chain, k_max, stationary)
-    n = chain.n_states
     cost_inf = float(np.max(np.abs(chain.cost_vec)))
     stationary_cost = float(chain.cost_vec @ stationary)
 
-    # J[k, x]: k-step discounted cost from state x, built by propagating all
-    # point masses at once.
-    costs = np.zeros((k_max + 1, n))
-    power = np.eye(n)
-    disc = 1.0
-    for k in range(1, k_max + 1):
-        costs[k] = costs[k - 1] + disc * (power @ chain.cost_vec)
-        power = power @ chain.transition
-        disc *= discount
-
+    costs = k_step_costs(chain.transition, chain.cost_vec, discount, k_max, 0.0)
     stepwise = np.zeros(k_max + 1)
     geom = discount ** np.arange(k_max)
     stepwise[1:] = 2.0 * cost_inf * np.cumsum(geom * profile.tv_by_step[:-1])

@@ -103,7 +103,13 @@ _MINIMA = (
     ("workers", 1, "workers must be at least 1"),
     ("horizon", 1, "horizon must be at least 1"),
     ("master_seed", 0, "master_seed must be non-negative"),
+    ("vi_max_iter", 1, "vi_max_iter must be at least 1"),
+    ("fp_max_iter", 1, "fp_max_iter must be at least 1"),
+    ("mixing_k_max", 1, "mixing_k_max must be at least 1"),
 )
+
+#: Solver tolerances: each must be finite and positive.
+_TOLERANCES = ("vi_tol", "fp_tol")
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
@@ -152,6 +158,10 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         value = getattr(config, key)
         if value is not None and value < low:
             raise ConfigError(message)
+    for key in _TOLERANCES:
+        value = getattr(config, key)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{key} must be finite and positive, got {json.dumps(value)}")
     return config
 
 
@@ -200,10 +210,9 @@ def _solved_summary(solved: SolvedEnv) -> dict:
     return {
         "lambda": solved.weight,
         "cost_rates": {
-            "post_in_pre": solved.cost_rates.post_in_pre,
-            "pre_in_pre": solved.cost_rates.pre_in_pre,
-            "pre_in_post": solved.cost_rates.pre_in_post,
-            "post_in_post": solved.cost_rates.post_in_post,
+            f.name: getattr(solved.cost_rates, f.name)
+            for f in fields(solved.cost_rates)
+            if f.name != "change_rate"
         },
         "residuals": {
             "value_iteration_pre": solved.vi_residual_pre,

@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .mdp import ConvergenceError, ModePairMdp, check_stochastic
+from .mdp import ConvergenceError, check_solver_budget, check_stochastic
 
 #: Default fixed-point distance target and iteration budget of the belief solvers.
 DEFAULT_FP_TOL = 1e-9
@@ -113,16 +113,6 @@ class BeliefDynamics:
         if not 0.0 < self.change_rate < 1.0:
             raise ValueError(f"change_rate must lie in (0, 1), got {self.change_rate}")
 
-    @classmethod
-    def from_mdp(cls, mdp: ModePairMdp, policy_pre: np.ndarray) -> "BeliefDynamics":
-        rows = np.arange(mdp.n_states)
-        policy_pre = np.asarray(policy_pre, dtype=np.int64)
-        return cls(
-            mdp.kernel_pre[rows, policy_pre],
-            mdp.kernel_post[rows, policy_pre],
-            mdp.change_rate,
-        )
-
     @property
     def n_states(self) -> int:
         return self.kernel_pre.shape[0]
@@ -145,42 +135,59 @@ class BeliefValueTable:
         return self.values.shape[1]
 
 
+def check_thresholds(thresholds, n_states: int) -> np.ndarray:
+    """``thresholds`` as floats, checked to hold one belief in [0, 1] per state."""
+    thresholds = np.asarray(thresholds, dtype=float)
+    if thresholds.shape != (n_states,):
+        raise ValueError(f"thresholds must have shape ({n_states},), got {thresholds.shape}")
+    if not np.all((thresholds >= 0.0) & (thresholds <= 1.0)):
+        raise ValueError("thresholds must be finite and lie in [0, 1]")
+    return thresholds
+
+
 def stop_cost_table(grid: BeliefGrid, weight: float, n_states: int) -> BeliefValueTable:
     """The stopping payoff weight*(1-p), copied across states."""
     column = weight * (1.0 - grid.points)
     return BeliefValueTable(grid, np.tile(column[:, None], (1, n_states)))
 
 
+def bayes_step(belief, pre, post, change_rate: float):
+    """One step of the belief filter, for scalars or broadcasting arrays.
+
+    ``pre`` and ``post`` are the probabilities of the observed transitions
+    under the pre- and post-change kernels.  The prior belief first drifts by
+    the change rate; the predictive mass of a transition is the
+    drift-weighted blend of its two probabilities, and the posterior is the
+    changed share of that mass.  Working from the unnormalized joint (never
+    forming a pre/post likelihood ratio) resolves transitions impossible
+    under exactly one kernel to belief 0 or 1, and a zero predictive mass
+    (belief 1 and a transition impossible after the change, or one
+    impossible under both kernels) to belief 1, which is absorbing.
+
+    Returns:
+        ``(posterior, predictive mass)``, as arrays.
+    """
+    drifted = belief + change_rate * (1.0 - belief)
+    changed_mass = drifted * post
+    mass = changed_mass + (1.0 - drifted) * pre
+    posterior = np.divide(changed_mass, mass, out=np.ones(np.shape(mass)), where=mass > 0.0)
+    return posterior, mass
+
+
 def belief_update(dyn: BeliefDynamics, state: int, next_state: int, belief: float) -> float:
     """Posterior change probability after observing one transition.
-
-    Works from the unnormalized joint (never forming a pre/post likelihood
-    ratio), so transitions that are impossible under exactly one kernel
-    resolve to belief 0 or 1 instead of dividing by zero.
 
     Raises:
         ImpossibleTransitionError: the transition has probability zero under
             both kernels.
     """
-    pre = float(dyn.kernel_pre[state, next_state])
-    post = float(dyn.kernel_post[state, next_state])
+    pre = dyn.kernel_pre[state, next_state]
+    post = dyn.kernel_post[state, next_state]
     if pre == 0.0 and post == 0.0:
         raise ImpossibleTransitionError(
             f"transition {state} -> {next_state} is impossible under both kernels"
         )
-    drifted = belief + dyn.change_rate * (1.0 - belief)
-    changed_mass = drifted * post
-    total_mass = changed_mass + (1.0 - drifted) * pre
-    if total_mass == 0.0:
-        # Only reachable when drifted == 1 and post == 0; belief 1 is absorbing.
-        return 1.0
-    return changed_mass / total_mass
-
-
-def mixture_transition(dyn: BeliefDynamics, state: int, belief: float) -> np.ndarray:
-    """Predictive next-state law: the belief-weighted blend of both kernels."""
-    drifted = belief + dyn.change_rate * (1.0 - belief)
-    return drifted * dyn.kernel_post[state] + (1.0 - drifted) * dyn.kernel_pre[state]
+    return float(bayes_step(belief, pre, post, dyn.change_rate)[0])
 
 
 class BeliefOperator:
@@ -235,8 +242,7 @@ class BeliefOperator:
         self.dyn = dyn
         self.grid = grid
         self.n_states = n
-        points = grid.points
-        drifted = points + dyn.change_rate * (1.0 - points)
+        beliefs = grid.points[:, None]
         self.blocks = []
         # sorted(set()) rather than np.unique, whose first call costs about 1 MB of RSS.
         for k in sorted(set(counts.tolist())):
@@ -246,10 +252,10 @@ class BeliefOperator:
             # One state at a time keeps construction temporaries at grid*k.
             for slot, state in enumerate(states):
                 support = supports[state]
-                changed = drifted[:, None] * dyn.kernel_post[state, support]
-                mix = changed + (1.0 - drifted)[:, None] * dyn.kernel_pre[state, support]
-                feasible = mix > 0.0
-                updated = np.where(feasible, changed / np.where(feasible, mix, 1.0), 1.0)
+                updated, mix = bayes_step(
+                    beliefs, dyn.kernel_pre[state, support], dyn.kernel_post[state, support],
+                    dyn.change_rate,
+                )
                 position = updated * (size - 1)
                 lower = np.minimum(position.astype(np.intp), size - 2)
                 blend = position - lower
@@ -379,10 +385,11 @@ def solve_fixed_point(
         takes (not those of the coarse pass).
 
     Raises:
+        ValueError: ``tol`` is not finite and positive, or ``max_iter`` is
+            below 1.
         ConvergenceError: ``max_iter`` applications were not enough.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    check_solver_budget(tol, max_iter)
     grid = operator.grid
     if start is None and grid.size - 1 > _COARSE_FACTOR * (_COARSE_POINTS - 1):
         coarse_grid = BeliefGrid.uniform(_COARSE_POINTS)
@@ -470,13 +477,8 @@ def evaluate_switch_rule(
     stops crosses the cap and raises instead of looping forever.
     """
     dyn, grid = operator.dyn, operator.grid
-    thresholds = np.asarray(thresholds, dtype=float)
-    if thresholds.shape != (dyn.n_states,):
-        raise ValueError("thresholds length must match the state count")
-    if np.any(thresholds < 0.0) or np.any(thresholds > 1.0):
-        raise ValueError("thresholds must lie in [0, 1]")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    thresholds = check_thresholds(thresholds, dyn.n_states)
+    check_solver_budget(tol, max_iter)
     points = grid.points
     stop_mask = points[:, None] >= thresholds[None, :]
     stop_values = weight * (1.0 - points)[:, None]

@@ -37,6 +37,14 @@ def check_stochastic(array: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} rows must sum to 1 (worst deviation {worst:.3e})")
 
 
+def check_solver_budget(tol: float, max_iter: int) -> None:
+    """Validate an iterative solver's stopping target and iteration budget."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+
+
 @dataclass(frozen=True)
 class ModePairMdp:
     """A finite MDP whose transition kernel switches once at a random time.
@@ -139,8 +147,8 @@ def value_iteration(
         kernel: transition law, ``[state][action][next]``.
         stage_cost: cost per ``(state, action)``; minimized.
         discount: discount factor in ``(0, 1)``.
-        tol: sup-norm Bellman residual target, > 0.
-        max_iter: iteration budget.
+        tol: sup-norm Bellman residual target, finite and > 0.
+        max_iter: iteration budget, at least 1.
 
     Returns:
         ``(policy, values)``: the greedy policy for ``values`` and a value
@@ -153,10 +161,7 @@ def value_iteration(
     kernel = np.asarray(kernel, dtype=float)
     stage_cost = np.asarray(stage_cost, dtype=float)
     check_stochastic(kernel, "kernel")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    check_solver_budget(tol, max_iter)
 
     values = np.zeros(kernel.shape[0])
     delta = values

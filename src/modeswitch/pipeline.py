@@ -4,6 +4,7 @@ stationary analysis, the false-alarm weight, and the optimal switching rule."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,12 +59,16 @@ class SolvedEnv:
     stationary: dict = field(repr=False)
     cost_rates: SwitchingCostRates
     weight: float
-    dyn: BeliefDynamics
     grid: BeliefGrid
     value_table: BeliefValueTable
     fp_iterations: int
     fp_residual: float
     thresholds: np.ndarray
+
+    @cached_property
+    def dyn(self) -> BeliefDynamics:
+        """The belief filter's rows, read from the pre-change policy's chains."""
+        return _filter_dynamics(self.chains, self.env.mdp.change_rate)
 
     @property
     def grid_slack(self) -> float:
@@ -80,6 +85,25 @@ def _bellman_residual(kernel, cost, discount, values) -> float:
     return float(np.max(np.abs(backed_up - values)))
 
 
+def mode_pair_chains(
+    env: SwitchingEnv, policy_pre: np.ndarray, policy_post: np.ndarray
+) -> dict[tuple[int, int], InducedChain]:
+    """The induced chain of every (policy, kernel) pair in :data:`MODE_PAIRS`."""
+    policies = {1: policy_pre, 2: policy_post}
+    kernels = {1: env.mdp.kernel_pre, 2: env.mdp.kernel_post}
+    return {
+        (policy_mode, kernel_mode): induced_chain(
+            policies[policy_mode], kernels[kernel_mode], env.cost_for_mode(kernel_mode)
+        )
+        for policy_mode, kernel_mode in MODE_PAIRS
+    }
+
+
+def _filter_dynamics(chains: dict, change_rate: float) -> BeliefDynamics:
+    """The filter conditions on the pre-change policy's actions under both kernels."""
+    return BeliefDynamics(chains[1, 1].transition, chains[1, 2].transition, change_rate)
+
+
 def mode_pair_weight(
     env: SwitchingEnv, policy_pre: np.ndarray, policy_post: np.ndarray
 ) -> tuple[dict, dict, SwitchingCostRates, float]:
@@ -89,27 +113,15 @@ def mode_pair_weight(
     Returns ``(chains, stationary, rates, weight)``; the two dicts are keyed
     by the pairs in :data:`MODE_PAIRS`.
     """
-    mdp = env.mdp
-    policies = {1: policy_pre, 2: policy_post}
-    kernels = {1: mdp.kernel_pre, 2: mdp.kernel_post}
-    chains: dict[tuple[int, int], InducedChain] = {}
-    stationary: dict[tuple[int, int], np.ndarray] = {}
-    averages: dict[tuple[int, int], float] = {}
-    for policy_mode, kernel_mode in MODE_PAIRS:
-        chain = induced_chain(
-            policies[policy_mode], kernels[kernel_mode], env.cost_for_mode(kernel_mode)
-        )
-        dist = stationary_distribution(chain)
-        chains[policy_mode, kernel_mode] = chain
-        stationary[policy_mode, kernel_mode] = dist
-        averages[policy_mode, kernel_mode] = float(chain.cost_vec @ dist)
-
+    chains = mode_pair_chains(env, policy_pre, policy_post)
+    stationary = {pair: stationary_distribution(chain) for pair, chain in chains.items()}
+    averages = {pair: float(chains[pair].cost_vec @ stationary[pair]) for pair in MODE_PAIRS}
     rates = SwitchingCostRates(
         post_in_pre=averages[2, 1],
         pre_in_pre=averages[1, 1],
         pre_in_post=averages[1, 2],
         post_in_post=averages[2, 2],
-        change_rate=mdp.change_rate,
+        change_rate=env.mdp.change_rate,
     )
     return chains, stationary, rates, false_alarm_weight(rates)
 
@@ -126,7 +138,7 @@ def solve_env(env: SwitchingEnv, options: SolveOptions = SolveOptions()) -> Solv
     chains, stationary, rates, weight = mode_pair_weight(env, policy_pre, policy_post)
 
     operator = BeliefOperator(
-        BeliefDynamics.from_mdp(mdp, policy_pre), BeliefGrid.uniform(options.grid_size)
+        _filter_dynamics(chains, mdp.change_rate), BeliefGrid.uniform(options.grid_size)
     )
     table, iterations = solve_fixed_point(operator, weight, options.fp_tol, options.fp_max_iter)
     fp_residual = float(np.max(np.abs(operator.apply(table.values, weight) - table.values)))
@@ -147,7 +159,6 @@ def solve_env(env: SwitchingEnv, options: SolveOptions = SolveOptions()) -> Solv
         stationary=stationary,
         cost_rates=rates,
         weight=weight,
-        dyn=operator.dyn,
         grid=operator.grid,
         value_table=table,
         fp_iterations=iterations,

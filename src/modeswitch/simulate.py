@@ -29,7 +29,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .detector import belief_update
+from .chains import k_step_costs
+from .detector import bayes_step, check_thresholds
 from .pipeline import SolvedEnv
 
 #: Steps of uniforms drawn per episode at a time.
@@ -45,8 +46,9 @@ _CHUNK_SIZE = _CHUNK_BYTES // _EPISODE_BYTES
 
 
 @dataclass(frozen=True)
-class EpisodeRecord:
-    """Outcome of one coupled episode.
+class EpisodeBatch:
+    """Outcomes of coupled episodes, one array entry per episode in
+    episode-index order.
 
     ``objective_realized`` is the realized payoff of the stopping problem the
     threshold DP solves: one unit for every pre-switch step whose *incoming*
@@ -65,23 +67,6 @@ class EpisodeRecord:
     ``regret_pre_switch`` is ``cost_cd - cost_mo`` as it stood when the rule
     fired (at the horizon if it never fired).
     """
-
-    change_point: int
-    switch_time: int
-    cost_cd: float
-    cost_mo: float
-    false_alarm: bool
-    delay: int
-    objective_realized: float
-    truncated: bool
-    state_at_switch: int
-    state_at_change: int
-    regret_pre_switch: float
-
-
-@dataclass(frozen=True)
-class EpisodeBatch:
-    """Struct-of-arrays form of many episode records (episode-index order)."""
 
     change_point: np.ndarray
     switch_time: np.ndarray
@@ -155,8 +140,9 @@ def run_episode(
     rng: np.random.Generator,
     thresholds: np.ndarray | None = None,
     switch_at_change: bool = False,
-) -> EpisodeRecord:
-    """Simulate one coupled episode (scalar reference implementation).
+) -> EpisodeBatch:
+    """Simulate one coupled episode (scalar reference implementation) and
+    return it as a one-episode batch.
 
     Consumes one uniform for the start state and then exactly one uniform per
     step.  The detection controller follows the pre-change policy until its
@@ -164,6 +150,10 @@ def run_episode(
     policy afterwards; the baseline switches exactly at the change point.
     If the rule never fires within ``horizon`` the switch time is recorded as
     ``horizon`` and the episode flagged truncated.
+
+    It reads the kernels, costs and policies from ``solved.env`` and the
+    policy arrays, never from ``solved.chains``, so matching it checks the
+    chains the batch kernel steps through as well.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -171,8 +161,9 @@ def run_episode(
         raise ValueError("change_point must be at least 1")
     env = solved.env
     mdp = env.mdp
-    if thresholds is None:
-        thresholds = solved.thresholds
+    thresholds = check_thresholds(
+        solved.thresholds if thresholds is None else thresholds, mdp.n_states
+    )
     weight = solved.weight
     cum_initial = np.cumsum(env.initial_dist)
     cum_pre = np.cumsum(mdp.kernel_pre, axis=2)
@@ -217,7 +208,14 @@ def run_episode(
         next_cd = _inverse_cdf(kernel_cum[state_cd, action_cd], u)
         next_mo = _inverse_cdf(kernel_cum[state_mo, action_mo], u)
         if not switched:
-            belief = belief_update(solved.dyn, state_cd, next_cd, belief)
+            belief = float(
+                bayes_step(
+                    belief,
+                    mdp.kernel_pre[state_cd, action_cd, next_cd],
+                    mdp.kernel_post[state_cd, action_cd, next_cd],
+                    mdp.change_rate,
+                )[0]
+            )
         state_cd = next_cd
         state_mo = next_mo
         disc *= mdp.discount
@@ -226,7 +224,7 @@ def run_episode(
         regret_pre_switch = cost_cd - cost_mo
         if change_point >= horizon:
             objective += weight
-    return EpisodeRecord(
+    record = dict(
         change_point=change_point,
         switch_time=switch_time,
         cost_cd=cost_cd,
@@ -239,6 +237,7 @@ def run_episode(
         state_at_change=state_at_change,
         regret_pre_switch=regret_pre_switch,
     )
+    return EpisodeBatch(**{name: np.array([value]) for name, value in record.items()})
 
 
 def _fill_uniforms(
@@ -275,13 +274,16 @@ def _run_chunk(
     order.  Its generators are built from vectorized seed words in the states
     :func:`episode_rng` gives them.
 
-    Both controllers step through one flat table keyed by ``(2 * policy_mode
-    + kernel_mode) * n + state``.  The kernel mode is 1 from the change point
-    on; the baseline's policy mode equals it and the detection controller's
-    is 1 once it has switched.  Each episode keeps one key offset per
-    controller, moved only at the switch and at the change.  A step is a
-    ``take`` of stage costs and a count of the cumulative-row entries at or
-    below the step's uniform, which is :func:`run_episode`'s ``searchsorted``.
+    Both controllers step through one flat table of the solve's induced
+    chains, keyed by ``(2 * policy_mode + kernel_mode) * n + state`` with
+    0-based modes, so the pairs (1, 1), (1, 2), (2, 1), (2, 2) follow one
+    another; the filter reads the first two, the pre-change policy's rows.
+    The kernel mode is 1 from the change point on; the baseline's policy mode
+    equals it and the detection controller's is 1 once it has switched.
+    Each episode keeps one key offset per controller, moved only at the
+    switch and at the change.  A step is a ``take`` of stage costs and a
+    count of the cumulative-row entries at or below the step's uniform, which
+    is :func:`run_episode`'s ``searchsorted``.
 
     The baseline sits on the detection controller's key until a change or
     switch leaves their offsets unequal, and again once the offsets agree and
@@ -309,7 +311,7 @@ def _run_chunk(
     mdp = env.mdp
     n_states = mdp.n_states
     weight = solved.weight
-    rate = solved.dyn.change_rate
+    rate = mdp.change_rate
     size = hi - lo
 
     # numpy.random loads here, not at import: commands without a Monte
@@ -320,27 +322,20 @@ def _run_chunk(
     change_point = np.array([rng.geometric(rate) for rng in rngs], dtype=np.int64)
     start_u = np.array([rng.random() for rng in rngs])
 
-    # Flat tables over keys (2 * policy_mode + kernel_mode) * n + state.
-    cum_kernel = np.cumsum(np.stack((mdp.kernel_pre, mdp.kernel_post)), axis=3)
-    stage_cost = np.stack((env.cost_pre, env.cost_post))
-    policy = np.stack((solved.policy_pre, solved.policy_post))
-    kernel_mode = np.array([0, 1, 0, 1])[:, None]
-    states = np.arange(n_states)
-    action = policy[np.array([0, 0, 1, 1])[:, None], states]
-    flat_cost = stage_cost[kernel_mode, states, action].ravel()
+    chains = [solved.chains[pair] for pair in ((1, 1), (1, 2), (2, 1), (2, 2))]
+    flat_cost = np.concatenate([chain.cost_vec for chain in chains])
     # Transposed cumulative rows without their last entry: cumulative sums of
     # nonnegative probabilities never decrease, so the last entry is at or
     # below u only when all others are, and the count is capped at n - 1.
-    flat_cum_t = np.ascontiguousarray(
-        cum_kernel[kernel_mode, states, action, :-1].reshape(4 * n_states, n_states - 1).T
-    )
+    cum_rows = np.cumsum(np.concatenate([chain.transition for chain in chains]), axis=1)
+    flat_cum_t = np.ascontiguousarray(cum_rows[:, :-1].T)
 
     def next_state(key: np.ndarray, u: np.ndarray) -> np.ndarray:
         below = flat_cum_t.take(key, axis=1) <= u
         return np.add.reduce(below, axis=0, dtype=np.intp)
 
-    pre_rows = solved.dyn.kernel_pre.ravel()
-    post_rows = solved.dyn.kernel_post.ravel()
+    pre_rows = chains[0].transition.ravel()
+    post_rows = chains[1].transition.ravel()
 
     state = np.minimum(
         np.searchsorted(np.cumsum(env.initial_dist), start_u, side="right"), n_states - 1
@@ -424,12 +419,7 @@ def _run_chunk(
 
         if live.size:
             moved = live_state * n_states + state.take(live)
-            drifted = belief + rate * (1.0 - belief)
-            changed_mass = drifted * post_rows.take(moved)
-            total_mass = changed_mass + (1.0 - drifted) * pre_rows.take(moved)
-            belief = np.divide(
-                changed_mass, total_mass, out=np.ones(live.size), where=total_mass > 0.0
-            )
+            belief, _ = bayes_step(belief, pre_rows.take(moved), post_rows.take(moved), rate)
         disc *= mdp.discount
 
     truncated = switch_time == horizon
@@ -486,10 +476,9 @@ def run_batch(
         raise ValueError("horizon must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if thresholds is None:
-        thresholds = solved.thresholds
-    else:
-        thresholds = np.asarray(thresholds, dtype=float)
+    thresholds = check_thresholds(
+        solved.thresholds if thresholds is None else thresholds, solved.env.mdp.n_states
+    )
     parts = [
         _run_chunk(
             solved, horizon, master_seed, lo, min(lo + _CHUNK_SIZE, n_episodes), thresholds,
@@ -607,49 +596,36 @@ def estimate_regret_decomposition(
     propagated) from the state at the change.  Episodes whose rule never
     fired contribute their realized part only.
     """
-    mdp = solved.env.mdp
-    discount = mdp.discount
+    discount = solved.env.mdp.discount
     chain_21 = solved.chains[2, 1]
     chain_11 = solved.chains[1, 1]
     chain_22 = solved.chains[2, 2]
-    eye = np.eye(mdp.n_states)
-    tail_22 = np.linalg.solve(eye - discount * chain_22.transition, chain_22.cost_vec)
+    tail_22 = np.linalg.solve(
+        np.eye(chain_22.n_states) - discount * chain_22.transition, chain_22.cost_vec
+    )
 
     batch = run_batch(solved, n_episodes, horizon, master_seed)
-
-    # Closed-form cost-to-go pieces, built once up to the largest realized lag.
-    max_lag = int(np.abs(batch.change_point - batch.switch_time).max())
-    steps_21 = np.zeros((max_lag + 1, mdp.n_states))
-    steps_11 = np.zeros((max_lag + 1, mdp.n_states))
-    pow_21 = [np.eye(mdp.n_states)]
-    pow_11 = [np.eye(mdp.n_states)]
-    pow_22 = [np.eye(mdp.n_states)]
-    disc = 1.0
-    for m in range(1, max_lag + 1):
-        steps_21[m] = steps_21[m - 1] + disc * (pow_21[-1] @ chain_21.cost_vec)
-        steps_11[m] = steps_11[m - 1] + disc * (pow_11[-1] @ chain_11.cost_vec)
-        pow_21.append(pow_21[-1] @ chain_21.transition)
-        pow_11.append(pow_11[-1] @ chain_11.transition)
-        pow_22.append(pow_22[-1] @ chain_22.transition)
-        disc *= discount
-
+    fired = ~batch.truncated
+    switch_time = batch.switch_time[fired]
+    change_point = batch.change_point[fired]
+    state = batch.state_at_switch[fired]
+    early = switch_time < change_point
+    lag = np.abs(change_point - switch_time)
+    # Cost-to-go tables up to the largest lag of a fired episode: lag steps
+    # of a chain from each state, then the post-change tail (the false-alarm
+    # branch), and the tail propagated lag steps through the post-change
+    # chain (the delay branch, at the state at the change).
+    max_lag = int(lag.max(initial=0))
+    lead_21 = k_step_costs(chain_21.transition, chain_21.cost_vec, discount, max_lag, tail_22)
+    lead_11 = k_step_costs(chain_11.transition, chain_11.cost_vec, discount, max_lag, tail_22)
+    ahead_22 = k_step_costs(chain_22.transition, 0.0, 1.0, max_lag, tail_22)
+    # An early switch's state at the change may be -1 (change past the
+    # horizon); that branch discards the entry it indexes.
+    to_go = np.where(
+        early,
+        lead_21[lag, state] - lead_11[lag, state],
+        tail_22[state] - ahead_22[lag, batch.state_at_change[fired]],
+    )
     totals = batch.regret_pre_switch.copy()
-    for i in np.flatnonzero(~batch.truncated):
-        tau = int(batch.switch_time[i])
-        gamma = int(batch.change_point[i])
-        state = int(batch.state_at_switch[i])
-        disc_tau = discount**tau
-        if tau < gamma:
-            lag = gamma - tau
-            to_go = (
-                steps_21[lag][state]
-                - steps_11[lag][state]
-                + discount**lag
-                * float((pow_21[lag][state] - pow_11[lag][state]) @ tail_22)
-            )
-        else:
-            lag = tau - gamma
-            origin = int(batch.state_at_change[i])
-            to_go = float(tail_22[state] - pow_22[lag][origin] @ tail_22)
-        totals[i] += disc_tau * to_go
+    totals[fired] += discount ** switch_time.astype(float) * to_go
     return float(totals.mean()), _stderr(totals)

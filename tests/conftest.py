@@ -42,8 +42,8 @@ def light_solve_cached(seed: int, rho: float):
         mdp = env.mdp
         policy_pre, _ = value_iteration(mdp.kernel_pre, env.cost_pre, mdp.discount)
         policy_post, _ = value_iteration(mdp.kernel_post, env.cost_post, mdp.discount)
-        weight = mode_pair_weight(env, policy_pre, policy_post)[3]
-        dyn = BeliefDynamics.from_mdp(mdp, policy_pre)
+        chains, _, _, weight = mode_pair_weight(env, policy_pre, policy_post)
+        dyn = BeliefDynamics(chains[1, 1].transition, chains[1, 2].transition, mdp.change_rate)
         _LIGHT_CACHE[key] = (env, weight, dyn)
     return _LIGHT_CACHE[key]
 

@@ -16,9 +16,9 @@ from modeswitch.detector import (
     BeliefGrid,
     BeliefOperator,
     BeliefValueTable,
+    bayes_step,
     belief_update,
     evaluate_switch_rule,
-    mixture_transition,
     solve_fixed_point,
     stop_cost_table,
 )
@@ -58,7 +58,9 @@ def test_criterion_02_expected_posterior_identity(light_solve):
         drift = beliefs + dyn.change_rate * (1.0 - beliefs)
         for state in range(dyn.n_states):
             for p, target in zip(beliefs, drift):
-                mix = mixture_transition(dyn, state, p)
+                _, mix = bayes_step(
+                    p, dyn.kernel_pre[state], dyn.kernel_post[state], dyn.change_rate
+                )
                 total = sum(
                     mix[nxt] * belief_update(dyn, state, nxt, p)
                     for nxt in range(dyn.n_states)

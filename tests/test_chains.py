@@ -6,6 +6,7 @@ import pytest
 from modeswitch.chains import (
     MixingProfile,
     ReducibleChainError,
+    k_step_costs,
     mixing_profile,
     stationary_distribution,
     verify_mixing_bound,
@@ -139,6 +140,25 @@ class TestCostToGoGap:
         )
         stationary_part = (1 - 0.95**100) / (1 - 0.95) * float(chain.cost_vec @ dist)
         assert abs(cost_to_go_gap(chain, point, 0.95, 100) - abs(direct - stationary_part)) < 1e-9
+
+
+class TestKStepCosts:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_forward_propagation(self, seed):
+        # Zero terminal: the k-step cost of finite_horizon_cost from each
+        # point mass; a terminal adds its discounted k-step expectation.
+        chain = random_chain(seed)
+        terminal = np.linspace(1.0, 3.0, chain.n_states)
+        plain = k_step_costs(chain.transition, chain.cost_vec, 0.95, 40, 0.0)
+        tailed = k_step_costs(chain.transition, chain.cost_vec, 0.95, 40, terminal)
+        for k in (0, 1, 7, 40):
+            power = np.linalg.matrix_power(chain.transition, k)
+            for start in range(chain.n_states):
+                point = np.eye(chain.n_states)[start]
+                direct = finite_horizon_cost(chain, point, k, 0.95)
+                assert plain[k, start] == pytest.approx(direct, rel=1e-12, abs=1e-15)
+                expected = direct + 0.95**k * float(power[start] @ terminal)
+                assert tailed[k, start] == pytest.approx(expected, rel=1e-12)
 
 
 class TestVerifyMixingBound:

@@ -295,6 +295,13 @@ class TestErrorPaths:
             ),
             ({"rho_sweep": [0.05, 1.5]}, [], "rho_sweep values must lie in (0, 1), got 1.5"),
             ({}, ["--seed", "-1"], "master_seed must be non-negative"),
+            ({"fp_tol": math.inf}, [], "fp_tol must be finite and positive, got Infinity"),
+            ({"fp_tol": math.nan}, [], "fp_tol must be finite and positive, got NaN"),
+            ({"fp_tol": -1}, [], "fp_tol must be finite and positive, got -1"),
+            ({"vi_tol": 0}, [], "vi_tol must be finite and positive, got 0"),
+            ({"vi_max_iter": 0}, [], "vi_max_iter must be at least 1"),
+            ({"fp_max_iter": 0}, [], "fp_max_iter must be at least 1"),
+            ({"mixing_k_max": 0}, [], "mixing_k_max must be at least 1"),
         ],
         ids=[
             "grid-size-string",
@@ -309,6 +316,13 @@ class TestErrorPaths:
             "env-rho-above-one",
             "rho-sweep-above-one",
             "seed-flag-negative",
+            "fp-tol-infinite",
+            "fp-tol-nan",
+            "fp-tol-negative",
+            "vi-tol-zero",
+            "vi-max-iter-zero",
+            "fp-max-iter-zero",
+            "mixing-k-max-zero",
         ],
     )
     def test_invalid_config_exits_1_with_one_line(self, tmp_path, capsys, overrides, args, message):

@@ -16,16 +16,16 @@ from modeswitch.detector import (
     ImpossibleTransitionError,
     ThresholdStructureError,
     _iterate,
+    bayes_step,
     belief_update,
     evaluate_switch_rule,
     extract_thresholds,
     finite_horizon_dp,
-    mixture_transition,
     solve_fixed_point,
     stop_cost_table,
 )
 from modeswitch.environments import InventorySpec, RandomMdpSpec, build_inventory, random_env
-from modeswitch.mdp import ConvergenceError
+from modeswitch.mdp import ConvergenceError, value_iteration
 from modeswitch.pipeline import SolveOptions, solve_env
 from conftest import (
     CANONICAL_SEED,
@@ -41,12 +41,14 @@ def naive_bellman_apply(table, dyn, weight):
     grid = table.grid
     out = np.empty_like(table.values)
     for i, p in enumerate(grid.points):
+        drifted = p + dyn.change_rate * (1.0 - p)
         for state in range(dyn.n_states):
-            mix = mixture_transition(dyn, state, p)
+            changed = drifted * dyn.kernel_post[state]
+            mix = changed + (1.0 - drifted) * dyn.kernel_pre[state]
             acc = 0.0
             for nxt in range(dyn.n_states):
                 if mix[nxt] > 0.0:
-                    updated = belief_update(dyn, state, nxt, p)
+                    updated = changed[nxt] / mix[nxt]
                     acc += mix[nxt] * np.interp(updated, grid.points, table.values[:, nxt])
             out[i, state] = min(weight * (1.0 - p), p + acc)
     return out
@@ -102,6 +104,59 @@ class TestBeliefGrid:
             BeliefGrid(np.array([0.0, 0.7, 1.0]))
         with pytest.raises(ValueError):
             BeliefGrid(np.array([1.0]))
+
+
+def predictive_law(dyn, state, belief):
+    """The filter's next-state law from ``state`` at ``belief``."""
+    return bayes_step(belief, dyn.kernel_pre[state], dyn.kernel_post[state], dyn.change_rate)[1]
+
+
+class TestBayesStep:
+    def test_hand_arithmetic_on_arrays(self):
+        belief = np.array([0.3, 0.3, 0.0])
+        pre = np.array([0.5, 0.4, 0.5])
+        post = np.array([0.25, 0.9, 0.5])
+        posterior, mass = bayes_step(belief, pre, post, 0.1)
+        drifted = np.array([0.37, 0.37, 0.1])
+        expected_mass = drifted * post + (1.0 - drifted) * pre
+        assert np.allclose(mass, expected_mass, rtol=0.0, atol=1e-15)
+        assert np.allclose(posterior, drifted * post / expected_mass, rtol=0.0, atol=1e-15)
+        assert posterior[0] == pytest.approx(0.2269938650306749, abs=1e-12)
+        assert posterior[2] == pytest.approx(0.1, abs=1e-15)
+
+    def test_one_sided_zeros_are_exact(self):
+        posterior, mass = bayes_step(
+            np.full(2, 0.5), np.array([0.0, 1.0]), np.array([0.6, 0.0]), 0.2
+        )
+        assert posterior.tolist() == [1.0, 0.0]
+        assert np.all(mass > 0.0)
+
+    def test_zero_predictive_mass_gives_one(self):
+        # Belief 1 and a transition impossible after the change; a transition
+        # impossible under both kernels.
+        posterior, mass = bayes_step(
+            np.array([1.0, 0.4]), np.array([0.3, 0.0]), np.array([0.0, 0.0]), 0.2
+        )
+        assert mass.tolist() == [0.0, 0.0]
+        assert posterior.tolist() == [1.0, 1.0]
+
+    def test_scalar_callers_read_its_entries_bit_for_bit(self):
+        dyn = mixed_support_dyn(np.random.default_rng(3), 4, 0.07)
+        for state in range(dyn.n_states):
+            for belief in (0.0, 0.3, 0.71, 1.0):
+                posterior, mass = bayes_step(
+                    belief, dyn.kernel_pre[state], dyn.kernel_post[state], dyn.change_rate
+                )
+                drifted = belief + dyn.change_rate * (1.0 - belief)
+                law = drifted * dyn.kernel_post[state] + (1.0 - drifted) * dyn.kernel_pre[state]
+                assert mass.tobytes() == law.tobytes()
+                for nxt in np.flatnonzero(mass > 0.0):
+                    assert belief_update(dyn, state, nxt, belief) == posterior[nxt]
+                    alone = bayes_step(
+                        belief, dyn.kernel_pre[state, nxt], dyn.kernel_post[state, nxt],
+                        dyn.change_rate,
+                    )
+                    assert (float(alone[0]), float(alone[1])) == (posterior[nxt], mass[nxt])
 
 
 class TestBeliefUpdate:
@@ -160,12 +215,12 @@ class TestBeliefUpdate:
 class TestMixtureTransition:
     def test_certain_change_gives_post_row(self):
         dyn = make_positive_dyn(1)
-        assert np.allclose(mixture_transition(dyn, 0, 1.0), dyn.kernel_post[0], atol=1e-15)
+        assert np.allclose(predictive_law(dyn, 0, 1.0), dyn.kernel_post[0], atol=1e-15)
 
     def test_blend_arithmetic(self):
         dyn = make_positive_dyn(2, rate=0.2)
         expected = 0.4 * dyn.kernel_pre[1] + 0.6 * dyn.kernel_post[1]
-        assert np.allclose(mixture_transition(dyn, 1, 0.5), expected, atol=1e-15)
+        assert np.allclose(predictive_law(dyn, 1, 0.5), expected, atol=1e-15)
 
     @given(p=st.floats(0.0, 1.0), seed=st.integers(0, 50))
     @settings(max_examples=60, deadline=None)
@@ -173,7 +228,7 @@ class TestMixtureTransition:
         dyn = make_positive_dyn(seed)
         drift = p + dyn.change_rate * (1.0 - p)
         for state in range(3):
-            mix = mixture_transition(dyn, state, p)
+            mix = predictive_law(dyn, state, p)
             total = sum(
                 mix[nxt] * belief_update(dyn, state, nxt, p) for nxt in range(3)
             )
@@ -588,6 +643,22 @@ class TestEvaluateSwitchRule:
             evaluate_switch_rule(
                 np.ones(2), BeliefOperator(dyn, BeliefGrid.uniform(20001)), 0.01, tol=1e-6
             )
+
+    @pytest.mark.parametrize(
+        ("tol", "max_iter"),
+        [(math.inf, 10), (math.nan, 10), (0.0, 10), (-1.0, 10), (1e-9, 0)],
+        ids=["tol-inf", "tol-nan", "tol-zero", "tol-negative", "max-iter-zero"],
+    )
+    def test_solvers_reject_bad_budgets(self, tol, max_iter):
+        dyn = make_positive_dyn(21)
+        operator = BeliefOperator(dyn, BeliefGrid.uniform(21))
+        with pytest.raises(ValueError, match="tol|max_iter"):
+            solve_fixed_point(operator, 1.0, tol, max_iter)
+        with pytest.raises(ValueError, match="tol|max_iter"):
+            evaluate_switch_rule(np.full(3, 0.5), operator, 1.0, tol, max_iter)
+        kernel = np.stack([dyn.kernel_pre, dyn.kernel_post], axis=1)
+        with pytest.raises(ValueError, match="tol|max_iter"):
+            value_iteration(kernel, np.ones((3, 2)), 0.9, tol, max_iter)
 
     def test_rejects_bad_thresholds(self):
         dyn = make_positive_dyn(20)

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 from modeswitch import simulate
 from modeswitch._seeding import episode_generators, seed_words
-from modeswitch.detector import BeliefDynamics
+from modeswitch.detector import BeliefOperator, evaluate_switch_rule
 from modeswitch.environments import RandomMdpSpec, SwitchingEnv, gen_random_mdp, random_env
-from modeswitch.mdp import ModePairMdp
-from modeswitch.pipeline import SolveOptions, solve_env
+from modeswitch.mdp import ModePairMdp, finite_horizon_cost
+from modeswitch.pipeline import SolveOptions, mode_pair_chains, solve_env
 from modeswitch.simulate import (
     EpisodeBatch,
-    EpisodeRecord,
     episode_rng,
     estimate_exact_regret,
     estimate_regret_decomposition,
@@ -57,7 +56,9 @@ def degenerate_solved():
     from modeswitch.regret import SwitchingCostRates
 
     policy, values = value_iteration(flat.kernel_pre, flat.stage_cost, 0.9)
-    operator = BeliefOperator(BeliefDynamics.from_mdp(flat, policy), BeliefGrid.uniform(201))
+    chains = mode_pair_chains(env, policy, policy)
+    dyn = BeliefDynamics(chains[1, 1].transition, chains[1, 2].transition, flat.change_rate)
+    operator = BeliefOperator(dyn, BeliefGrid.uniform(201))
     weight = 5.0
     table, iterations = solve_fixed_point(operator, weight)
     return SolvedEnv(
@@ -69,11 +70,10 @@ def degenerate_solved():
         values_post=values.copy(),
         vi_residual_pre=0.0,
         vi_residual_post=0.0,
-        chains={},
+        chains=chains,
         stationary={},
         cost_rates=SwitchingCostRates(1.0, 0.0, 1.0, 0.0, 0.1),
         weight=weight,
-        dyn=operator.dyn,
         grid=operator.grid,
         value_table=table,
         fp_iterations=iterations,
@@ -90,16 +90,17 @@ def assert_batch_matches_oracle(batch, solved, horizon, master, **options):
         rng = episode_rng(master, index)
         gamma = int(rng.geometric(solved.env.mdp.change_rate))
         records.append(run_episode(solved, gamma, horizon, rng, **options))
-    for field in fields(EpisodeRecord):
+    for field in fields(EpisodeBatch):
         column = getattr(batch, field.name)
-        expected = np.array([getattr(r, field.name) for r in records], dtype=column.dtype)
+        expected = np.concatenate([getattr(r, field.name) for r in records]).astype(column.dtype)
         assert column.tobytes() == expected.tobytes(), field.name
 
 
 @st.composite
 def small_instances(draw, base):
     """A random 2-6 state instance with sparse kernels, mode-dependent costs,
-    arbitrary policies and its thresholds, wrapped around ``base``."""
+    arbitrary policies, the chains they induce and its thresholds, wrapped
+    around ``base``."""
     n_states = draw(st.integers(2, 6))
     n_actions = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -133,15 +134,74 @@ def small_instances(draw, base):
         "one": np.ones(n_states),
         "random": rng.random(n_states),
     }[kind]
+    policy_post = rng.integers(n_actions, size=n_states)
     return replace(
         base,
         env=env,
         policy_pre=policy_pre,
-        policy_post=rng.integers(n_actions, size=n_states),
-        dyn=BeliefDynamics.from_mdp(mdp, policy_pre),
+        policy_post=policy_post,
+        chains=mode_pair_chains(env, policy_pre, policy_post),
         weight=float(rng.uniform(0.5, 50.0)),
         thresholds=thresholds,
     )
+
+
+def _run_batch(solved, thresholds):
+    run_batch(solved, 4, 10, 0, thresholds=thresholds)
+
+
+def _run_episode(solved, thresholds):
+    run_episode(solved, 3, 10, episode_rng(0, 0), thresholds=thresholds)
+
+
+def _evaluate_switch_rule(solved, thresholds):
+    evaluate_switch_rule(thresholds, BeliefOperator(solved.dyn, solved.grid), solved.weight)
+
+
+@pytest.mark.parametrize("entry", [_run_batch, _run_episode, _evaluate_switch_rule])
+@pytest.mark.parametrize(
+    ("thresholds", "message"),
+    [
+        (np.full(4, 0.5), "shape"),
+        (np.full(2, 0.5), "shape"),
+        (np.full((3, 1), 0.5), "shape"),
+        (np.full(3, np.nan), "finite"),
+        (np.array([0.5, np.inf, 0.5]), "finite"),
+        (np.array([0.5, -0.1, 0.5]), "lie in"),
+        (np.array([0.5, 1.5, 0.5]), "lie in"),
+    ],
+    ids=["long", "short", "column", "nan", "inf", "negative", "above-one"],
+)
+def test_threshold_vectors_are_checked(small_solved, entry, thresholds, message):
+    with pytest.raises(ValueError, match=message):
+        entry(small_solved, thresholds)
+
+
+def decomposition_loop(solved, batch):
+    """Per-episode regret of the decomposition estimator, one episode at a
+    time from finite_horizon_cost and matrix powers."""
+    discount = solved.env.mdp.discount
+    c21, c11, c22 = (solved.chains[pair] for pair in ((2, 1), (1, 1), (2, 2)))
+    tail = np.linalg.solve(np.eye(c22.n_states) - discount * c22.transition, c22.cost_vec)
+    power = np.linalg.matrix_power
+    totals = batch.regret_pre_switch.copy()
+    for i in np.flatnonzero(~batch.truncated):
+        tau, gamma = int(batch.switch_time[i]), int(batch.change_point[i])
+        state = int(batch.state_at_switch[i])
+        if tau < gamma:
+            lag = gamma - tau
+            point = np.eye(c22.n_states)[state]
+            ahead = power(c21.transition, lag)[state] - power(c11.transition, lag)[state]
+            to_go = (
+                finite_horizon_cost(c21, point, lag, discount)
+                - finite_horizon_cost(c11, point, lag, discount)
+                + discount**lag * float(ahead @ tail)
+            )
+        else:
+            origin = int(batch.state_at_change[i])
+            to_go = tail[state] - power(c22.transition, tau - gamma)[origin] @ tail
+        totals[i] += discount**tau * to_go
+    return totals
 
 
 class TestRunEpisode:
@@ -396,6 +456,23 @@ class TestExactRegret:
         assert estimate.truncation_bound == pytest.approx(
             0.9**60 * np.max(small_solved.env.cost_pre) / 0.1, rel=1e-9
         )
+
+    def test_decomposition_matches_the_per_episode_loop(self, small_solved):
+        batch = run_batch(small_solved, 300, 250, 53)
+        assert 0 < (batch.switch_time < batch.change_point).sum() < 300
+        totals = decomposition_loop(small_solved, batch)
+        mean, stderr = estimate_regret_decomposition(small_solved, 300, 250, 53)
+        assert mean == pytest.approx(float(totals.mean()), rel=1e-12)
+        assert stderr == pytest.approx(float(totals.std(ddof=1) / np.sqrt(300)), rel=1e-12)
+
+    def test_decomposition_without_a_fired_rule(self, small_solved):
+        # Belief 0 never reaches threshold 1 in one step: only realized terms.
+        never = replace(small_solved, thresholds=np.ones(3))
+        batch = run_batch(never, 200, 1, 5)
+        assert batch.truncated.all()
+        mean, stderr = estimate_regret_decomposition(never, 200, 1, 5)
+        assert mean == float(batch.regret_pre_switch.mean())
+        assert stderr == float(batch.regret_pre_switch.std(ddof=1) / np.sqrt(200))
 
     def test_decomposition_agrees_with_direct_estimator(self, small_solved):
         direct = estimate_exact_regret(small_solved, 1500, 250, 53)
