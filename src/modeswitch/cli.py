@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -29,6 +30,26 @@ from .simulate import run_batch, summarize
 
 class ConfigError(ValueError):
     """The config file is malformed or inconsistent."""
+
+
+class _StageError(RuntimeError):
+    """A numerical or model failure inside a named stage of a command."""
+
+    def __init__(self, stage: str, error: Exception):
+        super().__init__(str(error))
+        self.stage = stage
+
+
+@contextmanager
+def _stage(name: str):
+    """Report a failure inside the block as a :class:`_StageError` of ``name``;
+    config errors pass through."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except Exception as exc:
+        raise _StageError(name, exc) from exc
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -262,13 +283,15 @@ def cmd_solve(config: ExperimentConfig, out: Path) -> None:
     _manifest(config, out, {"solve": _solved_summary(solved), "label": env.label})
 
 
-def _simulate_one(config: ExperimentConfig, rho: float | None):
-    """Solve and simulate at one change rate; also returns its manifest entry."""
+def _simulate_one(config: ExperimentConfig, rho: float | None, command: str):
+    """Solve and simulate at one change rate, a failure naming ``command`` and
+    the rate; also returns its manifest entry."""
     env = _build_env(config, rho)
-    solved = solve_env(env, config)
     rate = env.mdp.change_rate
     horizon = config.horizon or math.ceil(2.0 / rate)
-    batch = run_batch(solved, config.n_episodes, horizon, config.master_seed, config.workers)
+    with _stage(f"{command} rho={rate}"):
+        solved = solve_env(env, config)
+        batch = run_batch(solved, config.n_episodes, horizon, config.master_seed, config.workers)
     run = {"label": env.label, "rho": rate, "horizon": horizon, **_solved_summary(solved)}
     return env, solved, batch, summarize(batch, horizon, config.master_seed), run
 
@@ -298,7 +321,7 @@ def cmd_simulate(config: ExperimentConfig, out: Path) -> None:
     manifest_runs = []
     episode_columns = []
     for rho in config.rho_sweep or (None,):
-        env, solved, batch, report, run = _simulate_one(config, rho)
+        env, solved, batch, report, run = _simulate_one(config, rho, "simulate")
         rate = env.mdp.change_rate
         rows.append(
             [rate, solved.weight, *(getattr(report, name) for name in _REPORT_COLUMNS.values())]
@@ -330,7 +353,7 @@ def cmd_figure1(config: ExperimentConfig, out: Path) -> None:
     pfa_rows = []
     manifest_runs = []
     for rho in config.rho_sweep:
-        env, solved, _, report, run = _simulate_one(config, rho)
+        env, solved, _, report, run = _simulate_one(config, rho, "figure1")
         n = env.mdp.n_states
         threshold_columns.append([np.full(n, rho), np.arange(n), solved.thresholds])
         stderr = math.sqrt(
@@ -350,22 +373,26 @@ def cmd_figure1(config: ExperimentConfig, out: Path) -> None:
 
 def cmd_mixing(config: ExperimentConfig, out: Path) -> None:
     env = _build_env(config)
-    solved = solve_env(env, config)
     profile_columns = []
     envelope_rows = []
-    for i, j in MODE_PAIRS:
-        chain = solved.chains[i, j]
-        report = verify_mixing_bound(
-            chain, env.mdp.discount, config.mixing_k_max, solved.stationary[i, j]
-        )
-        profile = report.profile
-        steps = profile.tv_by_step.size
-        profile_columns.append(
-            [np.full(steps, i), np.full(steps, j), np.arange(steps), profile.tv_by_step]
-        )
-        envelope_rows.append(
-            [i, j, profile.envelope_b, profile.envelope_beta, report.max_slack, report.min_slack]
-        )
+    with _stage(f"mixing rho={env.mdp.change_rate}"):
+        solved = solve_env(env, config)
+        for i, j in MODE_PAIRS:
+            chain = solved.chains[i, j]
+            report = verify_mixing_bound(
+                chain, env.mdp.discount, config.mixing_k_max, solved.stationary[i, j]
+            )
+            profile = report.profile
+            steps = profile.tv_by_step.size
+            profile_columns.append(
+                [np.full(steps, i), np.full(steps, j), np.arange(steps), profile.tv_by_step]
+            )
+            envelope_rows.append(
+                [
+                    i, j, profile.envelope_b, profile.envelope_beta,
+                    report.max_slack, report.min_slack,
+                ]
+            )
     _write_csv(
         out / "mixing_profile.csv",
         ["policy_mode", "kernel_mode", "t", "tv"],
@@ -398,7 +425,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=None, help="override out_dir")
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="override workers (kept for config compatibility; the Monte Carlo runs on one thread)",
+        help=(
+            "override workers: Monte Carlo processes, forked where the OS can fork "
+            "(serial elsewhere) and capped at the CPUs and episodes; outputs are "
+            "byte-identical for any value"
+        ),
     )
     args = parser.parse_args(argv)
 
@@ -420,6 +451,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except _StageError as exc:
+        print(f"error in stage '{exc.stage}': {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # numerical / model failures -> exit 2, stage named
         print(f"error in stage '{stage}': {exc}", file=sys.stderr)
         return 2

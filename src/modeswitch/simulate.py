@@ -11,20 +11,28 @@ inverse-CDF sampling over the natural state order, so their trajectories (and
 cost accumulations, operation for operation) coincide until the first time
 their policies diverge.
 
-:func:`run_batch` steps chunks of episodes through one vectorized kernel,
-serially and in episode-index order; a byte budget sets the chunk width.  Its
-per-step cost follows the work that is left: the detection bookkeeping runs
-only for episodes whose rule has not fired, and an episode whose two
-controllers share a key (most of them, once switched and past the change)
-steps one row for both.  The kernel seeds its generators from SeedSequence
-words hashed for a whole chunk at once; :func:`episode_rng` builds the same
-streams one episode at a time and, with :func:`run_episode`, is the
-independent scalar reference the kernel must match bit for bit.
+:func:`run_batch` steps chunks of episodes through one vectorized kernel; a
+byte budget caps the chunk width.  With ``workers`` above 1 it forks worker
+processes (where ``os.fork`` exists) that run their chunks beside the calling
+process, and joins the chunks in episode-index order, so the batch is the
+same, bit for bit, for any ``workers``.  The kernel's per-step cost follows
+the work that is left: the detection bookkeeping runs only for episodes whose
+rule has not fired, and an episode whose two controllers share a key (most of
+them, once switched and past the change) steps one row for both.  The
+kernel seeds its generators from SeedSequence words hashed for a whole chunk
+at once; :func:`episode_rng` builds the same streams one episode at a time
+and, with :func:`run_episode`, is the independent scalar reference the
+kernel must match bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import sys
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -453,6 +461,130 @@ def _concat(batches: list[EpisodeBatch]) -> EpisodeBatch:
     )
 
 
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _plan(n_episodes: int, workers: int) -> list[list[tuple[int, int]]]:
+    """Episode ranges ``(lo, hi)`` of the chunks, grouped by the process that
+    runs them; the groups follow one another in episode-index order.
+
+    ``min(workers, n_episodes, available CPUs)`` processes run, one where
+    ``os.fork`` does not exist.  One process runs chunks of ``_CHUNK_SIZE``;
+    more each run the same number of near-equal chunks, no wider than
+    ``_CHUNK_SIZE``.
+    """
+    n_procs = min(workers, n_episodes, _available_cpus()) if hasattr(os, "fork") else 1
+    if n_procs == 1:
+        return [
+            [(lo, min(lo + _CHUNK_SIZE, n_episodes)) for lo in range(0, n_episodes, _CHUNK_SIZE)]
+        ]
+    per_proc = -(-n_episodes // (_CHUNK_SIZE * n_procs))
+    n_chunks = n_procs * per_proc
+    bounds = [i * n_episodes // n_chunks for i in range(n_chunks + 1)]
+    chunks = list(zip(bounds[:-1], bounds[1:]))
+    return [chunks[i : i + per_proc] for i in range(0, n_chunks, per_proc)]
+
+
+def _serve_child(write_fd: int, run, share: list[tuple[int, int]]) -> None:
+    """Forked child: send ``run(share)``, or the type and message of what it
+    raised, through the pipe, and leave without running the parent's
+    clean-up or exit handlers."""
+    status = 1
+    try:
+        try:
+            message = ("ok", run(share))
+        except BaseException as exc:
+            message = ("error", type(exc), str(exc))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(message, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _received(data: bytes, status: int, share: list[tuple[int, int]]):
+    """The result a child sent for ``share``; what it raised is raised again
+    with the episode range added."""
+    episodes = f"episodes [{share[0][0]}, {share[-1][1]})"
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or not data:
+        raise RuntimeError(
+            f"the Monte Carlo worker for {episodes} exited with status {code} "
+            "before sending its result"
+        )
+    message = pickle.loads(data)
+    if message[0] == "error":
+        _, kind, text = message
+        raise kind(f"{text} ({episodes})")
+    return message[1]
+
+
+def _run_forked(shares: list[list[tuple[int, int]]], run) -> list:
+    """``[run(share) for share in shares]``, the first share run here while
+    a forked child runs each other one.
+
+    Children are reaped in order as their results arrive.  If anything
+    raises here, interrupts included, the children still running are killed
+    and reaped and every pipe is closed.
+    """
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []  # (pid, read end of its pipe, share)
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns when a process with threads forks,
+                    # and numpy's BLAS pool is such a thread.  The child runs
+                    # only take/ufunc/Generator code, calls no BLAS (so takes
+                    # none of the pool's locks) and leaves through os._exit.
+                    warnings.filterwarnings(
+                        "ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning
+                    )
+                    pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _serve_child(write_fd, run, share)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb"), share))
+        results = [run(shares[0])]
+        while children:
+            pid, pipe, share = children[0]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            results.append(_received(data, status, share))
+        return results
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _check_seeding(master_seed: int) -> None:
+    """Refuse to run if the vectorized seeding no longer reproduces numpy's
+    SeedSequence stream for the first episode."""
+    from ._seeding import episode_generators
+
+    preset = episode_generators(master_seed, 0, 1)[0].bit_generator.state
+    if preset != episode_rng(master_seed, 0).bit_generator.state:
+        raise RuntimeError(
+            f"numpy {np.__version__} seeds episode streams differently from "
+            "modeswitch._seeding; the Monte Carlo would not reproduce the documented streams"
+        )
+
+
 def run_batch(
     solved: SolvedEnv,
     n_episodes: int,
@@ -462,13 +594,22 @@ def run_batch(
     thresholds: np.ndarray | None = None,
     switch_at_change: bool = False,
 ) -> EpisodeBatch:
-    """Run ``n_episodes`` coupled episodes in chunks of ``_CHUNK_SIZE``.
+    """Run ``n_episodes`` coupled episodes in chunks of at most ``_CHUNK_SIZE``.
 
-    The chunks run one after another on the calling thread, in episode-index
-    order.  ``workers`` is accepted (and must be at least 1) for callers and
-    configs that still pass it; it changes nothing.  A thread pool measured
-    slower than this serial loop, because the kernel's numpy calls on
-    chunk-sized arrays hold the interpreter lock most of the time.
+    With ``workers`` 1 the chunks run one after another in this process.
+    With more, ``min(workers, n_episodes, available CPUs)`` processes share
+    the chunks: this one runs the first share while forked children run the
+    others and send their records back through pipes.  Each chunk is a pure
+    function of (master seed, episode indices), so the batch is the same,
+    bit for bit, for every ``workers``.  Where ``os.fork`` does not exist
+    the chunks run serially.  A child's exception is raised here again with
+    its episode range, and a child that dies without a result raises
+    :class:`RuntimeError`.  Threads would not help: the kernel's numpy calls
+    on chunk-sized arrays hold the interpreter lock most of the time.
+
+    Before any chunk runs, the first episode's preset generator is checked
+    against :func:`episode_rng`; a mismatch raises :class:`RuntimeError`
+    naming the numpy version.
     """
     if n_episodes < 1:
         raise ValueError("no episodes requested")
@@ -479,14 +620,17 @@ def run_batch(
     thresholds = check_thresholds(
         solved.thresholds if thresholds is None else thresholds, solved.env.mdp.n_states
     )
-    parts = [
-        _run_chunk(
-            solved, horizon, master_seed, lo, min(lo + _CHUNK_SIZE, n_episodes), thresholds,
-            switch_at_change,
-        )
-        for lo in range(0, n_episodes, _CHUNK_SIZE)
-    ]
-    return _concat(parts)
+    _check_seeding(master_seed)
+
+    def run(share: list[tuple[int, int]]) -> list[EpisodeBatch]:
+        return [
+            _run_chunk(solved, horizon, master_seed, lo, hi, thresholds, switch_at_change)
+            for lo, hi in share
+        ]
+
+    shares = _plan(n_episodes, workers)
+    results = [run(shares[0])] if len(shares) == 1 else _run_forked(shares, run)
+    return _concat([part for parts in results for part in parts])
 
 
 def _stderr(values: np.ndarray) -> float:

@@ -228,6 +228,43 @@ class TestErrorPaths:
     def test_missing_config_file(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "figure1"])
+    def test_failure_names_the_swept_rate(self, tmp_path, capsys, monkeypatch, command):
+        run_batch = cli.run_batch
+        calls = []
+
+        def second_rate_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise FloatingPointError("overflow in the kernel")
+            return run_batch(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_batch", second_rate_fails)
+        config = write_config(tmp_path, rho_sweep=[0.05, 0.08], n_episodes=16)
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error in stage '{command} rho=0.08': overflow in the kernel\n"
+
+    def test_mixing_failure_names_the_rate(self, tmp_path, capsys, monkeypatch):
+        def broken(*args):
+            raise np.linalg.LinAlgError("singular chain")
+
+        monkeypatch.setattr(cli, "verify_mixing_bound", broken)
+        assert main(["mixing", "--config", str(write_config(tmp_path))]) == 2
+        assert capsys.readouterr().err == "error in stage 'mixing rho=0.05': singular chain\n"
+
+    def test_seeding_that_drifts_from_numpy_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        from modeswitch import _seeding
+
+        monkeypatch.setattr(_seeding, "_MIX_MULT_L", _seeding._MIX_MULT_L + np.uint32(2))
+        assert main(["simulate", "--config", str(write_config(tmp_path))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error in stage 'simulate rho=0.05': numpy {np.__version__} seeds episode streams"
+        )
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "report.csv").exists()
+
     def test_undefined_weight_is_numerical_error(self, tmp_path, capsys):
         # Identical kernels give identical policies, so the numerator gap is zero.
         kernel = [[[0.7, 0.3], [0.4, 0.6]], [[0.5, 0.5], [0.2, 0.8]]]

@@ -1,6 +1,9 @@
 """Tests for the coupled Monte Carlo harness and the regret estimators."""
 
+import contextlib
+import os
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -204,6 +207,45 @@ def decomposition_loop(solved, batch):
     return totals
 
 
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "fork") or simulate._available_cpus() < 2,
+    reason="worker processes need os.fork and two CPUs",
+)
+
+
+@contextlib.contextmanager
+def no_deprecation_warnings():
+    """Fail on any DeprecationWarning, Python 3.12's warning about forking a
+    process with threads among them.  ``os.fork`` clears that warning when a
+    filter turns it into an error, so it is recorded and checked instead."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DeprecationWarning)
+        yield
+    assert [str(w.message) for w in caught if issubclass(w.category, DeprecationWarning)] == []
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Calls of ``os.fork`` while the test runs, which must warn of nothing."""
+    fork = os.fork if hasattr(os, "fork") else None
+    calls = []
+
+    def counting():
+        calls.append(None)
+        return fork()
+
+    if fork is not None:
+        monkeypatch.setattr(os, "fork", counting)
+    with no_deprecation_warnings():
+        yield calls
+
+
+def assert_batches_identical(batch, reference):
+    for field in fields(EpisodeBatch):
+        got, want = getattr(batch, field.name), getattr(reference, field.name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field.name
+
+
 class TestRunEpisode:
     def test_replay_is_identical(self, small_solved):
         first = run_episode(small_solved, 12, 80, episode_rng(9, 4))
@@ -298,11 +340,95 @@ class TestRunBatch:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    def test_worker_count_does_not_matter(self, small_solved):
-        serial = run_batch(small_solved, 2100, 60, 5, workers=1)
-        threaded = run_batch(small_solved, 2100, 60, 5, workers=4)
-        for field in fields(EpisodeBatch):
-            assert np.array_equal(getattr(serial, field.name), getattr(threaded, field.name))
+    def test_worker_count_does_not_matter(self, small_solved, forks):
+        cases = [
+            (2100, {}),
+            (2101, {}),  # does not divide evenly
+            (simulate._CHUNK_SIZE * 2 + 7, {}),  # more chunks than processes
+            (3, {}),  # fewer episodes than workers
+            (1, {}),
+            (2101, {"switch_at_change": True}),
+            (2101, {"thresholds": np.full(3, 0.3)}),
+        ]
+        for n_episodes, kwargs in cases:
+            forks.clear()
+            serial = run_batch(small_solved, n_episodes, 60, 5, workers=1, **kwargs)
+            assert not forks
+            forked = run_batch(small_solved, n_episodes, 60, 5, workers=4, **kwargs)
+            if n_episodes > 1 and simulate._available_cpus() > 1:
+                assert forks
+            assert_batches_identical(forked, serial)
+
+    def test_plan_caps_processes_and_chunk_widths(self, monkeypatch):
+        width = simulate._CHUNK_SIZE
+        assert simulate._plan(2 * width + 1, 1) == [
+            [(0, width), (width, 2 * width), (2 * width, 2 * width + 1)]
+        ]
+        for cpus in (1, 2, 3, 8):
+            monkeypatch.setattr(simulate, "_available_cpus", lambda cpus=cpus: cpus)
+            for n_episodes in (1, 2, 5, 6000, 3 * width + 1, 20000):
+                for workers in (1, 2, 4, 10**6):
+                    shares = simulate._plan(n_episodes, workers)
+                    assert len(shares) == min(workers, n_episodes, cpus)
+                    assert len({len(share) for share in shares}) == 1
+                    chunks = [chunk for share in shares for chunk in share]
+                    assert chunks[0][0] == 0 and chunks[-1][1] == n_episodes
+                    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+                    assert all(1 <= hi - lo <= width for lo, hi in chunks)
+        monkeypatch.delattr(os, "fork")
+        assert len(simulate._plan(6000, 4)) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_the_process_cap_never_over_forks(self, small_solved, monkeypatch):
+        fork = os.fork
+        allowed = simulate._available_cpus() - 1
+        calls = []
+
+        def bounded_fork():
+            calls.append(None)
+            if len(calls) > allowed:
+                raise AssertionError(f"fork number {len(calls)} with {allowed + 1} CPUs")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", bounded_fork)
+        forked = run_batch(small_solved, 700, 30, 8, workers=10**6)
+        assert len(calls) == allowed
+        assert_batches_identical(forked, run_batch(small_solved, 700, 30, 8))
+
+    @needs_two_cpus
+    @pytest.mark.parametrize(
+        ("where", "error", "message"),
+        [
+            ("child-raises", ValueError, r"^kernel broke \(episodes \[20, 40\)\)$"),
+            ("child-exits", RuntimeError, r"episodes \[20, 40\) exited with status 3 before"),
+            ("parent-raises", KeyboardInterrupt, None),
+        ],
+    )
+    def test_worker_failures_leave_no_process_or_pipe(
+        self, small_solved, monkeypatch, where, error, message
+    ):
+        parent = os.getpid()
+        run_chunk = simulate._run_chunk
+
+        def failing(solved, horizon, master_seed, lo, hi, *args):
+            in_child = os.getpid() != parent
+            if where == "child-raises" and in_child:
+                raise ValueError("kernel broke")
+            if where == "child-exits" and in_child:
+                os._exit(3)
+            if where == "parent-raises" and not in_child:
+                raise KeyboardInterrupt
+            return run_chunk(solved, horizon, master_seed, lo, hi, *args)
+
+        monkeypatch.setattr(simulate, "_run_chunk", failing)
+        open_fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        with no_deprecation_warnings():
+            with pytest.raises(error, match=message):
+                run_batch(small_solved, 40, 20, 1, workers=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        if open_fds is not None:
+            assert len(os.listdir("/proc/self/fd")) == open_fds
 
     def test_switch_and_change_states_exact_properties(self, small_solved):
         # No stage difference accrues before both the switch and the change:
