@@ -25,7 +25,8 @@ from .chains import verify_mixing_bound
 from .environments import InventorySpec, RandomMdpSpec, SwitchingEnv, build_inventory, random_env
 from .mdp import ModePairMdp
 from .pipeline import MODE_PAIRS, SolveOptions, SolvedEnv, solve_env
-from .simulate import run_batch, summarize
+# ``run_batch`` is not called here; bench/child.py times its probe batch through it.
+from .simulate import run_batch, run_sweep, summarize  # noqa: F401
 
 
 class ConfigError(ValueError):
@@ -283,17 +284,38 @@ def cmd_solve(config: ExperimentConfig, out: Path) -> None:
     _manifest(config, out, {"solve": _solved_summary(solved), "label": env.label})
 
 
-def _simulate_one(config: ExperimentConfig, rho: float | None, command: str):
-    """Solve and simulate at one change rate, a failure naming ``command`` and
-    the rate; also returns its manifest entry."""
-    env = _build_env(config, rho)
-    rate = env.mdp.change_rate
-    horizon = config.horizon or math.ceil(2.0 / rate)
-    with _stage(f"{command} rho={rate}"):
-        solved = solve_env(env, config)
-        batch = run_batch(solved, config.n_episodes, horizon, config.master_seed, config.workers)
-    run = {"label": env.label, "rho": rate, "horizon": horizon, **_solved_summary(solved)}
-    return env, solved, batch, summarize(batch, horizon, config.master_seed), run
+def _simulate_sweep(config: ExperimentConfig, command: str):
+    """Solve every swept rate, each failure naming ``command`` and its rate,
+    then run their Monte Carlo in one :func:`run_sweep`, a failure naming
+    every rate.  Returns per rate its solve, batch, report and manifest
+    entry."""
+    solveds = []
+    horizons = []
+    for rho in config.rho_sweep or (None,):
+        env = _build_env(config, rho)
+        rate = env.mdp.change_rate
+        with _stage(f"{command} rho={rate}"):
+            solveds.append(solve_env(env, config))
+        horizons.append(config.horizon or math.ceil(2.0 / rate))
+    rates = [solved.env.mdp.change_rate for solved in solveds]
+    with _stage(f"{command} rho={','.join(map(str, rates))}"):
+        batches = run_sweep(
+            solveds, config.n_episodes, horizons, config.master_seed, config.workers
+        )
+    return [
+        (
+            solved,
+            batch,
+            summarize(batch, horizon, config.master_seed),
+            {
+                "label": solved.env.label,
+                "rho": solved.env.mdp.change_rate,
+                "horizon": horizon,
+                **_solved_summary(solved),
+            },
+        )
+        for solved, batch, horizon in zip(solveds, batches, horizons)
+    ]
 
 
 #: report.csv columns after ``rho`` and ``lambda`` -> their SimReport fields.
@@ -320,9 +342,8 @@ def cmd_simulate(config: ExperimentConfig, out: Path) -> None:
     rows = []
     manifest_runs = []
     episode_columns = []
-    for rho in config.rho_sweep or (None,):
-        env, solved, batch, report, run = _simulate_one(config, rho, "simulate")
-        rate = env.mdp.change_rate
+    for solved, batch, report, run in _simulate_sweep(config, "simulate"):
+        rate = solved.env.mdp.change_rate
         rows.append(
             [rate, solved.weight, *(getattr(report, name) for name in _REPORT_COLUMNS.values())]
         )
@@ -352,9 +373,10 @@ def cmd_figure1(config: ExperimentConfig, out: Path) -> None:
     threshold_columns = []
     pfa_rows = []
     manifest_runs = []
-    for rho in config.rho_sweep:
-        env, solved, _, report, run = _simulate_one(config, rho, "figure1")
-        n = env.mdp.n_states
+    for rho, (solved, _, report, run) in zip(
+        config.rho_sweep, _simulate_sweep(config, "figure1")
+    ):
+        n = solved.env.mdp.n_states
         threshold_columns.append([np.full(n, rho), np.arange(n), solved.thresholds])
         stderr = math.sqrt(
             max(report.false_alarm_rate * (1.0 - report.false_alarm_rate), 0.0)

@@ -11,18 +11,30 @@ inverse-CDF sampling over the natural state order, so their trajectories (and
 cost accumulations, operation for operation) coincide until the first time
 their policies diverge.
 
-:func:`run_batch` steps chunks of episodes through one vectorized kernel; a
-byte budget caps the chunk width.  With ``workers`` above 1 it forks worker
-processes (where ``os.fork`` exists) that run their chunks beside the calling
-process, and joins the chunks in episode-index order, so the batch is the
-same, bit for bit, for any ``workers``.  The kernel's per-step cost follows
-the work that is left: the detection bookkeeping runs only for episodes whose
-rule has not fired, and an episode whose two controllers share a key (most of
-them, once switched and past the change) steps one row for both.  The
-kernel seeds its generators from SeedSequence words hashed for a whole chunk
-at once; :func:`episode_rng` builds the same streams one episode at a time
-and, with :func:`run_episode`, is the independent scalar reference the
-kernel must match bit for bit.
+A sweep's rates share each episode's stream as well.  Below 1/3, numpy's
+``geometric(rate)`` is ``ceil(-E / log1p(-rate))`` of one standard-exponential
+draw ``E``, which does not depend on the rate; so every rate's change point
+comes from the same draw, and the start uniform and step uniforms after it
+are the same numbers at every rate (common random numbers across the sweep).
+:func:`run_sweep` therefore steps the rates below 1/3 as one pass of *lanes*,
+one per (rate, episode): each episode's generator and uniform blocks serve
+all its lanes, and each chunk-step steps them all.  A rate from 1/3 on, where
+numpy draws by search, runs alone.  :func:`run_batch` is the one-rate case of
+the same kernel.
+
+Chunks of episodes step through one vectorized kernel; a byte budget caps
+the chunk width, which therefore shrinks with the number of rates in a pass
+and with the state count.  With ``workers`` above 1 the chunks are run by
+forked worker processes (where ``os.fork`` exists) beside the calling
+process, and joined in episode-index order, so every batch is the same, bit
+for bit, for any ``workers``.  The kernel's per-step cost follows the work
+that is left: the detection bookkeeping runs only for lanes whose rule has
+not fired, a lane whose two controllers share a key (most of them, once
+switched and past the change) steps one row for both, and a rate's lanes
+stop at its horizon.  The kernel seeds its generators from SeedSequence
+words hashed for a whole chunk at once; :func:`episode_rng` builds the same
+streams one episode at a time and, with :func:`run_episode`, is the
+independent scalar reference the kernel must match bit for bit.
 """
 
 from __future__ import annotations
@@ -47,10 +59,19 @@ _BLOCK = 128
 _SCRATCH_EPISODES = 256
 #: Bytes one episode holds while its chunk runs: its generator (about 0.7 KB
 #: seeded from precomputed words) and one block of step-major uniforms.
-_EPISODE_BYTES = 768 + 8 * _BLOCK
-#: Memory budget of a chunk's per-episode buffers; it sets the chunk width.
+_EPISODE_BYTES = 704 + 8 * _BLOCK
+#: Bytes one lane (a rate's copy of an episode) holds besides the rows of its
+#: transition search: 19 eight-byte entries, for its state, two offsets, two
+#: cost sums, five records, its change-schedule entry, four of belief
+#: bookkeeping, and its key, increment, next state and filter row in a step.
+#: The filter's own temporaries are not counted.
+_LANE_BYTES = 8 * 19
+#: Memory budget of a chunk's per-episode and per-lane buffers; it sets the
+#: chunk width.
 _CHUNK_BYTES = 11 * 2**19  # 5.5 MiB
-_CHUNK_SIZE = _CHUNK_BYTES // _EPISODE_BYTES
+#: numpy's ``Generator.geometric(p)`` inverts one standard-exponential draw
+#: below this rate and searches with one uniform from it on.
+_INVERSION_BELOW = 1.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -266,114 +287,179 @@ def _fill_uniforms(
         step_u[:count, lo : lo + len(part)] = scratch[: len(part), :count].T
 
 
+def _change_points(exponential: np.ndarray, rates: np.ndarray | list[float]) -> np.ndarray:
+    """``(rates, episodes)`` change points, each what ``geometric(rate)``
+    draws below 1/3 from the episode's standard-exponential draw ``E``:
+    ``ceil(-E / log1p(-rate))``, or ``INT64_MAX`` where that reaches 2**63."""
+    scale = np.array([math.log1p(-rate) for rate in rates])
+    drawn = np.ceil(-exponential / scale[:, None])
+    huge = drawn >= 2.0**63
+    change_point = np.where(huge, 0.0, drawn).astype(np.int64)
+    change_point[huge] = np.iinfo(np.int64).max
+    return change_point
+
+
 def _run_chunk(
-    solved: SolvedEnv,
-    horizon: int,
+    solveds: list[SolvedEnv],
+    horizons: list[int],
+    thresholds: list[np.ndarray],
+    switch_at_change: bool,
     master_seed: int,
     lo: int,
     hi: int,
-    thresholds: np.ndarray,
-    switch_at_change: bool,
-) -> EpisodeBatch:
-    """Vectorized episode runner for indices [lo, hi).
+) -> list[EpisodeBatch]:
+    """Vectorized episode runner for indices [lo, hi), one batch per solve
+    of the pass.  The solves share a state count and discount and come in
+    decreasing horizon order, the lane-block order.
 
-    Produces, for every episode index, the record :func:`run_episode` returns,
-    bit for bit: the same comparisons and the same cost additions in the same
-    order.  Its generators are built from vectorized seed words in the states
-    :func:`episode_rng` gives them.
+    A *lane* is one (rate, episode) pair, at index ``r * (hi - lo) + i``.
+    Each lane produces the record :func:`run_episode` returns at its rate,
+    bit for bit: the same comparisons and the same cost additions in the
+    same order.  Its generators are built from vectorized seed words in the
+    states :func:`episode_rng` gives them, one per episode, whatever the
+    number of rates: the rates of a pass are below 1/3, where numpy's
+    ``geometric`` is ``ceil(-E / log1p(-rate))`` of one exponential draw
+    ``E`` (:func:`_change_points`), so every rate reads the same start
+    uniform and step uniforms after it.  A pass of one rate draws
+    ``geometric`` itself, at any rate.
 
-    Both controllers step through one flat table of the solve's induced
-    chains, keyed by ``(2 * policy_mode + kernel_mode) * n + state`` with
-    0-based modes, so the pairs (1, 1), (1, 2), (2, 1), (2, 2) follow one
-    another; the filter reads the first two, the pre-change policy's rows.
-    The kernel mode is 1 from the change point on; the baseline's policy mode
-    equals it and the detection controller's is 1 once it has switched.
-    Each episode keeps one key offset per controller, moved only at the
-    switch and at the change.  A step is a ``take`` of stage costs and a
-    count of the cumulative-row entries at or below the step's uniform, which
-    is :func:`run_episode`'s ``searchsorted``.
+    Both controllers step through one flat table of the induced chains,
+    keyed by ``4 * n * r + (2 * policy_mode + kernel_mode) * n + state``
+    with 0-based modes, so a rate's pairs (1, 1), (1, 2), (2, 1), (2, 2)
+    follow one another; the filter reads the first two, the pre-change
+    policy's rows.  The kernel mode is 1 from the change point on; the
+    baseline's policy mode equals it and the detection controller's is 1
+    once it has switched.  Each lane keeps one key offset per controller,
+    moved only at the switch and at the change.  A step is a ``take`` of
+    stage costs and a count of the cumulative-row entries at or below the
+    step's uniform, which is :func:`run_episode`'s ``searchsorted``.
 
     The baseline sits on the detection controller's key until a change or
     switch leaves their offsets unequal, and again once the offsets agree and
     a step lands both on the same state: from then on both see the same key
-    and the same uniforms.  So one key per episode is stepped, and the
-    baseline is stepped on its own only for the *split* episodes in between.
-    A merged episode's cost increment is computed once and added to each
+    and the same uniforms.  So one key per lane is stepped, and the
+    baseline is stepped on its own only for the *split* lanes in between.
+    A merged lane's cost increment is computed once and added to each
     controller's sum separately, so each sum keeps its own rounding.  With
     ``switch_at_change`` the switch and the change fall on the same step and
-    no episode ever splits.
+    no lane ever splits.
 
     Changes are read from a schedule of the chunk's change points.  The fire
-    check and the belief update run only on the *live* episodes, those whose
+    check and the belief update run only on the *live* lanes, those whose
     rule has not fired, an index array compacted when some fire; mirroring
-    the baseline fires from the schedule and keeps no beliefs.  The realized
-    objective is written at the end in closed form.
+    the baseline fires from the schedule and keeps no beliefs.  Lane blocks
+    follow decreasing horizon, so the lanes still running are a prefix: a
+    rate that reaches its horizon shortens it and its lanes leave the live
+    and split sets.  The realized objective is written at the end in closed
+    form.
 
-    Each episode's step uniforms come from its own generator, ``_BLOCK`` steps
-    at a time, into a (block, chunk) array so each step reads one contiguous
-    row.  ``random(k)`` followed by ``random(m)`` yields the same values as
-    ``random(k + m)``, so the draws do not depend on the block length and
+    Each episode's step uniforms come from its own generator, ``_BLOCK``
+    steps at a time, into a (block, chunk) array so each step reads one
+    contiguous row, shared by the episode's lanes.  ``random(k)`` followed
+    by ``random(m)`` yields the same values as ``random(k + m)``, so the
+    draws do not depend on the block length or on the longest horizon, and
     memory does not grow with the horizon.
     """
-    env = solved.env
-    mdp = env.mdp
+    mdp = solveds[0].env.mdp
     n_states = mdp.n_states
-    weight = solved.weight
-    rate = mdp.change_rate
-    size = hi - lo
+    discount = mdp.discount
+    rates = np.array([solved.env.mdp.change_rate for solved in solveds])
+    n_rates = rates.size
+    stacked = n_rates > 1
+    width = hi - lo
+    size = n_rates * width
 
     # numpy.random loads here, not at import: commands without a Monte
     # Carlo never pay for it.
     from ._seeding import episode_generators
 
     rngs = episode_generators(master_seed, lo, hi)
-    change_point = np.array([rng.geometric(rate) for rng in rngs], dtype=np.int64)
+    if stacked:
+        exponential = np.array([rng.standard_exponential() for rng in rngs])
+        change_point = _change_points(exponential, rates).ravel()
+    else:
+        change_point = np.array([rng.geometric(rates[0]) for rng in rngs], dtype=np.int64)
     start_u = np.array([rng.random() for rng in rngs])
 
-    chains = [solved.chains[pair] for pair in ((1, 1), (1, 2), (2, 1), (2, 2))]
+    # Block r of the flat chain table holds rate r's four chains, block r of
+    # the thresholds its n thresholds and block r of the filter rows its
+    # n * n rows of the pre-change policy's chains.
+    chains = [
+        solved.chains[pair] for solved in solveds for pair in ((1, 1), (1, 2), (2, 1), (2, 2))
+    ]
     flat_cost = np.concatenate([chain.cost_vec for chain in chains])
     # Transposed cumulative rows without their last entry: cumulative sums of
     # nonnegative probabilities never decrease, so the last entry is at or
     # below u only when all others are, and the count is capped at n - 1.
     cum_rows = np.cumsum(np.concatenate([chain.transition for chain in chains]), axis=1)
     flat_cum_t = np.ascontiguousarray(cum_rows[:, :-1].T)
+    thresholds = np.concatenate(thresholds)
+    pre_rows = np.concatenate([solved.chains[1, 1].transition.ravel() for solved in solveds])
+    post_rows = np.concatenate([solved.chains[1, 2].transition.ravel() for solved in solveds])
 
     def next_state(key: np.ndarray, u: np.ndarray) -> np.ndarray:
         below = flat_cum_t.take(key, axis=1) <= u
         return np.add.reduce(below, axis=0, dtype=np.intp)
 
-    pre_rows = chains[0].transition.ravel()
-    post_rows = chains[1].transition.ravel()
-
-    state = np.minimum(
-        np.searchsorted(np.cumsum(env.initial_dist), start_u, side="right"), n_states - 1
+    state = np.concatenate(
+        [
+            np.minimum(
+                np.searchsorted(np.cumsum(solved.env.initial_dist), start_u, side="right"),
+                n_states - 1,
+            )
+            for solved in solveds
+        ]
     )
-    offset_cd = np.zeros(size, dtype=np.intp)
-    offset_mo = np.zeros(size, dtype=np.intp)
+    offset_cd = np.repeat(np.arange(n_rates, dtype=np.intp) * (4 * n_states), width)
+    offset_mo = offset_cd.copy()
     cost_cd = np.zeros(size)
     cost_mo = np.zeros(size)
-    # Split episodes and their baseline states.
+    # Split lanes and their baseline states.
     split = np.empty(0, dtype=np.intp)
     split_state = np.empty(0, dtype=np.intp)
-    switch_time = np.full(size, horizon, dtype=np.int64)
+    switch_time = np.repeat(np.array(horizons, dtype=np.int64), width)
     state_at_switch = np.full(size, -1, dtype=np.int64)
     state_at_change = np.full(size, -1, dtype=np.int64)
     regret_pre_switch = np.zeros(size)
-    # Episodes by change point, for the steps at which any change falls.
-    order = np.argsort(change_point, kind="stable")
+    # Lanes by change point, for the steps before their horizon at which
+    # any change falls.
+    order = np.flatnonzero(change_point < switch_time)
+    order = order[np.argsort(change_point[order], kind="stable")]
     change_steps, starts = np.unique(change_point[order], return_index=True)
     changes_at = dict(zip(change_steps.tolist(), np.split(order, starts[1:])))
-    # Episodes whose rule may still fire, with their beliefs; mirroring the
+    # Lanes whose rule may still fire, with their beliefs and, across rates,
+    # their first threshold and filter row and their rate; mirroring the
     # baseline fires at the change and needs no belief.
     live = np.empty(0, dtype=np.intp) if switch_at_change else np.arange(size)
     belief = np.zeros(live.size)
-    step_u = np.empty((min(_BLOCK, horizon), size))
-    scratch = np.empty((min(_SCRATCH_EPISODES, size), step_u.shape[0]))
+    rate = float(rates[0])
+    if stacked:
+        live_base = np.repeat(np.arange(n_rates, dtype=np.intp) * n_states, width)[live]
+        rate = np.repeat(rates, width)[live]
+    # The running prefix of the lanes and of their offsets and cost sums.
+    n_active = n_rates
+    active_offset, active_cd, active_mo = offset_cd, cost_cd, cost_mo
+    step_u = np.empty((min(_BLOCK, horizons[0]), width))
+    scratch = np.empty((min(_SCRATCH_EPISODES, width), step_u.shape[0]))
     disc = 1.0
-    for t in range(horizon):
+    for t in range(horizons[0]):
+        if t == horizons[n_active - 1]:
+            while horizons[n_active - 1] == t:
+                n_active -= 1
+            active = n_active * width
+            state = state[:active]
+            active_offset, active_cd, active_mo = (
+                offset_cd[:active], cost_cd[:active], cost_mo[:active]
+            )
+            running = live < active
+            live, belief, live_base, rate = (
+                live[running], belief[running], live_base[running], rate[running]
+            )
+            running = split < active
+            split, split_state = split[running], split_state[running]
         row = t % _BLOCK
         if row == 0:
-            _fill_uniforms(rngs, step_u, min(_BLOCK, horizon - t), scratch)
+            _fill_uniforms(rngs, step_u, min(_BLOCK, horizons[0] - t), scratch)
         u = step_u[row]
 
         events = []
@@ -381,20 +467,25 @@ def _run_chunk(
         if changed is not None:
             state_at_change[changed] = state[changed]
             offset_cd[changed] += n_states
-            offset_mo[changed] = 3 * n_states
+            offset_mo[changed] += 3 * n_states
             events.append(changed)
         fired = None
         if switch_at_change:
             fired = changed
         elif live.size:
-            live_state = state.take(live)
-            fire = belief >= thresholds.take(live_state)
+            live_row = state.take(live)
+            if stacked:
+                live_row += live_base
+            fire = belief >= thresholds.take(live_row)
             if fire.any():
                 fired = live[fire]
                 waiting = ~fire
                 live = live[waiting]
-                live_state = live_state[waiting]
+                live_row = live_row[waiting]
                 belief = belief[waiting]
+                if stacked:
+                    live_base = live_base[waiting]
+                    rate = rate[waiting]
         if fired is not None:
             switch_time[fired] = t
             state_at_switch[fired] = state[fired]
@@ -402,42 +493,53 @@ def _run_chunk(
             offset_cd[fired] += 2 * n_states
             events.append(fired)
         if events:
-            # An episode's first event splits it unless the change and the
+            # A lane's first event splits it unless the change and the
             # switch fall on the same step.
             events = np.concatenate(events)
             entering = events[offset_cd[events] != offset_mo[events]]
             split = np.concatenate((split, entering))
             split_state = np.concatenate((split_state, state[entering]))
 
-        key = offset_cd + state
+        key = active_offset + state
         step_cost = disc * flat_cost
         increment = step_cost.take(key)
-        cost_cd += increment
+        active_cd += increment
         if split.size:
             split_key = offset_mo[split] + split_state
             increment[split] = step_cost.take(split_key)
-        cost_mo += increment
-        state = next_state(key, u)
+        active_mo += increment
+        if stacked:
+            state = next_state(key.reshape(-1, width), u).ravel()
+        else:
+            state = next_state(key, u)
         if split.size:
-            split_state = next_state(split_key, u[split])
+            split_state = next_state(split_key, u[split % width] if stacked else u[split])
             rejoined = (split_state == state[split]) & (offset_cd[split] == offset_mo[split])
             if rejoined.any():
                 split = split[~rejoined]
                 split_state = split_state[~rejoined]
 
         if live.size:
-            moved = live_state * n_states + state.take(live)
+            moved = live_row * n_states + state.take(live)
             belief, _ = bayes_step(belief, pre_rows.take(moved), post_rows.take(moved), rate)
-        disc *= mdp.discount
+        disc *= discount
 
-    truncated = switch_time == horizon
+    shape = (n_rates, width)
+    change_point = change_point.reshape(shape)
+    switch_time = switch_time.reshape(shape)
+    cost_cd = cost_cd.reshape(shape)
+    cost_mo = cost_mo.reshape(shape)
+    regret_pre_switch = regret_pre_switch.reshape(shape)
+    truncated = switch_time == np.array(horizons)[:, None]
     regret_pre_switch[truncated] = cost_cd[truncated] - cost_mo[truncated]
     # run_episode adds either the weight once or 1.0 per step, never both, so
     # its stepwise sum is exactly this closed form.
     objective = np.where(
-        change_point >= switch_time, weight, np.maximum(switch_time - change_point - 1, 0)
+        change_point >= switch_time,
+        np.array([[solved.weight] for solved in solveds]),
+        np.maximum(switch_time - change_point - 1, 0),
     )
-    return EpisodeBatch(
+    columns = dict(
         change_point=change_point,
         switch_time=switch_time,
         cost_cd=cost_cd,
@@ -446,10 +548,14 @@ def _run_chunk(
         delay=np.maximum(switch_time - change_point, 0),
         objective_realized=objective,
         truncated=truncated,
-        state_at_switch=state_at_switch,
-        state_at_change=state_at_change,
+        state_at_switch=state_at_switch.reshape(shape),
+        state_at_change=state_at_change.reshape(shape),
         regret_pre_switch=regret_pre_switch,
     )
+    return [
+        EpisodeBatch(**{name: column[r] for name, column in columns.items()})
+        for r in range(n_rates)
+    ]
 
 
 def _concat(batches: list[EpisodeBatch]) -> EpisodeBatch:
@@ -468,21 +574,26 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _plan(n_episodes: int, workers: int) -> list[list[tuple[int, int]]]:
+def _chunk_width(n_rates: int, n_states: int) -> int:
+    """Episodes per chunk under ``_CHUNK_BYTES``: an episode holds its
+    generator and uniform block and, per rate of the pass, one lane with its
+    ``n_states - 1`` rows of compared cumulative entries."""
+    lane = _LANE_BYTES + 9 * (n_states - 1)
+    return max(1, _CHUNK_BYTES // (_EPISODE_BYTES + n_rates * lane))
+
+
+def _plan(n_episodes: int, workers: int, width: int) -> list[list[tuple[int, int]]]:
     """Episode ranges ``(lo, hi)`` of the chunks, grouped by the process that
     runs them; the groups follow one another in episode-index order.
 
     ``min(workers, n_episodes, available CPUs)`` processes run, one where
-    ``os.fork`` does not exist.  One process runs chunks of ``_CHUNK_SIZE``;
-    more each run the same number of near-equal chunks, no wider than
-    ``_CHUNK_SIZE``.
+    ``os.fork`` does not exist.  One process runs chunks of ``width``; more
+    each run the same number of near-equal chunks, no wider than ``width``.
     """
     n_procs = min(workers, n_episodes, _available_cpus()) if hasattr(os, "fork") else 1
     if n_procs == 1:
-        return [
-            [(lo, min(lo + _CHUNK_SIZE, n_episodes)) for lo in range(0, n_episodes, _CHUNK_SIZE)]
-        ]
-    per_proc = -(-n_episodes // (_CHUNK_SIZE * n_procs))
+        return [[(lo, min(lo + width, n_episodes)) for lo in range(0, n_episodes, width)]]
+    per_proc = -(-n_episodes // (width * n_procs))
     n_chunks = n_procs * per_proc
     bounds = [i * n_episodes // n_chunks for i in range(n_chunks + 1)]
     chunks = list(zip(bounds[:-1], bounds[1:]))
@@ -585,6 +696,68 @@ def _check_seeding(master_seed: int) -> None:
         )
 
 
+def _check_change_points(master_seed: int, rates: list[float]) -> None:
+    """Refuse to share a pass if, for the first episode, a change point
+    :func:`_change_points` derives differs from numpy's ``geometric`` at its
+    rate, or the uniform after it differs from the one after ``geometric``."""
+    rng = episode_rng(master_seed, 0)
+    derived = _change_points(np.array([rng.standard_exponential()]), rates)[:, 0]
+    start_u = rng.random()
+    for rate, change_point in zip(rates, derived.tolist()):
+        oracle = episode_rng(master_seed, 0)
+        if oracle.geometric(rate) != change_point or oracle.random() != start_u:
+            raise RuntimeError(
+                f"numpy {np.__version__} draws geometric({rate}) differently from "
+                "modeswitch.simulate._change_points; the rates of a sweep cannot share streams"
+            )
+
+
+def _check_run(n_episodes: int, horizons: list[int], workers: int) -> None:
+    if n_episodes < 1:
+        raise ValueError("no episodes requested")
+    if min(horizons) < 1:
+        raise ValueError("horizon must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+
+
+def _run_pass(
+    solveds: list[SolvedEnv],
+    horizons: list[int],
+    thresholds: list[np.ndarray],
+    n_episodes: int,
+    master_seed: int,
+    workers: int,
+    switch_at_change: bool = False,
+) -> list[EpisodeBatch]:
+    """Every chunk of ``n_episodes`` through the lane kernel, on ``workers``
+    processes; one batch per solve of the pass, in its order.
+
+    With ``workers`` 1 the chunks run one after another in this process.
+    With more, ``min(workers, n_episodes, available CPUs)`` processes share
+    the chunks: this one runs the first share while forked children run the
+    others and send their records back through pipes.  Each chunk is a pure
+    function of (master seed, episode indices), so the batches are the same,
+    bit for bit, for every ``workers``.  Where ``os.fork`` does not exist
+    the chunks run serially.  A child's exception is raised here again with
+    its episode range, and a child that dies without a result raises
+    :class:`RuntimeError`.  Threads would not help: the kernel's numpy calls
+    on chunk-sized arrays hold the interpreter lock most of the time.
+    """
+
+    def run(share: list[tuple[int, int]]) -> list[list[EpisodeBatch]]:
+        return [
+            _run_chunk(solveds, horizons, thresholds, switch_at_change, master_seed, lo, hi)
+            for lo, hi in share
+        ]
+
+    width = _chunk_width(len(solveds), solveds[0].env.mdp.n_states)
+    shares = _plan(n_episodes, workers, width)
+    results = [run(shares[0])] if len(shares) == 1 else _run_forked(shares, run)
+    chunks = [chunk for parts in results for chunk in parts]
+    return [_concat([chunk[r] for chunk in chunks]) for r in range(len(solveds))]
+
+
 def run_batch(
     solved: SolvedEnv,
     n_episodes: int,
@@ -594,43 +767,84 @@ def run_batch(
     thresholds: np.ndarray | None = None,
     switch_at_change: bool = False,
 ) -> EpisodeBatch:
-    """Run ``n_episodes`` coupled episodes in chunks of at most ``_CHUNK_SIZE``.
+    """Run ``n_episodes`` coupled episodes at one change rate: the one-rate
+    case of :func:`run_sweep`, with the detection rule's ``thresholds``
+    replaced if given, or, with ``switch_at_change``, a rule that fires at
+    the change itself (the baseline mirrored).
 
-    With ``workers`` 1 the chunks run one after another in this process.
-    With more, ``min(workers, n_episodes, available CPUs)`` processes share
-    the chunks: this one runs the first share while forked children run the
-    others and send their records back through pipes.  Each chunk is a pure
-    function of (master seed, episode indices), so the batch is the same,
-    bit for bit, for every ``workers``.  Where ``os.fork`` does not exist
-    the chunks run serially.  A child's exception is raised here again with
-    its episode range, and a child that dies without a result raises
-    :class:`RuntimeError`.  Threads would not help: the kernel's numpy calls
-    on chunk-sized arrays hold the interpreter lock most of the time.
-
-    Before any chunk runs, the first episode's preset generator is checked
-    against :func:`episode_rng`; a mismatch raises :class:`RuntimeError`
-    naming the numpy version.
+    Chunks of episodes run on ``workers`` processes as :func:`run_sweep`
+    describes, and the batch is the same, bit for bit, for every
+    ``workers``.  Before any chunk runs, the first episode's preset
+    generator is checked against :func:`episode_rng`; a mismatch raises
+    :class:`RuntimeError` naming the numpy version.
     """
-    if n_episodes < 1:
-        raise ValueError("no episodes requested")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    _check_run(n_episodes, [horizon], workers)
     thresholds = check_thresholds(
         solved.thresholds if thresholds is None else thresholds, solved.env.mdp.n_states
     )
     _check_seeding(master_seed)
+    return _run_pass(
+        [solved], [horizon], [thresholds], n_episodes, master_seed, workers, switch_at_change
+    )[0]
 
-    def run(share: list[tuple[int, int]]) -> list[EpisodeBatch]:
-        return [
-            _run_chunk(solved, horizon, master_seed, lo, hi, thresholds, switch_at_change)
-            for lo, hi in share
-        ]
 
-    shares = _plan(n_episodes, workers)
-    results = [run(shares[0])] if len(shares) == 1 else _run_forked(shares, run)
-    return _concat([part for parts in results for part in parts])
+def run_sweep(
+    solveds: list[SolvedEnv],
+    n_episodes: int,
+    horizons: list[int],
+    master_seed: int,
+    workers: int = 1,
+) -> list[EpisodeBatch]:
+    """Run ``n_episodes`` coupled episodes at each solve's change rate, with
+    ``horizons[k]`` for ``solveds[k]``; one batch per solve, in sweep order,
+    each equal bit for bit to ``run_batch(solveds[k], n_episodes,
+    horizons[k], master_seed, workers)``.
+
+    Episode ``i`` reads the same stream at every rate, so the rates below
+    1/3 that share a state count and discount run as one pass of the lane
+    kernel: each episode's generator and uniform blocks serve all of them,
+    and each chunk-step steps them all.  Each rate from 1/3 on runs alone,
+    since numpy draws its ``geometric`` by search.  The chunk width follows
+    the number of rates in the pass and the state count.  With ``workers``
+    above 1 the chunks of each pass are shared among forked processes.
+
+    Before any pass runs, the first episode's generator is checked as in
+    :func:`run_batch`, and so is each shared pass's change-point derivation
+    against ``geometric`` at every rate; a mismatch raises
+    :class:`RuntimeError` naming the numpy version.
+    """
+    if len(solveds) != len(horizons) or not solveds:
+        raise ValueError("run_sweep needs one horizon per solve and at least one solve")
+    _check_run(n_episodes, horizons, workers)
+    thresholds = [
+        check_thresholds(solved.thresholds, solved.env.mdp.n_states) for solved in solveds
+    ]
+    _check_seeding(master_seed)
+    # Rates that share a pass, keyed by what their chain tables must share;
+    # a rate from 1/3 on is keyed by its own position.
+    passes: dict = {}
+    for k, solved in enumerate(solveds):
+        mdp = solved.env.mdp
+        shared = mdp.change_rate < _INVERSION_BELOW
+        passes.setdefault((mdp.n_states, mdp.discount) if shared else k, []).append(k)
+    for members in passes.values():
+        # Lane blocks in decreasing horizon order.
+        members.sort(key=lambda k: -horizons[k])
+        if len(members) > 1:
+            _check_change_points(master_seed, [solveds[k].env.mdp.change_rate for k in members])
+    batches: list = [None] * len(solveds)
+    for members in passes.values():
+        pass_batches = _run_pass(
+            [solveds[k] for k in members],
+            [horizons[k] for k in members],
+            [thresholds[k] for k in members],
+            n_episodes,
+            master_seed,
+            workers,
+        )
+        for k, batch in zip(members, pass_batches):
+            batches[k] = batch
+    return batches
 
 
 def _stderr(values: np.ndarray) -> float:

@@ -230,20 +230,34 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("command", ["simulate", "figure1"])
     def test_failure_names_the_swept_rate(self, tmp_path, capsys, monkeypatch, command):
-        run_batch = cli.run_batch
+        solve_env = cli.solve_env
         calls = []
 
         def second_rate_fails(*args, **kwargs):
             calls.append(None)
             if len(calls) == 2:
                 raise FloatingPointError("overflow in the kernel")
-            return run_batch(*args, **kwargs)
+            return solve_env(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "run_batch", second_rate_fails)
+        monkeypatch.setattr(cli, "solve_env", second_rate_fails)
         config = write_config(tmp_path, rho_sweep=[0.05, 0.08], n_episodes=16)
         assert main([command, "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err == f"error in stage '{command} rho=0.08': overflow in the kernel\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "figure1"])
+    def test_monte_carlo_failure_names_every_swept_rate(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def broken(*args, **kwargs):
+            raise FloatingPointError("overflow in the kernel")
+
+        monkeypatch.setattr(cli, "run_sweep", broken)
+        config = write_config(tmp_path, rho_sweep=[0.05, 0.08], n_episodes=16)
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error in stage '{command} rho=0.05,0.08': overflow in the kernel\n"
+        assert not any((tmp_path / "out").glob("*.csv"))
 
     def test_mixing_failure_names_the_rate(self, tmp_path, capsys, monkeypatch):
         def broken(*args):
@@ -261,6 +275,22 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith(
             f"error in stage 'simulate rho=0.05': numpy {np.__version__} seeds episode streams"
+        )
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "report.csv").exists()
+
+    def test_change_points_that_drift_from_numpy_write_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from modeswitch import simulate
+
+        derive = simulate._change_points
+        monkeypatch.setattr(simulate, "_change_points", lambda *args: derive(*args) + 1)
+        config = write_config(tmp_path, rho_sweep=[0.05, 0.08])
+        assert main(["simulate", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error in stage 'simulate rho=0.05,0.08': numpy {np.__version__} draws geometric(0.05)"
         )
         assert err.count("\n") == 1
         assert not (tmp_path / "out" / "report.csv").exists()

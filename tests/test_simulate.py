@@ -313,7 +313,7 @@ class TestRunBatch:
     def test_batch_across_a_chunk_boundary_matches_oracle(self, small_solved):
         # One full chunk, then a chunk of three episodes.
         horizon, master = 20, 2**40 + 3
-        batch = run_batch(small_solved, simulate._CHUNK_SIZE + 3, horizon, master)
+        batch = run_batch(small_solved, simulate._chunk_width(1, 3) + 3, horizon, master)
         assert_batch_matches_oracle(batch, small_solved, horizon, master)
 
     def test_full_width_batch_stays_within_the_chunk_budget(self, small_solved):
@@ -344,7 +344,7 @@ class TestRunBatch:
         cases = [
             (2100, {}),
             (2101, {}),  # does not divide evenly
-            (simulate._CHUNK_SIZE * 2 + 7, {}),  # more chunks than processes
+            (simulate._chunk_width(1, 3) * 2 + 7, {}),  # more chunks than processes
             (3, {}),  # fewer episodes than workers
             (1, {}),
             (2101, {"switch_at_change": True}),
@@ -360,15 +360,15 @@ class TestRunBatch:
             assert_batches_identical(forked, serial)
 
     def test_plan_caps_processes_and_chunk_widths(self, monkeypatch):
-        width = simulate._CHUNK_SIZE
-        assert simulate._plan(2 * width + 1, 1) == [
+        width = simulate._chunk_width(1, 5)
+        assert simulate._plan(2 * width + 1, 1, width) == [
             [(0, width), (width, 2 * width), (2 * width, 2 * width + 1)]
         ]
         for cpus in (1, 2, 3, 8):
             monkeypatch.setattr(simulate, "_available_cpus", lambda cpus=cpus: cpus)
             for n_episodes in (1, 2, 5, 6000, 3 * width + 1, 20000):
                 for workers in (1, 2, 4, 10**6):
-                    shares = simulate._plan(n_episodes, workers)
+                    shares = simulate._plan(n_episodes, workers, width)
                     assert len(shares) == min(workers, n_episodes, cpus)
                     assert len({len(share) for share in shares}) == 1
                     chunks = [chunk for share in shares for chunk in share]
@@ -376,7 +376,7 @@ class TestRunBatch:
                     assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
                     assert all(1 <= hi - lo <= width for lo, hi in chunks)
         monkeypatch.delattr(os, "fork")
-        assert len(simulate._plan(6000, 4)) == 1
+        assert len(simulate._plan(6000, 4, width)) == 1
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_the_process_cap_never_over_forks(self, small_solved, monkeypatch):
@@ -410,7 +410,7 @@ class TestRunBatch:
         parent = os.getpid()
         run_chunk = simulate._run_chunk
 
-        def failing(solved, horizon, master_seed, lo, hi, *args):
+        def failing(*args):
             in_child = os.getpid() != parent
             if where == "child-raises" and in_child:
                 raise ValueError("kernel broke")
@@ -418,7 +418,7 @@ class TestRunBatch:
                 os._exit(3)
             if where == "parent-raises" and not in_child:
                 raise KeyboardInterrupt
-            return run_chunk(solved, horizon, master_seed, lo, hi, *args)
+            return run_chunk(*args)
 
         monkeypatch.setattr(simulate, "_run_chunk", failing)
         open_fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
@@ -478,6 +478,102 @@ class TestRunBatch:
     def test_rejects_empty_run(self, small_solved):
         with pytest.raises(ValueError, match="no episodes"):
             run_batch(small_solved, 0, 10, 0)
+
+
+#: The README's change-rate sweep.
+README_RATES = (0.01, 0.0078, 0.006, 0.0046, 0.0036, 0.0028)
+
+
+def at_rate(solved, rate):
+    """``solved`` with its change rate replaced; its tables stay as they are."""
+    return replace(solved, env=replace(solved.env, mdp=replace(solved.env.mdp, change_rate=rate)))
+
+
+@pytest.fixture(scope="module")
+def readme_sweep():
+    """The README instance solved at each rate of its sweep, on a small grid."""
+    return [
+        solve_env(
+            random_env(
+                RandomMdpSpec(n_states=5, n_actions=3, seed=10, change_rate=rate, discount=0.999)
+            ),
+            SolveOptions(grid_size=101),
+        )
+        for rate in README_RATES
+    ]
+
+
+class TestRunSweep:
+    def test_readme_sweep_equals_per_rate_batches(self, readme_sweep):
+        horizons = [int(np.ceil(2.0 / rate)) for rate in README_RATES]
+        batches = simulate.run_sweep(readme_sweep, 300, horizons, 7)
+        assert len(batches) == len(README_RATES)
+        for solved, horizon, batch in zip(readme_sweep, horizons, batches):
+            assert_batches_identical(batch, run_batch(solved, 300, horizon, 7))
+
+    @pytest.mark.parametrize(
+        ("rates", "horizons", "n_episodes"),
+        [
+            ((0.05, 0.02, 0.1), (60, 60, 60), 200),
+            ((0.05, 0.08, 0.05), (40, 70, 40), 200),
+            ((0.3, 1 / 3, 0.5, 0.05), (30, 20, 25, 40), 200),
+            ((0.02, 0.05, 0.08), (25, 30, 20), None),
+        ],
+        ids=["equal-horizons", "duplicated-rate", "straddling-one-third", "chunk-boundary"],
+    )
+    def test_sweep_equals_per_rate_batches(self, small_solved, rates, horizons, n_episodes):
+        solveds = [at_rate(small_solved, rate) for rate in rates]
+        if n_episodes is None:
+            # One full chunk of the three-rate pass, then a chunk of three.
+            n_episodes = simulate._chunk_width(len(rates), 3) + 3
+        master = 2**40 + 3
+        batches = simulate.run_sweep(solveds, n_episodes, list(horizons), master)
+        for solved, horizon, batch in zip(solveds, horizons, batches):
+            assert_batches_identical(batch, run_batch(solved, n_episodes, horizon, master))
+
+    def test_worker_count_does_not_matter(self, readme_sweep, forks):
+        horizons = [int(np.ceil(2.0 / rate)) for rate in README_RATES]
+        serial = simulate.run_sweep(readme_sweep, 2101, horizons, 5, workers=1)
+        assert not forks
+        forked = simulate.run_sweep(readme_sweep, 2101, horizons, 5, workers=2)
+        if simulate._available_cpus() > 1:
+            assert forks
+        for batch, reference in zip(forked, serial):
+            assert_batches_identical(batch, reference)
+
+    def test_full_width_sweep_stays_within_the_chunk_budget(self, small_solved):
+        # The six-rate pass runs 6000 episodes as three chunks; the bound is
+        # the one-rate test's.
+        solveds = [at_rate(small_solved, rate) for rate in README_RATES]
+        simulate.run_sweep(solveds, 10, [10] * 6, 0)
+        tracemalloc.start()
+        try:
+            simulate.run_sweep(solveds, 6000, [600] * 6, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < simulate._CHUNK_BYTES + 2 * 2**20
+
+    def test_derived_change_points_are_numpys(self):
+        # 1e-300 draws past 2**63, where numpy returns INT64_MAX.
+        rates = np.array([0.3, 0.05, 0.0028, 1e-9, 1e-300])
+        for master in (0, 1, 2**64 + 5):
+            for index in range(200):
+                rng = episode_rng(master, index)
+                derived = simulate._change_points(np.array([rng.standard_exponential()]), rates)
+                start_u = rng.random()
+                for rate, change_point in zip(rates, derived[:, 0]):
+                    oracle = episode_rng(master, index)
+                    assert oracle.geometric(rate) == change_point
+                    assert oracle.random() == start_u
+
+    def test_validation(self, small_solved):
+        with pytest.raises(ValueError, match="one horizon per solve"):
+            simulate.run_sweep([small_solved], 10, [10, 20], 0)
+        with pytest.raises(ValueError, match="one horizon per solve"):
+            simulate.run_sweep([], 10, [], 0)
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            simulate.run_sweep([small_solved, small_solved], 10, [10, 0], 0)
 
 
 #: Master seeds of one to five 32-bit words; from five words on, the seed
