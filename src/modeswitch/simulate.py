@@ -35,6 +35,17 @@ stop at its horizon.  The kernel seeds its generators from SeedSequence
 words hashed for a whole chunk at once; :func:`episode_rng` builds the same
 streams one episode at a time and, with :func:`run_episode`, is the
 independent scalar reference the kernel must match bit for bit.
+
+The kernel keeps no step uniform as a float.  Each episode draws its step
+uniforms ``_BLOCK`` (512) at a time and stores each as a uint16 *code*
+(uint32 past 65,534 cut points): the number of the pass's distinct
+cumulative cut points at or below it, found with a guide table of
+``_GUIDE_BINS`` bins (:class:`_CodedTransitions`).  A uint16 block costs
+1 KiB per episode.  A step's next state depends on its uniform
+only through that code, so each lane steps by one ``take`` from a (code,
+key) table of next states; a pass whose table would exceed
+``_TABLE_BYTES`` counts codes against the cut rows' ranks instead.  The
+kernel compares codes where :func:`run_episode` compares floats.
 """
 
 from __future__ import annotations
@@ -54,14 +65,17 @@ from .detector import bayes_step, check_thresholds
 from .pipeline import SolvedEnv
 
 #: Steps of uniforms drawn per episode at a time.
-_BLOCK = 128
-#: Episodes whose uniforms are drawn into the episode-major scratch at a time.
-_SCRATCH_EPISODES = 256
-#: Bytes one episode holds while its chunk runs: its generator (about 0.7 KB
-#: seeded from precomputed words) and one block of step-major uniforms.
-_EPISODE_BYTES = 704 + 8 * _BLOCK
+_BLOCK = 512
+#: Episodes whose uniforms are drawn and coded together: a float64 and an
+#: intp buffer of ``_DRAW_GROUP * _BLOCK`` entries each, 256 KiB in all.
+_DRAW_GROUP = 32
+#: Equal bins of the guide table that codes a uniform; a power of two, so
+#: ``u * _GUIDE_BINS`` is exact.
+_GUIDE_BINS = 2**14
+#: Bytes of an episode's generator, seeded from precomputed words.
+_GENERATOR_BYTES = 704
 #: Bytes one lane (a rate's copy of an episode) holds besides the rows of its
-#: transition search: 19 eight-byte entries, for its state, two offsets, two
+#: transition count: 19 eight-byte entries, for its state, two offsets, two
 #: cost sums, five records, its change-schedule entry, four of belief
 #: bookkeeping, and its key, increment, next state and filter row in a step.
 #: The filter's own temporaries are not counted.
@@ -69,6 +83,9 @@ _LANE_BYTES = 8 * 19
 #: Memory budget of a chunk's per-episode and per-lane buffers; it sets the
 #: chunk width.
 _CHUNK_BYTES = 11 * 2**19  # 5.5 MiB
+#: Memory budget of a pass's (code, key) table of next states, on top of the
+#: chunk's buffers; a pass whose table would be larger counts codes instead.
+_TABLE_BYTES = 2**20
 #: numpy's ``Generator.geometric(p)`` inverts one standard-exponential draw
 #: below this rate and searches with one uniform from it on.
 _INVERSION_BELOW = 1.0 / 3.0
@@ -269,22 +286,117 @@ def run_episode(
     return EpisodeBatch(**{name: np.array([value]) for name, value in record.items()})
 
 
-def _fill_uniforms(
-    rngs: list[np.random.Generator], step_u: np.ndarray, count: int, scratch: np.ndarray
+def _code_dtype(n_cuts: int) -> np.dtype:
+    """Dtype of the codes of a pass with up to ``n_cuts`` cut points: it
+    holds the codes 0 to ``n_cuts`` and, above them, the guide table's mark
+    for a bin that must be searched."""
+    for dtype in (np.uint16, np.uint32):
+        if n_cuts < np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    raise ValueError(f"{n_cuts} cut points are too many to code as uint32")
+
+
+class _CodedTransitions:
+    """A pass's inverse-CDF transitions, read through uniform codes.
+
+    ``cum_rows`` is the pass's flat table of cumulative transition rows, one
+    row per key.  Its *cut points* are the distinct entries of
+    ``cum_rows[:, :-1]``, and a uniform's *code* is the number of cut points
+    at or below it.  The next state from key ``k`` at uniform ``u``,
+    ``min(searchsorted(cum_rows[k], u, 'right'), n - 1)``, is the number of
+    the row's first ``n - 1`` entries at or below ``u``: cumulative sums of
+    nonnegative probabilities never decrease, so the last entry is at or
+    below ``u`` only when all the others are.  Each of those entries is a cut
+    point, so the next state depends on ``u`` only through its code.
+
+    :meth:`encode` finds codes with a guide table of ``_GUIDE_BINS`` equal
+    bins (Chen & Asau 1974; Devroye 1986, section III.2): a bin with no cut
+    point strictly inside holds one code, and the uniforms that fall in a bin
+    with one are searched.  :meth:`next_state` reads a (code, key) table of
+    next states when it fits ``_TABLE_BYTES``; otherwise it counts the codes
+    against the rows' entries coded as ranks among the cut points, which is
+    the comparison of ``run_episode``'s search done on integers.
+    """
+
+    def __init__(self, cum_rows: np.ndarray):
+        n_keys = cum_rows.shape[0]
+        entries = cum_rows[:, :-1]
+        self.dtype = _code_dtype(entries.size)
+        self.search_mark = self.dtype.type(np.iinfo(self.dtype).max)
+        ordered = np.sort(entries, axis=None)
+        distinct = np.ones(ordered.size, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+        cuts = ordered[distinct]
+        # Scaling by a power of two is exact, so scaled uniforms and scaled
+        # cut points compare as the unscaled ones do.
+        self.scaled_cuts = cuts * _GUIDE_BINS
+        edges = np.arange(_GUIDE_BINS + 1, dtype=np.float64)
+        at_edge = np.searchsorted(self.scaled_cuts, edges[:-1], side="right")
+        below_next = np.searchsorted(self.scaled_cuts, edges[1:], side="left")
+        self.guide = np.where(below_next > at_edge, self.search_mark, at_edge).astype(self.dtype)
+        # An entry's rank is the code of the uniforms from it to the next cut.
+        ranks = np.searchsorted(cuts, entries, side="right")
+        n_codes = cuts.size + 1
+        # The size is counted in Python integers before anything is built, so
+        # neither it nor a (code, key) index can wrap.
+        if n_codes * n_keys * np.dtype(np.intp).itemsize <= _TABLE_BYTES:
+            self.n_keys = n_keys
+            entry_at = ranks * n_keys + np.arange(n_keys, dtype=np.intp)[:, None]
+            counts = np.bincount(entry_at.ravel(), minlength=n_codes * n_keys)
+            self.table = np.cumsum(counts.reshape(n_codes, n_keys), axis=0, dtype=np.intp)
+            self.next_state = self._look_up
+        else:
+            self.rank_t = np.ascontiguousarray(ranks.T)
+            self.next_state = self._count
+
+    def encode(self, u: np.ndarray, bins: np.ndarray) -> np.ndarray:
+        """Codes of the uniforms ``u``, which are scaled in place; ``bins`` is
+        an intp buffer of ``u``'s shape."""
+        np.multiply(u, _GUIDE_BINS, out=u)
+        np.copyto(bins, u, casting="unsafe")  # u >= 0, so this floors it
+        code = self.guide.take(bins)
+        searched = np.flatnonzero(code == self.search_mark)
+        if searched.size:
+            code.flat[searched] = np.searchsorted(
+                self.scaled_cuts, u.flat[searched], side="right"
+            )
+        return code
+
+    def _look_up(self, key: np.ndarray, code: np.ndarray) -> np.ndarray:
+        """Next states (intp) from the keys ``key`` at the codes ``code``,
+        which broadcast over ``key``'s leading axes."""
+        index = np.multiply(code, self.n_keys, dtype=np.intp)
+        return self.table.take(np.add(key, index, dtype=np.intp))
+
+    def _count(self, key: np.ndarray, code: np.ndarray) -> np.ndarray:
+        below = self.rank_t.take(key, axis=1) <= code
+        return np.add.reduce(below, axis=0, dtype=np.intp)
+
+
+def _fill_codes(
+    rngs: list[np.random.Generator],
+    codes: np.ndarray,
+    count: int,
+    transitions: _CodedTransitions,
+    uniforms: np.ndarray,
+    bins: np.ndarray,
 ) -> None:
-    """Draw the next ``count`` step uniforms of every episode into the first
-    ``count`` rows of the step-major ``step_u``.
+    """Draw the next ``count`` step uniforms of every episode and write their
+    codes into the first ``count`` rows of the step-major ``codes``.
 
     A generator fills only contiguous memory, so groups of episodes draw
-    into the rows of the episode-major ``scratch`` and are transposed from
-    there.
+    into the rows of the episode-major ``uniforms``, are coded there (with
+    ``bins``, an intp buffer of the same shape) and are transposed into
+    ``codes``.
     """
-    rows = [scratch[i, :count] for i in range(scratch.shape[0])]
-    for lo in range(0, len(rngs), len(rows)):
-        part = rngs[lo : lo + len(rows)]
-        for rng, row in zip(part, rows):
+    group = uniforms.shape[0]
+    for lo in range(0, len(rngs), group):
+        part = rngs[lo : lo + group]
+        drawn = uniforms[: len(part), :count]
+        for rng, row in zip(part, drawn):
             rng.random(out=row)
-        step_u[:count, lo : lo + len(part)] = scratch[: len(part), :count].T
+        code = transitions.encode(drawn, bins[: len(part), :count])
+        codes[:count, lo : lo + len(part)] = code.T
 
 
 def _change_points(exponential: np.ndarray, rates: np.ndarray | list[float]) -> np.ndarray:
@@ -331,8 +443,9 @@ def _run_chunk(
     baseline's policy mode equals it and the detection controller's is 1
     once it has switched.  Each lane keeps one key offset per controller,
     moved only at the switch and at the change.  A step is a ``take`` of
-    stage costs and a count of the cumulative-row entries at or below the
-    step's uniform, which is :func:`run_episode`'s ``searchsorted``.
+    stage costs and a ``take`` of the next state from the (code, key) table
+    at the step's uniform code, which gives :func:`run_episode`'s
+    ``searchsorted`` on the key's cumulative row (:class:`_CodedTransitions`).
 
     The baseline sits on the detection controller's key until a change or
     switch leaves their offsets unequal, and again once the offsets agree and
@@ -354,11 +467,19 @@ def _run_chunk(
     form.
 
     Each episode's step uniforms come from its own generator, ``_BLOCK``
-    steps at a time, into a (block, chunk) array so each step reads one
-    contiguous row, shared by the episode's lanes.  ``random(k)`` followed
-    by ``random(m)`` yields the same values as ``random(k + m)``, so the
-    draws do not depend on the block length or on the longest horizon, and
-    memory does not grow with the horizon.
+    (512) steps at a time, drawn by groups of ``_DRAW_GROUP`` episodes into
+    a 128 KiB float buffer, coded there with a 128 KiB buffer of guide-table
+    bins, and stored as codes in a (block, chunk) array, so each step reads
+    one contiguous row, shared by the episode's lanes.  A uint16 code block
+    is 1 KiB per episode.  ``random(k)`` followed by ``random(m)`` yields the
+    same values as ``random(k + m)``, so the draws do not depend on the
+    block length or on the longest horizon, and memory does not grow with
+    the horizon.  The (code, key) table holds (cut points + 1) x keys intp
+    entries, at most 81 x 20 for one rate of the README instance and
+    481 x 120 for its six-rate sweep (45 x 20 and 45 x 120 as built: its
+    rates share their 44 cut points).  Past ``_TABLE_BYTES`` the pass
+    counts each lane's codes against its key's cut points coded as ranks,
+    the same comparison as the table's, on integers.
     """
     mdp = solveds[0].env.mdp
     n_states = mdp.n_states
@@ -388,18 +509,13 @@ def _run_chunk(
         solved.chains[pair] for solved in solveds for pair in ((1, 1), (1, 2), (2, 1), (2, 2))
     ]
     flat_cost = np.concatenate([chain.cost_vec for chain in chains])
-    # Transposed cumulative rows without their last entry: cumulative sums of
-    # nonnegative probabilities never decrease, so the last entry is at or
-    # below u only when all others are, and the count is capped at n - 1.
-    cum_rows = np.cumsum(np.concatenate([chain.transition for chain in chains]), axis=1)
-    flat_cum_t = np.ascontiguousarray(cum_rows[:, :-1].T)
+    transitions = _CodedTransitions(
+        np.cumsum(np.concatenate([chain.transition for chain in chains]), axis=1)
+    )
+    next_state = transitions.next_state
     thresholds = np.concatenate(thresholds)
     pre_rows = np.concatenate([solved.chains[1, 1].transition.ravel() for solved in solveds])
     post_rows = np.concatenate([solved.chains[1, 2].transition.ravel() for solved in solveds])
-
-    def next_state(key: np.ndarray, u: np.ndarray) -> np.ndarray:
-        below = flat_cum_t.take(key, axis=1) <= u
-        return np.add.reduce(below, axis=0, dtype=np.intp)
 
     state = np.concatenate(
         [
@@ -439,8 +555,9 @@ def _run_chunk(
     # The running prefix of the lanes and of their offsets and cost sums.
     n_active = n_rates
     active_offset, active_cd, active_mo = offset_cd, cost_cd, cost_mo
-    step_u = np.empty((min(_BLOCK, horizons[0]), width))
-    scratch = np.empty((min(_SCRATCH_EPISODES, width), step_u.shape[0]))
+    codes = np.empty((min(_BLOCK, horizons[0]), width), dtype=transitions.dtype)
+    uniforms = np.empty((min(_DRAW_GROUP, width), codes.shape[0]))
+    bins = np.empty(uniforms.shape, dtype=np.intp)
     disc = 1.0
     for t in range(horizons[0]):
         if t == horizons[n_active - 1]:
@@ -459,8 +576,8 @@ def _run_chunk(
             split, split_state = split[running], split_state[running]
         row = t % _BLOCK
         if row == 0:
-            _fill_uniforms(rngs, step_u, min(_BLOCK, horizons[0] - t), scratch)
-        u = step_u[row]
+            _fill_codes(rngs, codes, min(_BLOCK, horizons[0] - t), transitions, uniforms, bins)
+        code = codes[row]
 
         events = []
         changed = changes_at.get(t)
@@ -509,11 +626,11 @@ def _run_chunk(
             increment[split] = step_cost.take(split_key)
         active_mo += increment
         if stacked:
-            state = next_state(key.reshape(-1, width), u).ravel()
+            state = next_state(key.reshape(-1, width), code).ravel()
         else:
-            state = next_state(key, u)
+            state = next_state(key, code)
         if split.size:
-            split_state = next_state(split_key, u[split % width] if stacked else u[split])
+            split_state = next_state(split_key, code[split % width] if stacked else code[split])
             rejoined = (split_state == state[split]) & (offset_cd[split] == offset_mo[split])
             if rejoined.any():
                 split = split[~rejoined]
@@ -576,10 +693,13 @@ def _available_cpus() -> int:
 
 def _chunk_width(n_rates: int, n_states: int) -> int:
     """Episodes per chunk under ``_CHUNK_BYTES``: an episode holds its
-    generator and uniform block and, per rate of the pass, one lane with its
-    ``n_states - 1`` rows of compared cumulative entries."""
+    generator and code block and, per rate of the pass, one lane with the
+    ``n_states - 1`` compared entries (an intp rank and a bool each) of a
+    count on codes, which is more than a table lookup's one intp index."""
+    code = _code_dtype(4 * n_rates * n_states * (n_states - 1))
+    episode = _GENERATOR_BYTES + _BLOCK * code.itemsize
     lane = _LANE_BYTES + 9 * (n_states - 1)
-    return max(1, _CHUNK_BYTES // (_EPISODE_BYTES + n_rates * lane))
+    return max(1, _CHUNK_BYTES // (episode + n_rates * lane))
 
 
 def _plan(n_episodes: int, workers: int, width: int) -> list[list[tuple[int, int]]]:
