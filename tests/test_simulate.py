@@ -604,7 +604,8 @@ CUT_TABLES = {
         [3 * BIN, 0.5 - 3 * BIN, 0.0, 0.5], [0.5, 0.25, 0.25, 0.0], [BIN, BIN, 1.0 - 2 * BIN, 0.0]
     ),
     "cuts-inside-one-bin": cumulative(
-        [0.5 + BIN / 4, BIN / 4, 0.5 - BIN / 2, 0.0], [0.5 + BIN * 3 / 4, 0.5 - BIN * 3 / 4, 0.0, 0.0]
+        [0.5 + BIN / 4, BIN / 4, 0.5 - BIN / 2, 0.0],
+        [0.5 + BIN * 3 / 4, 0.5 - BIN * 3 / 4, 0.0, 0.0],
     ),
     # cumsum rounds this row's second-to-last entry up to 1 + 2**-52.
     "cuts-above-one": cumulative(
@@ -716,7 +717,8 @@ class TestCodedTransitions:
 
     def test_count_on_codes_gives_the_tables_batches(self, small_solved, readme_sweep, monkeypatch):
         horizons = [int(np.ceil(2.0 / rate)) for rate in README_RATES]
-        table = (run_batch(small_solved, 300, 700, 11), simulate.run_sweep(readme_sweep, 300, horizons, 4))
+        batch = run_batch(small_solved, 300, 700, 11)
+        sweep = simulate.run_sweep(readme_sweep, 300, horizons, 4)
         counts = []
         count = simulate._CodedTransitions._count
 
@@ -725,12 +727,12 @@ class TestCodedTransitions:
             return count(self, key, code)
 
         monkeypatch.setattr(simulate._CodedTransitions, "_count", counting)
-        assert_batches_identical(run_batch(small_solved, 300, 700, 11), table[0])
+        assert_batches_identical(run_batch(small_solved, 300, 700, 11), batch)
         assert not counts
         monkeypatch.setattr(simulate, "_TABLE_BYTES", 0)
-        assert_batches_identical(run_batch(small_solved, 300, 700, 11), table[0])
-        for batch, reference in zip(simulate.run_sweep(readme_sweep, 300, horizons, 4), table[1]):
-            assert_batches_identical(batch, reference)
+        assert_batches_identical(run_batch(small_solved, 300, 700, 11), batch)
+        for got, reference in zip(simulate.run_sweep(readme_sweep, 300, horizons, 4), sweep):
+            assert_batches_identical(got, reference)
         assert counts
 
 
@@ -739,7 +741,8 @@ def inventory_pair():
     """Inventory at capacity 15 (16 states) at two change rates."""
     return [
         solve_env(
-            build_inventory(InventorySpec(capacity=15, change_rate=rate)), SolveOptions(grid_size=101)
+            build_inventory(InventorySpec(capacity=15, change_rate=rate)),
+            SolveOptions(grid_size=101),
         )
         for rate in (0.05, 0.1)
     ]
