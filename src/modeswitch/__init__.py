@@ -58,6 +58,7 @@ from .simulate import (
     regret_consistency,
     run_batch,
     run_episode,
+    run_sweep,
     summarize,
 )
 

@@ -19,8 +19,7 @@ are the same numbers at every rate (common random numbers across the sweep).
 :func:`run_sweep` therefore steps the rates below 1/3 as one pass of *lanes*,
 one per (rate, episode): each episode's generator and uniform blocks serve
 all its lanes, and each chunk-step steps them all.  A rate from 1/3 on, where
-numpy draws by search, runs alone.  :func:`run_batch` is the one-rate case of
-the same kernel.
+numpy draws by search, runs alone.  :func:`run_batch` is a sweep of one solve.
 
 Chunks of episodes step through one vectorized kernel; a byte budget caps
 the chunk width, which therefore shrinks with the number of rates in a pass
@@ -56,7 +55,7 @@ import pickle
 import signal
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -185,7 +184,6 @@ def run_episode(
     horizon: int,
     rng: np.random.Generator,
     thresholds: np.ndarray | None = None,
-    switch_at_change: bool = False,
 ) -> EpisodeBatch:
     """Simulate one coupled episode (scalar reference implementation) and
     return it as a one-episode batch.
@@ -232,15 +230,13 @@ def run_episode(
     for t in range(horizon):
         if t == change_point:
             state_at_change = state_cd
-        if not switched:
-            fire = (t == change_point) if switch_at_change else (belief >= thresholds[state_cd])
-            if fire:
-                switched = True
-                switch_time = t
-                state_at_switch = state_cd
-                regret_pre_switch = cost_cd - cost_mo
-                if change_point >= t:
-                    objective += weight
+        if not switched and belief >= thresholds[state_cd]:
+            switched = True
+            switch_time = t
+            state_at_switch = state_cd
+            regret_pre_switch = cost_cd - cost_mo
+            if change_point >= t:
+                objective += weight
         pre_change = t < change_point
         kernel_cum = cum_pre if pre_change else cum_post
         cost_table = env.cost_pre if pre_change else env.cost_post
@@ -346,6 +342,8 @@ class _CodedTransitions:
             self.table = np.cumsum(counts.reshape(n_codes, n_keys), axis=0, dtype=np.intp)
             self.next_state = self._look_up
         else:
+            # The count is the only path whose memory stays bounded at large
+            # n: the table holds up to about 16 * r**2 * n**3 entries (r rates).
             self.rank_t = np.ascontiguousarray(ranks.T)
             self.next_state = self._count
 
@@ -414,15 +412,14 @@ def _change_points(exponential: np.ndarray, rates: np.ndarray | list[float]) -> 
 def _run_chunk(
     solveds: list[SolvedEnv],
     horizons: list[int],
-    thresholds: list[np.ndarray],
-    switch_at_change: bool,
     master_seed: int,
     lo: int,
     hi: int,
 ) -> list[EpisodeBatch]:
     """Vectorized episode runner for indices [lo, hi), one batch per solve
-    of the pass.  The solves share a state count and discount and come in
-    decreasing horizon order, the lane-block order.
+    of the pass, each under its solve's ``thresholds``.  The solves share a
+    state count and discount and come in decreasing horizon order, the
+    lane-block order.  :func:`run_batch` runs a pass of one solve.
 
     A *lane* is one (rate, episode) pair, at index ``r * (hi - lo) + i``.
     Each lane produces the record :func:`run_episode` returns at its rate,
@@ -453,14 +450,11 @@ def _run_chunk(
     and the same uniforms.  So one key per lane is stepped, and the
     baseline is stepped on its own only for the *split* lanes in between.
     A merged lane's cost increment is computed once and added to each
-    controller's sum separately, so each sum keeps its own rounding.  With
-    ``switch_at_change`` the switch and the change fall on the same step and
-    no lane ever splits.
+    controller's sum separately, so each sum keeps its own rounding.
 
     Changes are read from a schedule of the chunk's change points.  The fire
     check and the belief update run only on the *live* lanes, those whose
-    rule has not fired, an index array compacted when some fire; mirroring
-    the baseline fires from the schedule and keeps no beliefs.  Lane blocks
+    rule has not fired, an index array compacted when some fire.  Lane blocks
     follow decreasing horizon, so the lanes still running are a prefix: a
     rate that reaches its horizon shortens it and its lanes leave the live
     and split sets.  The realized objective is written at the end in closed
@@ -486,6 +480,8 @@ def _run_chunk(
     discount = mdp.discount
     rates = np.array([solved.env.mdp.change_rate for solved in solveds])
     n_rates = rates.size
+    # One-rate branches stay: folding them into the lane path slowed a 3000-episode
+    # mc-long chunk (0.538 -> 0.569 s median process time; it won 3 of 12 pairs).
     stacked = n_rates > 1
     width = hi - lo
     size = n_rates * width
@@ -513,7 +509,7 @@ def _run_chunk(
         np.cumsum(np.concatenate([chain.transition for chain in chains]), axis=1)
     )
     next_state = transitions.next_state
-    thresholds = np.concatenate(thresholds)
+    thresholds = np.array([solved.thresholds for solved in solveds], dtype=float).ravel()
     pre_rows = np.concatenate([solved.chains[1, 1].transition.ravel() for solved in solveds])
     post_rows = np.concatenate([solved.chains[1, 2].transition.ravel() for solved in solveds])
 
@@ -544,14 +540,13 @@ def _run_chunk(
     change_steps, starts = np.unique(change_point[order], return_index=True)
     changes_at = dict(zip(change_steps.tolist(), np.split(order, starts[1:])))
     # Lanes whose rule may still fire, with their beliefs and, across rates,
-    # their first threshold and filter row and their rate; mirroring the
-    # baseline fires at the change and needs no belief.
-    live = np.empty(0, dtype=np.intp) if switch_at_change else np.arange(size)
-    belief = np.zeros(live.size)
+    # their first threshold and filter row and their rate.
+    live = np.arange(size)
+    belief = np.zeros(size)
     rate = float(rates[0])
     if stacked:
-        live_base = np.repeat(np.arange(n_rates, dtype=np.intp) * n_states, width)[live]
-        rate = np.repeat(rates, width)[live]
+        live_base = np.repeat(np.arange(n_rates, dtype=np.intp) * n_states, width)
+        rate = np.repeat(rates, width)
     # The running prefix of the lanes and of their offsets and cost sums.
     n_active = n_rates
     active_offset, active_cd, active_mo = offset_cd, cost_cd, cost_mo
@@ -587,9 +582,7 @@ def _run_chunk(
             offset_mo[changed] += 3 * n_states
             events.append(changed)
         fired = None
-        if switch_at_change:
-            fired = changed
-        elif live.size:
+        if live.size:
             live_row = state.take(live)
             if stacked:
                 live_row += live_base
@@ -711,6 +704,8 @@ def _plan(n_episodes: int, workers: int, width: int) -> list[list[tuple[int, int
     each run the same number of near-equal chunks, no wider than ``width``.
     """
     n_procs = min(workers, n_episodes, _available_cpus()) if hasattr(os, "fork") else 1
+    # One process keeps full-width chunks: near-equal ones (a wider last chunk, run while the
+    # earlier outputs are held) took a memory test's peak from 7.42 to 7.86 MiB (bound 7.5).
     if n_procs == 1:
         return [[(lo, min(lo + width, n_episodes)) for lo in range(0, n_episodes, width)]]
     per_proc = -(-n_episodes // (width * n_procs))
@@ -803,27 +798,25 @@ def _run_forked(shares: list[list[tuple[int, int]]], run) -> list:
             os.waitpid(pid, 0)
 
 
-def _check_seeding(master_seed: int) -> None:
-    """Refuse to run if the vectorized seeding no longer reproduces numpy's
-    SeedSequence stream for the first episode."""
+def _check_streams(master_seed: int, shared_rates: list[float]) -> None:
+    """Refuse to run if the first episode's stream is not the documented
+    one: if the vectorized seeding gives it another generator than
+    :func:`episode_rng` does, or if, at a rate of ``shared_rates`` (those
+    that share a pass), the change point :func:`_change_points` derives or
+    the uniform after it differs from what numpy's ``geometric`` gives."""
     from ._seeding import episode_generators
 
-    preset = episode_generators(master_seed, 0, 1)[0].bit_generator.state
-    if preset != episode_rng(master_seed, 0).bit_generator.state:
+    rng = episode_rng(master_seed, 0)
+    if episode_generators(master_seed, 0, 1)[0].bit_generator.state != rng.bit_generator.state:
         raise RuntimeError(
             f"numpy {np.__version__} seeds episode streams differently from "
             "modeswitch._seeding; the Monte Carlo would not reproduce the documented streams"
         )
-
-
-def _check_change_points(master_seed: int, rates: list[float]) -> None:
-    """Refuse to share a pass if, for the first episode, a change point
-    :func:`_change_points` derives differs from numpy's ``geometric`` at its
-    rate, or the uniform after it differs from the one after ``geometric``."""
-    rng = episode_rng(master_seed, 0)
-    derived = _change_points(np.array([rng.standard_exponential()]), rates)[:, 0]
+    if not shared_rates:
+        return
+    derived = _change_points(np.array([rng.standard_exponential()]), shared_rates)[:, 0]
     start_u = rng.random()
-    for rate, change_point in zip(rates, derived.tolist()):
+    for rate, change_point in zip(shared_rates, derived.tolist()):
         oracle = episode_rng(master_seed, 0)
         if oracle.geometric(rate) != change_point or oracle.random() != start_u:
             raise RuntimeError(
@@ -832,23 +825,27 @@ def _check_change_points(master_seed: int, rates: list[float]) -> None:
             )
 
 
-def _check_run(n_episodes: int, horizons: list[int], workers: int) -> None:
+def _check_run(
+    solveds: list[SolvedEnv], n_episodes: int, horizons: list[int], workers: int
+) -> None:
+    if len(solveds) != len(horizons) or not solveds:
+        raise ValueError("run_sweep needs one horizon per solve and at least one solve")
     if n_episodes < 1:
         raise ValueError("no episodes requested")
     if min(horizons) < 1:
         raise ValueError("horizon must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    for solved in solveds:
+        check_thresholds(solved.thresholds, solved.env.mdp.n_states)
 
 
 def _run_pass(
     solveds: list[SolvedEnv],
     horizons: list[int],
-    thresholds: list[np.ndarray],
     n_episodes: int,
     master_seed: int,
     workers: int,
-    switch_at_change: bool = False,
 ) -> list[EpisodeBatch]:
     """Every chunk of ``n_episodes`` through the lane kernel, on ``workers``
     processes; one batch per solve of the pass, in its order.
@@ -866,10 +863,7 @@ def _run_pass(
     """
 
     def run(share: list[tuple[int, int]]) -> list[list[EpisodeBatch]]:
-        return [
-            _run_chunk(solveds, horizons, thresholds, switch_at_change, master_seed, lo, hi)
-            for lo, hi in share
-        ]
+        return [_run_chunk(solveds, horizons, master_seed, lo, hi) for lo, hi in share]
 
     width = _chunk_width(len(solveds), solveds[0].env.mdp.n_states)
     shares = _plan(n_episodes, workers, width)
@@ -885,27 +879,13 @@ def run_batch(
     master_seed: int,
     workers: int = 1,
     thresholds: np.ndarray | None = None,
-    switch_at_change: bool = False,
 ) -> EpisodeBatch:
-    """Run ``n_episodes`` coupled episodes at one change rate: the one-rate
-    case of :func:`run_sweep`, with the detection rule's ``thresholds``
-    replaced if given, or, with ``switch_at_change``, a rule that fires at
-    the change itself (the baseline mirrored).
-
-    Chunks of episodes run on ``workers`` processes as :func:`run_sweep`
-    describes, and the batch is the same, bit for bit, for every
-    ``workers``.  Before any chunk runs, the first episode's preset
-    generator is checked against :func:`episode_rng`; a mismatch raises
-    :class:`RuntimeError` naming the numpy version.
-    """
-    _check_run(n_episodes, [horizon], workers)
-    thresholds = check_thresholds(
-        solved.thresholds if thresholds is None else thresholds, solved.env.mdp.n_states
-    )
-    _check_seeding(master_seed)
-    return _run_pass(
-        [solved], [horizon], [thresholds], n_episodes, master_seed, workers, switch_at_change
-    )[0]
+    """Run ``n_episodes`` coupled episodes at one change rate, with the
+    detection rule's ``thresholds`` in place of the solve's if given: a
+    :func:`run_sweep` of that one solve, checked and run as it describes."""
+    if thresholds is not None:
+        solved = replace(solved, thresholds=thresholds)
+    return run_sweep([solved], n_episodes, [horizon], master_seed, workers)[0]
 
 
 def run_sweep(
@@ -915,10 +895,10 @@ def run_sweep(
     master_seed: int,
     workers: int = 1,
 ) -> list[EpisodeBatch]:
-    """Run ``n_episodes`` coupled episodes at each solve's change rate, with
-    ``horizons[k]`` for ``solveds[k]``; one batch per solve, in sweep order,
-    each equal bit for bit to ``run_batch(solveds[k], n_episodes,
-    horizons[k], master_seed, workers)``.
+    """Run ``n_episodes`` coupled episodes at each solve's change rate under
+    its ``thresholds``, with ``horizons[k]`` for ``solveds[k]``; one batch
+    per solve, in sweep order, each equal bit for bit to the batch a sweep
+    of that solve alone gives.
 
     Episode ``i`` reads the same stream at every rate, so the rates below
     1/3 that share a state count and discount run as one pass of the lane
@@ -926,45 +906,37 @@ def run_sweep(
     and each chunk-step steps them all.  Each rate from 1/3 on runs alone,
     since numpy draws its ``geometric`` by search.  The chunk width follows
     the number of rates in the pass and the state count.  With ``workers``
-    above 1 the chunks of each pass are shared among forked processes.
+    above 1 the chunks of each pass are shared among forked processes
+    (:func:`_run_pass`).
 
-    Before any pass runs, the first episode's generator is checked as in
-    :func:`run_batch`, and so is each shared pass's change-point derivation
-    against ``geometric`` at every rate; a mismatch raises
-    :class:`RuntimeError` naming the numpy version.
+    The arguments and every solve's thresholds are checked first, and a bad
+    one raises :class:`ValueError`.  Then, before any pass runs, one stream
+    check compares the first episode's generator with :func:`episode_rng`'s
+    and, at every rate of a shared pass, its derived change point with
+    ``geometric``; a mismatch raises :class:`RuntimeError` naming the numpy
+    version.
     """
-    if len(solveds) != len(horizons) or not solveds:
-        raise ValueError("run_sweep needs one horizon per solve and at least one solve")
-    _check_run(n_episodes, horizons, workers)
-    thresholds = [
-        check_thresholds(solved.thresholds, solved.env.mdp.n_states) for solved in solveds
-    ]
-    _check_seeding(master_seed)
-    # Rates that share a pass, keyed by what their chain tables must share;
-    # a rate from 1/3 on is keyed by its own position.
+    _check_run(solveds, n_episodes, horizons, workers)
+    # Rates that share a pass, keyed by what their chain tables must share
+    # (a rate from 1/3 on by its own position), in decreasing horizon order:
+    # the lane-block order.
     passes: dict = {}
-    for k, solved in enumerate(solveds):
-        mdp = solved.env.mdp
+    for k in sorted(range(len(solveds)), key=lambda k: -horizons[k]):
+        mdp = solveds[k].env.mdp
         shared = mdp.change_rate < _INVERSION_BELOW
         passes.setdefault((mdp.n_states, mdp.discount) if shared else k, []).append(k)
-    for members in passes.values():
-        # Lane blocks in decreasing horizon order.
-        members.sort(key=lambda k: -horizons[k])
-        if len(members) > 1:
-            _check_change_points(master_seed, [solveds[k].env.mdp.change_rate for k in members])
-    batches: list = [None] * len(solveds)
+    _check_streams(
+        master_seed,
+        [solveds[k].env.mdp.change_rate for m in passes.values() if len(m) > 1 for k in m],
+    )
+    batches: dict = {}
     for members in passes.values():
         pass_batches = _run_pass(
-            [solveds[k] for k in members],
-            [horizons[k] for k in members],
-            [thresholds[k] for k in members],
-            n_episodes,
-            master_seed,
-            workers,
+            [solveds[k] for k in members], [horizons[k] for k in members],
+            n_episodes, master_seed, workers,
         )
-        for k, batch in zip(members, pass_batches):
-            batches[k] = batch
-    return batches
+        batches.update(zip(members, pass_batches))
+    return [batches[k] for k in range(len(solveds))]
 
 
 def _stderr(values: np.ndarray) -> float:
@@ -1009,7 +981,7 @@ def regret_consistency(
     """Compare the realized detection cost with its DP prediction.
 
     Requires the horizon to have been long enough that rule truncation is
-    negligible (no more than one episode in 10^4).
+    negligible (fewer than one episode in 10^4).
     """
     truncated_frac = float(batch.truncated.mean())
     if truncated_frac >= 1e-4:
@@ -1030,12 +1002,7 @@ def regret_consistency(
 
 
 def estimate_exact_regret(
-    solved: SolvedEnv,
-    n_episodes: int,
-    horizon: int,
-    master_seed: int,
-    thresholds: np.ndarray | None = None,
-    switch_at_change: bool = False,
+    solved: SolvedEnv, n_episodes: int, horizon: int, master_seed: int
 ) -> RegretEstimate:
     """Monte Carlo mean of the discounted coupled cost difference, truncated at the horizon.
 
@@ -1047,10 +1014,7 @@ def estimate_exact_regret(
     """
     env = solved.env
     mdp = env.mdp
-    batch = run_batch(
-        solved, n_episodes, horizon, master_seed,
-        thresholds=thresholds, switch_at_change=switch_at_change,
-    )
+    batch = run_batch(solved, n_episodes, horizon, master_seed)
     totals = batch.cost_cd - batch.cost_mo
     cost_max = max(
         float(np.max(np.abs(env.cost_pre))), float(np.max(np.abs(env.cost_post)))

@@ -95,14 +95,14 @@ def degenerate_solved():
     )
 
 
-def assert_batch_matches_oracle(batch, solved, horizon, master, **options):
+def assert_batch_matches_oracle(batch, solved, horizon, master):
     """Every batch column equals :func:`run_episode` on the same episode
     stream, bit for bit."""
     records = []
     for index in range(batch.n_episodes):
         rng = episode_rng(master, index)
         gamma = int(rng.geometric(solved.env.mdp.change_rate))
-        records.append(run_episode(solved, gamma, horizon, rng, **options))
+        records.append(run_episode(solved, gamma, horizon, rng))
     for field in fields(EpisodeBatch):
         column = getattr(batch, field.name)
         expected = np.concatenate([getattr(r, field.name) for r in records]).astype(column.dtype)
@@ -306,19 +306,15 @@ class TestRunBatch:
         batch = run_batch(small_solved, 40, horizon, master)
         assert_batch_matches_oracle(batch, small_solved, horizon, master)
 
-    @given(data=st.data(), switch_at_change=st.booleans(), master=st.integers(0, 2**32 - 1))
+    @given(data=st.data(), master=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
-    def test_batch_matches_oracle_on_random_instances(
-        self, small_solved, data, switch_at_change, master
-    ):
+    def test_batch_matches_oracle_on_random_instances(self, small_solved, data, master):
         solved = data.draw(small_instances(small_solved))
         # Horizons on both sides of one and two uniform blocks.
         block = simulate._BLOCK
         for horizon in (1, block - 1, block, block + 1, 2 * block + 89):
-            batch = run_batch(solved, 12, horizon, master, switch_at_change=switch_at_change)
-            assert_batch_matches_oracle(
-                batch, solved, horizon, master, switch_at_change=switch_at_change
-            )
+            batch = run_batch(solved, 12, horizon, master)
+            assert_batch_matches_oracle(batch, solved, horizon, master)
 
     def test_batch_across_a_chunk_boundary_matches_oracle(self, small_solved):
         # One full chunk, then a chunk of three episodes.
@@ -357,7 +353,6 @@ class TestRunBatch:
             (simulate._chunk_width(1, 3) * 2 + 7, {}),  # more chunks than processes
             (3, {}),  # fewer episodes than workers
             (1, {}),
-            (2101, {"switch_at_change": True}),
             (2101, {"thresholds": np.full(3, 0.3)}),
         ]
         for n_episodes, kwargs in cases:
@@ -442,21 +437,22 @@ class TestRunBatch:
 
     def test_switch_and_change_states_exact_properties(self, small_solved):
         # No stage difference accrues before both the switch and the change:
-        # mirroring the baseline fires at the change itself, zero thresholds
-        # fire at time 0, and any rule firing no later than the change has
-        # nothing to show for it yet.
+        # zero thresholds fire at time 0, and any rule firing no later than
+        # the change has nothing to show for it yet.  A rule firing at the
+        # change itself does so in the state the change finds.
         horizon = 40
         solved_rule = run_batch(small_solved, 600, horizon, 27)
         early = solved_rule.switch_time <= solved_rule.change_point
         assert 0 < early.sum() < early.size
         assert np.all(solved_rule.regret_pre_switch[early] == 0.0)
-
-        mirror = run_batch(small_solved, 600, horizon, 27, switch_at_change=True)
-        inside = mirror.change_point < horizon
-        assert 0 < inside.sum() < inside.size
-        assert np.array_equal(mirror.state_at_switch[inside], mirror.state_at_change[inside])
-        assert np.all(mirror.regret_pre_switch[inside] == 0.0)
-        assert np.all(mirror.state_at_change[~inside] == -1)
+        at_change = solved_rule.switch_time == solved_rule.change_point
+        assert at_change.any()
+        assert np.array_equal(
+            solved_rule.state_at_switch[at_change], solved_rule.state_at_change[at_change]
+        )
+        assert np.all(solved_rule.regret_pre_switch[at_change] == 0.0)
+        beyond = solved_rule.change_point >= horizon
+        assert beyond.any() and np.all(solved_rule.state_at_change[beyond] == -1)
 
         for start in range(3):
             pinned = replace(
@@ -913,15 +909,19 @@ class TestRegretConsistency:
         with pytest.raises(RuntimeError, match="horizon"):
             regret_consistency(batch, predicted=0.0, slack=0.0)
 
+    def test_truncation_boundary_is_one_in_ten_thousand(self):
+        # Fewer than one truncated episode in 10^4 passes; exactly one does not.
+        n = 10_000
+        columns = {field.name: np.zeros(n) for field in fields(EpisodeBatch)}
+        truncated = np.zeros(n, dtype=bool)
+        check = regret_consistency(EpisodeBatch(**{**columns, "truncated": truncated}), 0.0, 0.0)
+        assert check.consistent
+        truncated[0] = True
+        with pytest.raises(RuntimeError, match="below 1e-4"):
+            regret_consistency(EpisodeBatch(**{**columns, "truncated": truncated}), 0.0, 0.0)
+
 
 class TestExactRegret:
-    def test_mirroring_the_baseline_has_zero_regret(self, small_solved):
-        estimate = estimate_exact_regret(
-            small_solved, 300, 120, 19, switch_at_change=True
-        )
-        assert estimate.mean == 0.0
-        assert estimate.stderr == 0.0
-
     def test_degenerate_modes_have_zero_regret(self, degenerate_solved):
         estimate = estimate_exact_regret(degenerate_solved, 300, 120, 29)
         assert estimate.mean == 0.0
