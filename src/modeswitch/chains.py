@@ -59,8 +59,6 @@ class MixingBoundReport:
     """Slack of the geometric cost-gap bound over all (start state, horizon),
     with the mixing profile whose envelope gave the bound."""
 
-    k_max: int
-    discount: float
     max_slack: float
     min_slack: float
     profile: MixingProfile
@@ -249,4 +247,4 @@ def verify_mixing_bound(
         slack = envelope[k] - gaps
         max_slack = max(max_slack, float(slack.max()))
         min_slack = min(min_slack, float(slack.min()))
-    return MixingBoundReport(k_max, discount, max_slack, min_slack, profile)
+    return MixingBoundReport(max_slack, min_slack, profile)

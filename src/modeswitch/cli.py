@@ -97,6 +97,7 @@ _TYPE_CHECKS = {
     int | None: ("an integer or null", lambda v: v is None or _is_int(v)),
     float: ("a number", _is_number),
     str: ("a string", lambda v: isinstance(v, str)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
     np.ndarray: ("a list", lambda v: isinstance(v, list)),
     tuple[float, ...] | None: (
         "a list of numbers or null",
@@ -175,6 +176,10 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         if not 0.0 < value < 1.0:
             raise ConfigError(f"rho_sweep values must lie in (0, 1), got {json.dumps(value)}")
     raw["rho_sweep"] = tuple(float(value) for value in sweep) if sweep else None
+    try:
+        _env_spec(env)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"environment ({kind}): {exc}") from exc
     config = ExperimentConfig(**raw)
     for key, low, message in _MINIMA:
         value = getattr(config, key)
@@ -187,20 +192,25 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     return config
 
 
-def _build_env(config: ExperimentConfig, rho: float | None = None) -> SwitchingEnv:
-    env = config.environment
-    kind = env["kind"]
-    # Pass only the keys present, so defaults live in the spec classes.
+def _env_spec(env: dict, rho: float | None = None):
+    """The spec of the environment ``env`` (for custom kernels the
+    :class:`ModePairMdp` itself), at change rate ``rho`` if given.  Only the
+    keys present are passed, so defaults live in the spec classes."""
     spec = {_SPEC_FIELDS.get(k, k): v for k, v in env.items() if k != "kind"}
     if rho is not None:
         spec["change_rate"] = rho
+    return _SPECS[env["kind"]](**spec)
+
+
+def _build_env(config: ExperimentConfig, rho: float | None = None) -> SwitchingEnv:
+    kind = config.environment["kind"]
+    spec = _env_spec(config.environment, rho)
     if kind == "random-mdp":
-        return random_env(RandomMdpSpec(**spec))
+        return random_env(spec)
     if kind == "inventory":
-        return build_inventory(InventorySpec(**spec))
-    mdp = ModePairMdp(**spec)
-    uniform = np.full(mdp.n_states, 1.0 / mdp.n_states)
-    return SwitchingEnv(mdp, mdp.stage_cost, mdp.stage_cost, uniform, "custom-kernels")
+        return build_inventory(spec)
+    uniform = np.full(spec.n_states, 1.0 / spec.n_states)
+    return SwitchingEnv(spec, spec.stage_cost, spec.stage_cost, uniform, "custom-kernels")
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -306,7 +316,7 @@ def _simulate_sweep(config: ExperimentConfig, command: str):
         (
             solved,
             batch,
-            summarize(batch, horizon, config.master_seed),
+            summarize(batch),
             {
                 "label": solved.env.label,
                 "rho": solved.env.mdp.change_rate,

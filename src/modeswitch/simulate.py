@@ -55,7 +55,7 @@ import pickle
 import signal
 import sys
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -132,10 +132,9 @@ class EpisodeBatch:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Aggregates of one experiment, plus the seed that reproduces it."""
+    """Aggregates of one batch of episodes."""
 
     n_episodes: int
-    horizon: int
     mean_cost_cd: float
     stderr_cost_cd: float
     mean_cost_mo: float
@@ -145,7 +144,6 @@ class SimReport:
     welch_t: float
     welch_df: float
     truncated_frac: float
-    master_seed: int
 
 
 @dataclass(frozen=True)
@@ -183,7 +181,6 @@ def run_episode(
     change_point: int,
     horizon: int,
     rng: np.random.Generator,
-    thresholds: np.ndarray | None = None,
 ) -> EpisodeBatch:
     """Simulate one coupled episode (scalar reference implementation) and
     return it as a one-episode batch.
@@ -205,9 +202,7 @@ def run_episode(
         raise ValueError("change_point must be at least 1")
     env = solved.env
     mdp = env.mdp
-    thresholds = check_thresholds(
-        solved.thresholds if thresholds is None else thresholds, mdp.n_states
-    )
+    thresholds = check_thresholds(solved.thresholds, mdp.n_states)
     weight = solved.weight
     cum_initial = np.cumsum(env.initial_dist)
     cum_pre = np.cumsum(mdp.kernel_pre, axis=2)
@@ -435,10 +430,10 @@ def _run_chunk(
     Both controllers step through one flat table of the induced chains,
     keyed by ``4 * n * r + (2 * policy_mode + kernel_mode) * n + state``
     with 0-based modes, so a rate's pairs (1, 1), (1, 2), (2, 1), (2, 2)
-    follow one another; the filter reads the first two, the pre-change
-    policy's rows.  The kernel mode is 1 from the change point on; the
-    baseline's policy mode equals it and the detection controller's is 1
-    once it has switched.  Each lane keeps one key offset per controller,
+    follow one another; the filter reads its rows from each solve's ``dyn``.
+    The kernel mode is 1 from the change point on; the baseline's policy
+    mode equals it and the detection controller's is 1 once it has
+    switched.  Each lane keeps one key offset per controller,
     moved only at the switch and at the change.  A step is a ``take`` of
     stage costs and a ``take`` of the next state from the (code, key) table
     at the step's uniform code, which gives :func:`run_episode`'s
@@ -499,8 +494,8 @@ def _run_chunk(
     start_u = np.array([rng.random() for rng in rngs])
 
     # Block r of the flat chain table holds rate r's four chains, block r of
-    # the thresholds its n thresholds and block r of the filter rows its
-    # n * n rows of the pre-change policy's chains.
+    # the thresholds its n thresholds and block r of the filter rows the
+    # n * n rows of its ``dyn``.
     chains = [
         solved.chains[pair] for solved in solveds for pair in ((1, 1), (1, 2), (2, 1), (2, 2))
     ]
@@ -510,8 +505,8 @@ def _run_chunk(
     )
     next_state = transitions.next_state
     thresholds = np.array([solved.thresholds for solved in solveds], dtype=float).ravel()
-    pre_rows = np.concatenate([solved.chains[1, 1].transition.ravel() for solved in solveds])
-    post_rows = np.concatenate([solved.chains[1, 2].transition.ravel() for solved in solveds])
+    pre_rows = np.concatenate([solved.dyn.kernel_pre.ravel() for solved in solveds])
+    post_rows = np.concatenate([solved.dyn.kernel_post.ravel() for solved in solveds])
 
     state = np.concatenate(
         [
@@ -734,7 +729,9 @@ def _serve_child(write_fd: int, run, share: list[tuple[int, int]]) -> None:
 
 def _received(data: bytes, status: int, share: list[tuple[int, int]]):
     """The result a child sent for ``share``; what it raised is raised again
-    with the episode range added."""
+    with the episode range added, as the first class of its MRO that builds
+    from one message (numpy's ``_ArrayMemoryError`` takes a shape and a
+    dtype, so it comes back as :class:`MemoryError`)."""
     episodes = f"episodes [{share[0][0]}, {share[-1][1]})"
     code = os.waitstatus_to_exitcode(status)
     if code != 0 or not data:
@@ -745,13 +742,18 @@ def _received(data: bytes, status: int, share: list[tuple[int, int]]):
     message = pickle.loads(data)
     if message[0] == "error":
         _, kind, text = message
-        raise kind(f"{text} ({episodes})")
+        for cls in kind.__mro__:
+            try:
+                error = cls(f"{text} ({episodes})")
+            except TypeError:
+                continue
+            raise error
     return message[1]
 
 
 def _run_forked(shares: list[list[tuple[int, int]]], run) -> list:
     """``[run(share) for share in shares]``, the first share run here while
-    a forked child runs each other one.
+    a forked child runs each other one (none for a single share).
 
     Children are reaped in order as their results arrive.  If anything
     raises here, interrupts included, the children still running are killed
@@ -867,8 +869,7 @@ def _run_pass(
 
     width = _chunk_width(len(solveds), solveds[0].env.mdp.n_states)
     shares = _plan(n_episodes, workers, width)
-    results = [run(shares[0])] if len(shares) == 1 else _run_forked(shares, run)
-    chunks = [chunk for parts in results for chunk in parts]
+    chunks = [chunk for parts in _run_forked(shares, run) for chunk in parts]
     return [_concat([chunk[r] for chunk in chunks]) for r in range(len(solveds))]
 
 
@@ -878,13 +879,11 @@ def run_batch(
     horizon: int,
     master_seed: int,
     workers: int = 1,
-    thresholds: np.ndarray | None = None,
 ) -> EpisodeBatch:
-    """Run ``n_episodes`` coupled episodes at one change rate, with the
-    detection rule's ``thresholds`` in place of the solve's if given: a
-    :func:`run_sweep` of that one solve, checked and run as it describes."""
-    if thresholds is not None:
-        solved = replace(solved, thresholds=thresholds)
+    """Run ``n_episodes`` coupled episodes at one change rate under the
+    solve's thresholds: a :func:`run_sweep` of that one solve, checked and
+    run as it describes.  Another rule runs as
+    ``dataclasses.replace(solved, thresholds=...)``."""
     return run_sweep([solved], n_episodes, [horizon], master_seed, workers)[0]
 
 
@@ -945,7 +944,7 @@ def _stderr(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / math.sqrt(values.size))
 
 
-def summarize(batch: EpisodeBatch, horizon: int, master_seed: int) -> SimReport:
+def summarize(batch: EpisodeBatch) -> SimReport:
     """Aggregate a batch in episode order into a report."""
     n = batch.n_episodes
     var_cd = float(batch.cost_cd.var(ddof=1)) if n > 1 else 0.0
@@ -961,7 +960,6 @@ def summarize(batch: EpisodeBatch, horizon: int, master_seed: int) -> SimReport:
         welch_df = float(n - 1)
     return SimReport(
         n_episodes=n,
-        horizon=horizon,
         mean_cost_cd=float(batch.cost_cd.mean()),
         stderr_cost_cd=_stderr(batch.cost_cd),
         mean_cost_mo=float(batch.cost_mo.mean()),
@@ -971,7 +969,6 @@ def summarize(batch: EpisodeBatch, horizon: int, master_seed: int) -> SimReport:
         welch_t=welch_t,
         welch_df=float(welch_df),
         truncated_frac=float(batch.truncated.mean()),
-        master_seed=master_seed,
     )
 
 

@@ -7,6 +7,7 @@ conftest prints one PASS/FAIL line per criterion at the end of the run.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from modeswitch.detector import (
 from modeswitch.environments import InventorySpec, build_inventory
 from modeswitch.mdp import induced_chain, value_iteration
 from modeswitch.pipeline import mode_pair_weight
-from modeswitch.simulate import regret_consistency, run_batch, summarize
+from modeswitch.simulate import regret_consistency, run_batch, run_sweep, summarize
 
 from conftest import (
     CANONICAL_SEED,
@@ -210,19 +211,19 @@ def test_criterion_10_perturbed_rules_cost_at_least_the_optimum(canonical):
 def test_criterion_11_cost_trends_across_the_rate_grid(solve_random):
     """Detection switching stays within 5% of the baseline; costs grow as the
     change rate falls."""
-    seeds = VALID_SEEDS[:5]
+    horizons = [math.ceil(2.0 / rho) for rho in TABLE1_RHOS]
+    cd = {rho: [] for rho in TABLE1_RHOS}
+    mo = {rho: [] for rho in TABLE1_RHOS}
+    for seed in VALID_SEEDS[:5]:
+        solveds = [solve_random(seed, rho) for rho in TABLE1_RHOS]
+        for rho, batch in zip(TABLE1_RHOS, run_sweep(solveds, 6000, horizons, MASTER_SEED)):
+            report = summarize(batch)
+            cd[rho].append(report.mean_cost_cd)
+            mo[rho].append(report.mean_cost_mo)
     means = {}
     print()
     for rho in TABLE1_RHOS:
-        horizon = math.ceil(2.0 / rho)
-        cd, mo = [], []
-        for seed in seeds:
-            solved = solve_random(seed, rho)
-            batch = run_batch(solved, 6000, horizon, MASTER_SEED)
-            report = summarize(batch, horizon, MASTER_SEED)
-            cd.append(report.mean_cost_cd)
-            mo.append(report.mean_cost_mo)
-        means[rho] = (float(np.mean(cd)), float(np.mean(mo)))
+        means[rho] = (float(np.mean(cd[rho])), float(np.mean(mo[rho])))
         print(
             f"  criterion 11: rho={rho:.4f} J_CD={means[rho][0]:8.2f}"
             f" J_MO={means[rho][1]:8.2f} ratio={means[rho][0] / means[rho][1]:.4f}"
@@ -239,13 +240,13 @@ def test_criterion_12_threshold_and_false_alarm_trends(solve_random):
     thresholds = {}
     false_alarms = {}
     n_episodes = 6000
+    solveds = [solve_random(CANONICAL_SEED, rho) for rho in TABLE1_RHOS]
+    horizons = [math.ceil(16.0 / rho) for rho in TABLE1_RHOS]
+    batches = run_sweep(solveds, n_episodes, horizons, MASTER_SEED)
     print()
-    for rho in TABLE1_RHOS:
-        solved = solve_random(CANONICAL_SEED, rho)
+    for rho, solved, batch in zip(TABLE1_RHOS, solveds, batches):
         thresholds[rho] = solved.thresholds
-        horizon = math.ceil(16.0 / rho)
-        batch = run_batch(solved, n_episodes, horizon, MASTER_SEED)
-        report = summarize(batch, horizon, MASTER_SEED)
+        report = summarize(batch)
         false_alarms[rho] = report.false_alarm_rate
         print(
             f"  criterion 12: rho={rho:.4f} thresholds={np.round(solved.thresholds, 4)}"
@@ -312,8 +313,8 @@ def test_criterion_14_coupling_is_bitwise_exact():
     """Episodes untouched by both the switch and the change match to the bit."""
     solved = solve_random_cached(CANONICAL_SEED, 0.05, grid_size=301)
     horizon = 40
-    never = np.ones(solved.env.mdp.n_states)
-    batch = run_batch(solved, 800, horizon, MASTER_SEED, thresholds=never)
+    never = replace(solved, thresholds=np.ones(solved.env.mdp.n_states))
+    batch = run_batch(never, 800, horizon, MASTER_SEED)
     untouched = np.minimum(batch.switch_time, batch.change_point) >= horizon
     count = int(untouched.sum())
     print(f"\n  criterion 14: {count} untouched episodes of 800")

@@ -369,6 +369,34 @@ class TestErrorPaths:
             ({"vi_max_iter": 0}, [], "vi_max_iter must be at least 1"),
             ({"fp_max_iter": 0}, [], "fp_max_iter must be at least 1"),
             ({"mixing_k_max": 0}, [], "mixing_k_max must be at least 1"),
+            ({"write_episodes": "no"}, [], 'write_episodes must be true or false, got "no"'),
+            (
+                {"environment": {"kind": "random-mdp", "n_states": 0}},
+                [],
+                "environment (random-mdp): n_states and n_actions must be at least 1",
+            ),
+            (
+                {"environment": {"kind": "inventory", "capacity": -2}},
+                [],
+                "environment (inventory): capacity must be at least 1",
+            ),
+            (
+                {"environment": {"kind": "inventory", "order_cost_basis": "units"}},
+                [],
+                "environment (inventory): order_cost_basis must be 'stock' or 'order'",
+            ),
+            (
+                {
+                    "environment": {
+                        "kind": "custom-kernels",
+                        "kernel_pre": [[[0.6, 0.5], [1.0, 0.0]], [[0.5, 0.5], [0.0, 1.0]]],
+                        "kernel_post": [[[0.5, 0.5], [1.0, 0.0]], [[0.5, 0.5], [0.0, 1.0]]],
+                        "stage_cost": [[1.0, 2.0], [3.0, 4.0]],
+                    }
+                },
+                [],
+                "environment (custom-kernels): kernel_pre rows must sum to 1",
+            ),
         ],
         ids=[
             "grid-size-string",
@@ -390,6 +418,11 @@ class TestErrorPaths:
             "vi-max-iter-zero",
             "fp-max-iter-zero",
             "mixing-k-max-zero",
+            "write-episodes-string",
+            "env-no-states",
+            "env-negative-capacity",
+            "env-unknown-cost-basis",
+            "env-rows-above-one",
         ],
     )
     def test_invalid_config_exits_1_with_one_line(self, tmp_path, capsys, overrides, args, message):

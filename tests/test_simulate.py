@@ -160,11 +160,11 @@ def small_instances(draw, base):
 
 
 def _run_batch(solved, thresholds):
-    run_batch(solved, 4, 10, 0, thresholds=thresholds)
+    run_batch(replace(solved, thresholds=thresholds), 4, 10, 0)
 
 
 def _run_episode(solved, thresholds):
-    run_episode(solved, 3, 10, episode_rng(0, 0), thresholds=thresholds)
+    run_episode(replace(solved, thresholds=thresholds), 3, 10, episode_rng(0, 0))
 
 
 def _evaluate_switch_rule(solved, thresholds):
@@ -217,6 +217,17 @@ def decomposition_loop(solved, batch):
     return totals
 
 
+class TwoArgumentError(MemoryError):
+    """Built from a shape and a dtype, as numpy's ``_ArrayMemoryError`` is."""
+
+    def __init__(self, shape, dtype):
+        super().__init__(shape, dtype)
+        self.shape, self.dtype = shape, dtype
+
+    def __str__(self):
+        return f"Unable to allocate an array with shape {self.shape} and data type {self.dtype}"
+
+
 needs_two_cpus = pytest.mark.skipif(
     not hasattr(os, "fork") or simulate._available_cpus() < 2,
     reason="worker processes need os.fork and two CPUs",
@@ -264,20 +275,16 @@ class TestRunEpisode:
 
     def test_no_switch_no_change_couples_exactly(self, small_solved):
         horizon = 40
-        never = np.ones(3)
-        record = run_episode(
-            small_solved, horizon + 5, horizon, episode_rng(3, 0), thresholds=never
-        )
+        never = replace(small_solved, thresholds=np.ones(3))
+        record = run_episode(never, horizon + 5, horizon, episode_rng(3, 0))
         assert record.truncated
         assert record.switch_time == horizon
         assert record.cost_cd == record.cost_mo
 
     def test_degenerate_zero_threshold_matches_baseline(self, degenerate_solved):
         # Identical kernels and policies: switching immediately changes nothing.
-        zero = np.zeros(3)
-        record = run_episode(
-            degenerate_solved, 7, 60, episode_rng(11, 2), thresholds=zero
-        )
+        zero = replace(degenerate_solved, thresholds=np.zeros(3))
+        record = run_episode(zero, 7, 60, episode_rng(11, 2))
         assert record.switch_time == 0
         assert record.cost_cd == record.cost_mo
 
@@ -348,18 +355,18 @@ class TestRunBatch:
 
     def test_worker_count_does_not_matter(self, small_solved, forks):
         cases = [
-            (2100, {}),
-            (2101, {}),  # does not divide evenly
-            (simulate._chunk_width(1, 3) * 2 + 7, {}),  # more chunks than processes
-            (3, {}),  # fewer episodes than workers
-            (1, {}),
-            (2101, {"thresholds": np.full(3, 0.3)}),
+            (2100, small_solved),
+            (2101, small_solved),  # does not divide evenly
+            (simulate._chunk_width(1, 3) * 2 + 7, small_solved),  # more chunks than processes
+            (3, small_solved),  # fewer episodes than workers
+            (1, small_solved),
+            (2101, replace(small_solved, thresholds=np.full(3, 0.3))),
         ]
-        for n_episodes, kwargs in cases:
+        for n_episodes, solved in cases:
             forks.clear()
-            serial = run_batch(small_solved, n_episodes, 60, 5, workers=1, **kwargs)
+            serial = run_batch(solved, n_episodes, 60, 5, workers=1)
             assert not forks
-            forked = run_batch(small_solved, n_episodes, 60, 5, workers=4, **kwargs)
+            forked = run_batch(solved, n_episodes, 60, 5, workers=4)
             if n_episodes > 1 and simulate._available_cpus() > 1:
                 assert forks
             assert_batches_identical(forked, serial)
@@ -407,6 +414,11 @@ class TestRunBatch:
             ("child-raises", ValueError, r"^kernel broke \(episodes \[20, 40\)\)$"),
             ("child-exits", RuntimeError, r"episodes \[20, 40\) exited with status 3 before"),
             ("parent-raises", KeyboardInterrupt, None),
+            (
+                "child-raises-two-arguments",
+                MemoryError,
+                r"^Unable to allocate .* data type float64 \(episodes \[20, 40\)\)$",
+            ),
         ],
     )
     def test_worker_failures_leave_no_process_or_pipe(
@@ -421,6 +433,8 @@ class TestRunBatch:
                 raise ValueError("kernel broke")
             if where == "child-exits" and in_child:
                 os._exit(3)
+            if where == "child-raises-two-arguments" and in_child:
+                raise TwoArgumentError((1024, 512), "float64")
             if where == "parent-raises" and not in_child:
                 raise KeyboardInterrupt
             return run_chunk(*args)
@@ -458,14 +472,14 @@ class TestRunBatch:
             pinned = replace(
                 small_solved, env=replace(small_solved.env, initial_dist=np.eye(3)[start])
             )
-            eager = run_batch(pinned, 300, horizon, 27, thresholds=np.zeros(3))
+            eager = run_batch(replace(pinned, thresholds=np.zeros(3)), 300, horizon, 27)
             assert np.all(eager.switch_time == 0)
             assert np.all(eager.state_at_switch == start)
             assert np.all(eager.regret_pre_switch == 0.0)
 
     def test_coupling_exact_on_unswitched_episodes(self, small_solved):
         horizon = 30
-        batch = run_batch(small_solved, 500, horizon, 23, thresholds=np.ones(3))
+        batch = run_batch(replace(small_solved, thresholds=np.ones(3)), 500, horizon, 23)
         untouched = np.minimum(batch.switch_time, batch.change_point) >= horizon
         assert untouched.sum() > 0
         assert np.all(batch.cost_cd[untouched] == batch.cost_mo[untouched])
@@ -879,7 +893,7 @@ class TestSeedWords:
 class TestSummaries:
     def test_single_episode_report_matches_record(self, small_solved):
         batch = run_batch(small_solved, 1, 50, 13)
-        report = summarize(batch, 50, 13)
+        report = summarize(batch)
         assert report.n_episodes == 1
         assert report.mean_cost_cd == batch.cost_cd[0]
         assert report.mean_cost_mo == batch.cost_mo[0]
@@ -887,7 +901,7 @@ class TestSummaries:
         assert report.false_alarm_rate == float(batch.false_alarm[0])
 
     def test_summarize_aggregates_a_batch(self, small_solved):
-        report = summarize(run_batch(small_solved, 600, 80, 3), 80, 3)
+        report = summarize(run_batch(small_solved, 600, 80, 3))
         assert report.n_episodes == 600
         assert 0.0 <= report.false_alarm_rate <= 1.0
         assert report.mean_delay >= 0.0
@@ -905,7 +919,7 @@ class TestRegretConsistency:
         assert check.consistent, (check.estimate, check.predicted, check.tolerance)
 
     def test_truncation_precondition(self, small_solved):
-        batch = run_batch(small_solved, 200, 25, 7, thresholds=np.ones(3))
+        batch = run_batch(replace(small_solved, thresholds=np.ones(3)), 200, 25, 7)
         with pytest.raises(RuntimeError, match="horizon"):
             regret_consistency(batch, predicted=0.0, slack=0.0)
 
