@@ -190,6 +190,35 @@ def belief_update(dyn: BeliefDynamics, state: int, next_state: int, belief: floa
     return float(bayes_step(belief, pre, post, dyn.change_rate)[0])
 
 
+def stencil_supports(dyn: BeliefDynamics, grid_size: int) -> list[np.ndarray]:
+    """Each state's support (the next states possible under either kernel),
+    once the :class:`BeliefOperator` stencil on a ``grid_size``-point grid (an
+    index and a weight for each of 2k terms per grid point and state of
+    support size k) and the grid itself (about 40 bytes a point while
+    :class:`BeliefGrid` checks it) are known to fit in physical memory.  Both
+    are sized from ``grid_size`` alone, so a solve checks them before the
+    grid exists.
+
+    Raises:
+        ValueError: they would not fit.
+    """
+    n = dyn.n_states
+    supports = [
+        np.flatnonzero((dyn.kernel_pre[x] > 0.0) | (dyn.kernel_post[x] > 0.0)) for x in range(n)
+    ]
+    term_bytes = np.dtype(np.intp).itemsize + np.dtype(float).itemsize
+    stencil = grid_size * 2 * sum(support.size for support in supports) * term_bytes
+    grid = 40 * grid_size
+    available = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if stencil + grid > available:
+        raise ValueError(
+            f"belief operator stencil for grid {grid_size} x {n} states needs "
+            f"{stencil} bytes (the grid {grid} more), more than the {available} "
+            "bytes of physical memory"
+        )
+    return supports
+
+
 class BeliefOperator:
     """The belief-grid stopping operator for one (dynamics, grid) pair.
 
@@ -220,25 +249,15 @@ class BeliefOperator:
     last bits of a table may differ between machines, never between runs.
 
     Raises:
-        ValueError: the stencil would not fit in physical memory.
+        ValueError: the stencil would not fit in physical memory
+            (:func:`stencil_supports`).
     """
 
     def __init__(self, dyn: BeliefDynamics, grid: BeliefGrid):
         size = grid.size
         n = dyn.n_states
-        supports = [
-            np.flatnonzero((dyn.kernel_pre[x] > 0.0) | (dyn.kernel_post[x] > 0.0))
-            for x in range(n)
-        ]
+        supports = stencil_supports(dyn, size)
         counts = np.array([support.size for support in supports])
-        term_bytes = np.dtype(np.intp).itemsize + np.dtype(float).itemsize
-        needed = size * 2 * int(counts.sum()) * term_bytes
-        available = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if needed > available:
-            raise ValueError(
-                f"belief operator stencil for grid {size} x {n} states needs "
-                f"{needed} bytes, more than the {available} bytes of physical memory"
-            )
         self.dyn = dyn
         self.grid = grid
         self.n_states = n

@@ -24,6 +24,8 @@ class RandomMdpSpec:
     def __post_init__(self):
         if self.n_states < 1 or self.n_actions < 1:
             raise ValueError("n_states and n_actions must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,8 @@ class ConvergenceError(RuntimeError):
 
 def check_stochastic(array: np.ndarray, name: str) -> None:
     """Validate that the trailing axis of ``array`` holds probability rows."""
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{name} has non-finite entries")
     if np.any(array < 0.0):
         raise ValueError(f"{name} has negative entries")
     worst = float(np.max(np.abs(array.sum(axis=-1) - 1.0)))

@@ -17,6 +17,7 @@ from .detector import (
     BeliefValueTable,
     extract_thresholds,
     solve_fixed_point,
+    stencil_supports,
 )
 from .environments import SwitchingEnv
 from .mdp import (
@@ -137,9 +138,9 @@ def solve_env(env: SwitchingEnv, options: SolveOptions = SolveOptions()) -> Solv
     )
     chains, stationary, rates, weight = mode_pair_weight(env, policy_pre, policy_post)
 
-    operator = BeliefOperator(
-        _filter_dynamics(chains, mdp.change_rate), BeliefGrid.uniform(options.grid_size)
-    )
+    dyn = _filter_dynamics(chains, mdp.change_rate)
+    stencil_supports(dyn, options.grid_size)  # sizes grid and stencil before either exists
+    operator = BeliefOperator(dyn, BeliefGrid.uniform(options.grid_size))
     table, iterations = solve_fixed_point(operator, weight, options.fp_tol, options.fp_max_iter)
     fp_residual = float(np.max(np.abs(operator.apply(table.values, weight) - table.values)))
     thresholds = extract_thresholds(table, operator, weight)

@@ -1,15 +1,22 @@
 """Tests for the command-line front end: artifacts, determinism, exit codes."""
 
+import copy
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr
 from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modeswitch import cli
 from modeswitch.cli import ExperimentConfig, main
@@ -335,6 +342,29 @@ class TestErrorPaths:
         assert f"needs {needed} bytes" in err
         assert "Traceback" not in err
 
+    def test_grid_size_is_sized_before_the_grid_is_built(self, tmp_path, capsys, monkeypatch):
+        # 4 MB of physical memory: a 10**6-point grid's stencil (288 MB for
+        # three dense states) and even the grid itself (40 MB) do not fit.
+        from modeswitch.detector import BeliefGrid
+
+        pages = {"SC_PHYS_PAGES": 1024, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        built = []
+        uniform = BeliefGrid.uniform.__func__
+
+        def spy(cls, size):
+            built.append(size)
+            return uniform(cls, size)
+
+        monkeypatch.setattr(BeliefGrid, "uniform", classmethod(spy))
+        config = write_config(tmp_path, grid_size=10**6)
+        assert main(["solve", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error in stage 'solve': belief operator stencil for grid 1000000")
+        assert "more than the 4194304 bytes of physical memory" in err
+        assert err.count("\n") == 1
+        assert 10**6 not in built
+
     @pytest.mark.parametrize(
         ("overrides", "args", "message"),
         [
@@ -397,6 +427,23 @@ class TestErrorPaths:
                 [],
                 "environment (custom-kernels): kernel_pre rows must sum to 1",
             ),
+            (
+                {
+                    "environment": {
+                        "kind": "custom-kernels",
+                        "kernel_pre": [[[math.nan, 1.0], [1.0, 0.0]], [[0.5, 0.5], [0.0, 1.0]]],
+                        "kernel_post": [[[0.5, 0.5], [1.0, 0.0]], [[0.5, 0.5], [0.0, 1.0]]],
+                        "stage_cost": [[1.0, 2.0], [3.0, 4.0]],
+                    }
+                },
+                [],
+                "environment (custom-kernels): kernel_pre has non-finite entries",
+            ),
+            (
+                {"environment": {"kind": "random-mdp", "seed": -1}},
+                [],
+                "environment (random-mdp): seed must be non-negative",
+            ),
         ],
         ids=[
             "grid-size-string",
@@ -423,6 +470,8 @@ class TestErrorPaths:
             "env-negative-capacity",
             "env-unknown-cost-basis",
             "env-rows-above-one",
+            "env-kernel-nan",
+            "env-seed-negative",
         ],
     )
     def test_invalid_config_exits_1_with_one_line(self, tmp_path, capsys, overrides, args, message):
@@ -507,3 +556,88 @@ class TestConfigSchema:
             manifest = json.loads((out / "manifest.json").read_text())
             results.append((read_outputs(out), manifest["solve"], manifest["label"]))
         assert results[0] == results[1]
+
+
+#: The README config shrunk to a quick run, and a two-state custom-kernels one.
+_PROPERTY_BASES = (
+    {
+        "environment": {
+            "kind": "random-mdp", "n_states": 5, "n_actions": 3, "seed": 10,
+            "rho": 0.01, "gamma": 0.999,
+        },
+        "grid_size": 21,
+        "n_episodes": 8,
+        "horizon": 5,
+        "rho_sweep": [0.01, 0.0078, 0.006, 0.0046, 0.0036, 0.0028],
+        "master_seed": 7,
+        "workers": 2,
+    },
+    {
+        "environment": {
+            "kind": "custom-kernels",
+            "kernel_pre": [[[0.8, 0.2], [0.1, 0.9]], [[0.7, 0.3], [0.2, 0.8]]],
+            "kernel_post": [[[0.8, 0.2], [0.5, 0.5]], [[0.3, 0.7], [0.4, 0.6]]],
+            "stage_cost": [[0.0, 0.1], [0.7, 0.6]],
+            "rho": 0.05,
+            "gamma": 0.9,
+        },
+        "grid_size": 21,
+        "n_episodes": 8,
+        "horizon": 5,
+    },
+)
+
+#: Values of a wrong JSON type for most keys, non-finite numbers, 0 and -1.
+#: Huge values are left out: n_states, n_actions and capacity allocate before
+#: any size check, and n_episodes or horizon only add work.
+_BAD_VALUES = ("x", [], {}, True, None, math.nan, math.inf, -math.inf, 0, -1)
+
+
+def _leaves(path, value):
+    """Paths of the numbers nested in the list ``value`` at ``path``."""
+    if not isinstance(value, list):
+        return [path]
+    return [leaf for index, item in enumerate(value) for leaf in _leaves((*path, index), item)]
+
+
+def _mutation_paths(body):
+    """Every top-level key but out_dir (``--out`` overrides it), every
+    environment key of the kind, and every number in a list."""
+    env = body["environment"]
+    paths = [(key,) for key in sorted(cli._TOP_KEYS - {"out_dir"})]
+    paths += [("environment", key) for key in sorted(cli._ENV_KEYS[env["kind"]])]
+    lists = {("rho_sweep",): body.get("rho_sweep")}
+    lists.update((("environment", key), value) for key, value in env.items())
+    for path, value in lists.items():
+        if isinstance(value, list):
+            paths += _leaves(path, value)
+    return paths
+
+
+class TestConfigProperty:
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mutated_config_exits_cleanly(self, data):
+        body = data.draw(st.sampled_from(_PROPERTY_BASES))
+        path = data.draw(st.sampled_from(_mutation_paths(body)))
+        value = data.draw(st.sampled_from(_BAD_VALUES))
+        command = data.draw(st.sampled_from(sorted(cli._COMMANDS)))
+        body = copy.deepcopy(body)
+        node = body
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with tempfile.TemporaryDirectory() as scratch:
+            config = Path(scratch) / "config.json"
+            config.write_text(json.dumps(body))
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code = main([command, "--config", str(config), "--out", str(Path(scratch) / "out")])
+        err = err.getvalue()
+        assert code in (0, 1, 2), (path, value, command)
+        if code:
+            assert err.count("\n") == 1 and "Traceback" not in err, (path, value, err)
+        if code == 1:
+            assert err.startswith("config error: "), (path, value, err)
+        if code == 2:
+            assert re.match(r"error in stage '[^']+': ", err), (path, value, err)
