@@ -46,7 +46,7 @@ from .environments import (
     gen_random_mdp,
     random_env,
 )
-from .pipeline import SolveOptions, SolvedEnv, mode_pair_chains, mode_pair_weight, solve_env
+from .pipeline import SolvedEnv, mode_pair_chains, mode_pair_weight, solve_env
 from .simulate import (
     EpisodeBatch,
     RegretCheck,

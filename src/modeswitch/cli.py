@@ -24,7 +24,7 @@ from . import __version__
 from .chains import verify_mixing_bound
 from .environments import InventorySpec, RandomMdpSpec, SwitchingEnv, build_inventory, random_env
 from .mdp import ModePairMdp
-from .pipeline import MODE_PAIRS, SolveOptions, SolvedEnv, solve_env
+from .pipeline import DEFAULT_GRID_SIZE, MODE_PAIRS, SolvedEnv, solve_env
 # ``run_batch`` is not called here; bench/child.py times its probe batch through it.
 from .simulate import run_batch, run_sweep, summarize  # noqa: F401
 
@@ -54,8 +54,9 @@ def _stage(name: str):
 
 
 @dataclass(frozen=True, kw_only=True)
-class ExperimentConfig(SolveOptions):
+class ExperimentConfig:
     environment: dict
+    grid_size: int = DEFAULT_GRID_SIZE
     rho_sweep: tuple[float, ...] | None = None
     n_episodes: int = 6000
     horizon: int | None = None
@@ -126,13 +127,8 @@ _MINIMA = (
     ("workers", 1, "workers must be at least 1"),
     ("horizon", 1, "horizon must be at least 1"),
     ("master_seed", 0, "master_seed must be non-negative"),
-    ("vi_max_iter", 1, "vi_max_iter must be at least 1"),
-    ("fp_max_iter", 1, "fp_max_iter must be at least 1"),
     ("mixing_k_max", 1, "mixing_k_max must be at least 1"),
 )
-
-#: Solver tolerances: each must be finite and positive.
-_TOLERANCES = ("vi_tol", "fp_tol")
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
@@ -185,10 +181,6 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         value = getattr(config, key)
         if value is not None and value < low:
             raise ConfigError(message)
-    for key in _TOLERANCES:
-        value = getattr(config, key)
-        if not (math.isfinite(value) and value > 0.0):
-            raise ConfigError(f"{key} must be finite and positive, got {json.dumps(value)}")
     return config
 
 
@@ -257,7 +249,7 @@ def _solved_summary(solved: SolvedEnv) -> dict:
 
 def cmd_solve(config: ExperimentConfig, out: Path) -> None:
     env = _build_env(config)
-    solved = solve_env(env, config)
+    solved = solve_env(env, config.grid_size)
     n = env.mdp.n_states
     states = np.arange(n)
     _write_csv(
@@ -305,7 +297,7 @@ def _simulate_sweep(config: ExperimentConfig, command: str):
         env = _build_env(config, rho)
         rate = env.mdp.change_rate
         with _stage(f"{command} rho={rate}"):
-            solveds.append(solve_env(env, config))
+            solveds.append(solve_env(env, config.grid_size))
         horizons.append(config.horizon or math.ceil(2.0 / rate))
     rates = [solved.env.mdp.change_rate for solved in solveds]
     with _stage(f"{command} rho={','.join(map(str, rates))}"):
@@ -408,7 +400,7 @@ def cmd_mixing(config: ExperimentConfig, out: Path) -> None:
     profile_columns = []
     envelope_rows = []
     with _stage(f"mixing rho={env.mdp.change_rate}"):
-        solved = solve_env(env, config)
+        solved = solve_env(env, config.grid_size)
         for i, j in MODE_PAIRS:
             chain = solved.chains[i, j]
             report = verify_mixing_bound(

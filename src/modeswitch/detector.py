@@ -12,14 +12,13 @@ concavity in the belief, which is what makes per-state thresholds optimal.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .mdp import ConvergenceError, check_solver_budget, check_stochastic
+from .mdp import ConvergenceError, check_fits_in_memory, check_solver_budget, check_stochastic
 
 #: Default fixed-point distance target and iteration budget of the belief solvers.
 DEFAULT_FP_TOL = 1e-9
@@ -209,13 +208,11 @@ def stencil_supports(dyn: BeliefDynamics, grid_size: int) -> list[np.ndarray]:
     term_bytes = np.dtype(np.intp).itemsize + np.dtype(float).itemsize
     stencil = grid_size * 2 * sum(support.size for support in supports) * term_bytes
     grid = 40 * grid_size
-    available = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if stencil + grid > available:
-        raise ValueError(
-            f"belief operator stencil for grid {grid_size} x {n} states needs "
-            f"{stencil} bytes (the grid {grid} more), more than the {available} "
-            "bytes of physical memory"
-        )
+    check_fits_in_memory(
+        stencil + grid,
+        f"belief operator stencil for grid {grid_size} x {n} states needs "
+        f"{stencil} bytes (the grid {grid} more)",
+    )
     return supports
 
 

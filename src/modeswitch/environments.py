@@ -8,7 +8,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import DEFAULT_CHANGE_RATE, DEFAULT_DISCOUNT, ModePairMdp
+from .mdp import DEFAULT_CHANGE_RATE, DEFAULT_DISCOUNT, ModePairMdp, check_fits_in_memory
+
+#: Tail mass below which the pre-change Poisson demand pmf is truncated.
+_DEMAND_TAIL_EPS = 1e-12
+
+
+def _check_kernels_fit(n_states: int, n_actions: int) -> None:
+    """Size an environment's two float64 kernels, and the bool temporary that
+    :func:`~modeswitch.mdp.check_stochastic` makes of one, before either exists."""
+    entry_bytes = 2 * np.dtype(float).itemsize + np.dtype(bool).itemsize
+    needed = n_states * n_actions * n_states * entry_bytes
+    check_fits_in_memory(
+        needed, f"kernels of {n_states} states x {n_actions} actions need {needed} bytes"
+    )
 
 
 @dataclass(frozen=True)
@@ -26,6 +39,7 @@ class RandomMdpSpec:
             raise ValueError("n_states and n_actions must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        _check_kernels_fit(self.n_states, self.n_actions)
 
 
 @dataclass(frozen=True)
@@ -46,7 +60,6 @@ class InventorySpec:
     demand_rate: float = 2.0
     discount: float = DEFAULT_DISCOUNT
     change_rate: float = DEFAULT_CHANGE_RATE
-    demand_tail_eps: float = 1e-12
     order_cost_basis: str = "stock"
 
     def __post_init__(self):
@@ -56,10 +69,9 @@ class InventorySpec:
             raise ValueError("unit costs must be nonnegative")
         if self.demand_rate <= 0.0:
             raise ValueError("demand_rate must be positive")
-        if not 0.0 < self.demand_tail_eps < 1.0:
-            raise ValueError("demand_tail_eps must lie in (0, 1)")
         if self.order_cost_basis not in ("stock", "order"):
             raise ValueError("order_cost_basis must be 'stock' or 'order'")
+        _check_kernels_fit(self.capacity + 1, self.capacity + 1)
 
 
 @dataclass(frozen=True)
@@ -112,12 +124,12 @@ def random_env(spec: RandomMdpSpec) -> SwitchingEnv:
     )
 
 
-def _poisson_pmf_lumped(rate: float, tail_eps: float) -> np.ndarray:
-    """Poisson pmf truncated at the first point whose tail is below ``tail_eps``,
-    with the leftover tail mass lumped onto that point."""
+def _poisson_pmf_lumped(rate: float) -> np.ndarray:
+    """Poisson pmf truncated at the first point whose tail is below
+    :data:`_DEMAND_TAIL_EPS`, with the leftover tail mass lumped onto that point."""
     probs = [math.exp(-rate)]
     total = probs[0]
-    while 1.0 - total > tail_eps:
+    while 1.0 - total > _DEMAND_TAIL_EPS:
         w = len(probs)
         probs.append(probs[-1] * rate / w)
         total += probs[-1]
@@ -159,7 +171,7 @@ def build_inventory(spec: InventorySpec) -> SwitchingEnv:
     stage costs are computed exactly against each mode's (truncated) pmf, so
     the pre- and post-change cost tables differ.  Episodes start empty.
     """
-    pmf_pre = _poisson_pmf_lumped(spec.demand_rate, spec.demand_tail_eps)
+    pmf_pre = _poisson_pmf_lumped(spec.demand_rate)
     pmf_post = np.full(spec.capacity + 1, 1.0 / (spec.capacity + 1))
     kernel_pre, cost_pre = _demand_kernel_and_cost(spec, pmf_pre)
     kernel_post, cost_post = _demand_kernel_and_cost(spec, pmf_post)

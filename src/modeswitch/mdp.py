@@ -4,6 +4,7 @@ value iteration, policy-induced chains, and discounted policy evaluation."""
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,18 @@ def check_stochastic(array: np.ndarray, name: str) -> None:
     worst = float(np.max(np.abs(array.sum(axis=-1) - 1.0)))
     if worst > ROW_SUM_TOL:
         raise ValueError(f"{name} rows must sum to 1 (worst deviation {worst:.3e})")
+
+
+def check_fits_in_memory(needed: int, what: str) -> None:
+    """Refuse an allocation of ``needed`` bytes before it is made.
+
+    Raises:
+        ValueError: ``needed`` exceeds physical memory; the message is
+            ``what`` (which names the byte count) and the memory size.
+    """
+    available = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if needed > available:
+        raise ValueError(f"{what}, more than the {available} bytes of physical memory")
 
 
 def check_solver_budget(tol: float, max_iter: int) -> None:

@@ -9,8 +9,6 @@ from functools import cached_property
 import numpy as np
 
 from .detector import (
-    DEFAULT_FP_MAX_ITER,
-    DEFAULT_FP_TOL,
     BeliefDynamics,
     BeliefGrid,
     BeliefOperator,
@@ -21,8 +19,6 @@ from .detector import (
 )
 from .environments import SwitchingEnv
 from .mdp import (
-    DEFAULT_VI_MAX_ITER,
-    DEFAULT_VI_TOL,
     InducedChain,
     greedy_backup,
     induced_chain,
@@ -34,14 +30,8 @@ from .regret import SwitchingCostRates, false_alarm_weight
 #: (policy mode, kernel mode) pairs, 1 = pre-change, 2 = post-change.
 MODE_PAIRS = ((1, 1), (2, 1), (1, 2), (2, 2))
 
-
-@dataclass(frozen=True)
-class SolveOptions:
-    grid_size: int = 1000
-    vi_tol: float = DEFAULT_VI_TOL
-    vi_max_iter: int = DEFAULT_VI_MAX_ITER
-    fp_tol: float = DEFAULT_FP_TOL
-    fp_max_iter: int = DEFAULT_FP_MAX_ITER
+#: Points of the uniform belief grid when a solve is given no size.
+DEFAULT_GRID_SIZE = 1000
 
 
 @dataclass(frozen=True)
@@ -49,7 +39,6 @@ class SolvedEnv:
     """Everything the simulators and exporters need about one environment."""
 
     env: SwitchingEnv
-    options: SolveOptions
     policy_pre: np.ndarray
     policy_post: np.ndarray
     values_pre: np.ndarray
@@ -127,27 +116,23 @@ def mode_pair_weight(
     return chains, stationary, rates, false_alarm_weight(rates)
 
 
-def solve_env(env: SwitchingEnv, options: SolveOptions = SolveOptions()) -> SolvedEnv:
-    """Run the full pipeline for one environment."""
+def solve_env(env: SwitchingEnv, grid_size: int = DEFAULT_GRID_SIZE) -> SolvedEnv:
+    """Run the full pipeline for one environment on a ``grid_size``-point
+    belief grid; the solvers stop at their default tolerances and budgets."""
     mdp = env.mdp
-    policy_pre, values_pre = value_iteration(
-        mdp.kernel_pre, env.cost_pre, mdp.discount, options.vi_tol, options.vi_max_iter
-    )
-    policy_post, values_post = value_iteration(
-        mdp.kernel_post, env.cost_post, mdp.discount, options.vi_tol, options.vi_max_iter
-    )
+    policy_pre, values_pre = value_iteration(mdp.kernel_pre, env.cost_pre, mdp.discount)
+    policy_post, values_post = value_iteration(mdp.kernel_post, env.cost_post, mdp.discount)
     chains, stationary, rates, weight = mode_pair_weight(env, policy_pre, policy_post)
 
     dyn = _filter_dynamics(chains, mdp.change_rate)
-    stencil_supports(dyn, options.grid_size)  # sizes grid and stencil before either exists
-    operator = BeliefOperator(dyn, BeliefGrid.uniform(options.grid_size))
-    table, iterations = solve_fixed_point(operator, weight, options.fp_tol, options.fp_max_iter)
+    stencil_supports(dyn, grid_size)  # sizes grid and stencil before either exists
+    operator = BeliefOperator(dyn, BeliefGrid.uniform(grid_size))
+    table, iterations = solve_fixed_point(operator, weight)
     fp_residual = float(np.max(np.abs(operator.apply(table.values, weight) - table.values)))
     thresholds = extract_thresholds(table, operator, weight)
 
     return SolvedEnv(
         env=env,
-        options=options,
         policy_pre=policy_pre,
         policy_post=policy_post,
         values_pre=values_pre,

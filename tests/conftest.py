@@ -8,7 +8,6 @@ import pytest
 from modeswitch import (
     BeliefDynamics,
     RandomMdpSpec,
-    SolveOptions,
     mode_pair_weight,
     random_env,
     solve_env,
@@ -30,7 +29,7 @@ def solve_random_cached(seed: int, rho: float, grid_size: int = 1000):
     key = (seed, rho, grid_size)
     if key not in _SOLVE_CACHE:
         env = random_env(RandomMdpSpec(seed=seed, change_rate=rho))
-        _SOLVE_CACHE[key] = solve_env(env, SolveOptions(grid_size=grid_size))
+        _SOLVE_CACHE[key] = solve_env(env, grid_size)
     return _SOLVE_CACHE[key]
 
 

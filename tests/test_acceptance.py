@@ -14,6 +14,7 @@ import pytest
 
 from modeswitch.chains import stationary_distribution, verify_mixing_bound
 from modeswitch.detector import (
+    DEFAULT_FP_TOL,
     BeliefGrid,
     BeliefOperator,
     BeliefValueTable,
@@ -112,12 +113,12 @@ def test_criterion_06_fixed_point_unique_from_both_ends(canonical):
     from_below, _ = solve_fixed_point(
         BeliefOperator(canonical.dyn, canonical.grid),
         canonical.weight,
-        tol=canonical.options.fp_tol,
+        tol=DEFAULT_FP_TOL,
         start=zeros,
     )
     gap = float(np.abs(from_below.values - canonical.value_table.values).max())
     print(f"\n  criterion 6: two-sided gap {gap:.3e}")
-    assert gap <= 10.0 * canonical.options.fp_tol
+    assert gap <= 10.0 * DEFAULT_FP_TOL
 
 
 def test_criterion_07_cost_gap_bound_never_violated(light_solve):

@@ -10,7 +10,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from modeswitch import cli
 from modeswitch.cli import ExperimentConfig, main
 from modeswitch.environments import InventorySpec, RandomMdpSpec, build_inventory, gen_random_mdp
 from modeswitch.mdp import ModePairMdp
-from modeswitch.pipeline import SolveOptions, solve_env
+from modeswitch.pipeline import solve_env
 
 
 def write_config(tmp_path, **overrides):
@@ -326,7 +326,7 @@ class TestErrorPaths:
         # possible under either kernel (146 of the 256).
         grid_size = 10**7
         env = build_inventory(InventorySpec(capacity=15, change_rate=0.01))
-        dyn = solve_env(env, SolveOptions(grid_size=2)).dyn
+        dyn = solve_env(env, grid_size=2).dyn
         pairs = int(np.count_nonzero((dyn.kernel_pre > 0.0) | (dyn.kernel_post > 0.0)))
         needed = grid_size * pairs * 2 * 16
         if needed <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
@@ -366,6 +366,34 @@ class TestErrorPaths:
         assert 10**6 not in built
 
     @pytest.mark.parametrize(
+        ("environment", "message"),
+        [
+            (
+                {"kind": "random-mdp", "n_states": 60},
+                "random-mdp): kernels of 60 states x 3 actions need 183600 bytes",
+            ),
+            (
+                {"kind": "inventory", "capacity": 10},
+                "inventory): kernels of 11 states x 11 actions need 22627 bytes",
+            ),
+        ],
+        ids=["random-mdp", "inventory"],
+    )
+    def test_kernels_are_sized_before_they_are_built(
+        self, tmp_path, capsys, monkeypatch, environment, message
+    ):
+        # 16 KiB of physical memory: two float64 kernels and one bool entry
+        # each, 17 bytes per (state, action, next state), do not fit.
+        pages = {"SC_PHYS_PAGES": 4, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        config = write_config(tmp_path, environment=environment)
+        assert main(["solve", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: environment ({message}, "
+            "more than the 16384 bytes of physical memory\n"
+        )
+
+    @pytest.mark.parametrize(
         ("overrides", "args", "message"),
         [
             ({"grid_size": "big"}, [], "grid_size must be an integer"),
@@ -392,12 +420,6 @@ class TestErrorPaths:
             ),
             ({"rho_sweep": [0.05, 1.5]}, [], "rho_sweep values must lie in (0, 1), got 1.5"),
             ({}, ["--seed", "-1"], "master_seed must be non-negative"),
-            ({"fp_tol": math.inf}, [], "fp_tol must be finite and positive, got Infinity"),
-            ({"fp_tol": math.nan}, [], "fp_tol must be finite and positive, got NaN"),
-            ({"fp_tol": -1}, [], "fp_tol must be finite and positive, got -1"),
-            ({"vi_tol": 0}, [], "vi_tol must be finite and positive, got 0"),
-            ({"vi_max_iter": 0}, [], "vi_max_iter must be at least 1"),
-            ({"fp_max_iter": 0}, [], "fp_max_iter must be at least 1"),
             ({"mixing_k_max": 0}, [], "mixing_k_max must be at least 1"),
             ({"write_episodes": "no"}, [], 'write_episodes must be true or false, got "no"'),
             (
@@ -458,12 +480,6 @@ class TestErrorPaths:
             "env-rho-above-one",
             "rho-sweep-above-one",
             "seed-flag-negative",
-            "fp-tol-infinite",
-            "fp-tol-nan",
-            "fp-tol-negative",
-            "vi-tol-zero",
-            "vi-max-iter-zero",
-            "fp-max-iter-zero",
             "mixing-k-max-zero",
             "write-episodes-string",
             "env-no-states",
@@ -481,16 +497,45 @@ class TestErrorPaths:
         assert err.startswith("config error: ") and message in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        ("overrides", "message"),
+        [
+            ({"vi_tol": 1e-10}, "unknown keys in config: vi_tol"),
+            ({"vi_max_iter": 2_000_000}, "unknown keys in config: vi_max_iter"),
+            ({"fp_tol": 1e-9}, "unknown keys in config: fp_tol"),
+            ({"fp_max_iter": 1_000_000}, "unknown keys in config: fp_max_iter"),
+            (
+                {"environment": {"kind": "inventory", "demand_tail_eps": 1e-12}},
+                "unknown keys in environment (inventory): demand_tail_eps",
+            ),
+        ],
+        ids=["vi-tol", "vi-max-iter", "fp-tol", "fp-max-iter", "demand-tail-eps"],
+    )
+    def test_solver_constants_are_unknown_keys(self, tmp_path, capsys, overrides, message):
+        # Solver tolerances, budgets and the demand truncation are constants
+        # of the library, not settings: a config that sets one is refused.
+        config = write_config(tmp_path, **overrides)
+        assert main(["solve", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+class TestManifestConfig:
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_config_echo_is_the_loaded_config(self, tmp_path, command):
+        # The echo holds every config key and nothing else, so a key the
+        # schema drops cannot linger in the manifest.
+        config = write_config(tmp_path, rho_sweep=[0.05, 0.08])
+        assert main([command, "--config", str(config)]) == 0
+        echo = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+        assert set(echo) == cli._TOP_KEYS
+        assert echo == json.loads(json.dumps(asdict(cli.load_config(config))))
+
 
 class TestConfigSchema:
     def test_accepted_keys(self):
         assert cli._TOP_KEYS == {
             "environment",
             "grid_size",
-            "vi_tol",
-            "vi_max_iter",
-            "fp_tol",
-            "fp_max_iter",
             "rho_sweep",
             "n_episodes",
             "horizon",
@@ -511,7 +556,6 @@ class TestConfigSchema:
                 "demand_rate",
                 "rho",
                 "gamma",
-                "demand_tail_eps",
                 "order_cost_basis",
             },
             "custom-kernels": {"kind", "kernel_pre", "kernel_post", "stage_cost", "rho", "gamma"},
@@ -588,8 +632,8 @@ _PROPERTY_BASES = (
 )
 
 #: Values of a wrong JSON type for most keys, non-finite numbers, 0 and -1.
-#: Huge values are left out: n_states, n_actions and capacity allocate before
-#: any size check, and n_episodes or horizon only add work.
+#: Huge values are left out: n_episodes and horizon only add work, and a
+#: size just under the physical-memory limit would really allocate.
 _BAD_VALUES = ("x", [], {}, True, None, math.nan, math.inf, -math.inf, 0, -1)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modeswitch.detector import (
+    DEFAULT_FP_TOL,
     BeliefDynamics,
     BeliefGrid,
     BeliefOperator,
@@ -26,7 +27,7 @@ from modeswitch.detector import (
 )
 from modeswitch.environments import InventorySpec, RandomMdpSpec, build_inventory, random_env
 from modeswitch.mdp import ConvergenceError, value_iteration
-from modeswitch.pipeline import SolveOptions, solve_env
+from modeswitch.pipeline import solve_env
 from conftest import (
     CANONICAL_SEED,
     TABLE1_RHOS,
@@ -373,7 +374,7 @@ class TestSolveFixedPoint:
         else:
             solved = solve_random_cached(CANONICAL_SEED, 0.0028)
         operator = BeliefOperator(solved.dyn, solved.grid)
-        weight, tol = solved.weight, solved.options.fp_tol
+        weight, tol = solved.weight, DEFAULT_FP_TOL
         # An explicit start bypasses the coarse pass.
         start = stop_cost_table(solved.grid, weight, solved.dyn.n_states)
         plain, applications = solve_fixed_point(operator, weight, tol=tol, start=start)
@@ -577,7 +578,7 @@ class TestExtractThresholds:
         previous = None
         for rate in sorted(TABLE1_RHOS):
             env = random_env(RandomMdpSpec(seed=seed, change_rate=rate))
-            thresholds = solve_env(env, SolveOptions(grid_size=201)).thresholds
+            thresholds = solve_env(env, grid_size=201).thresholds
             if previous is not None:
                 assert np.all(thresholds <= previous)
             previous = thresholds

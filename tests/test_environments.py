@@ -1,6 +1,7 @@
 """Tests for the random-MDP generator and the inventory model."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -47,12 +48,12 @@ class TestRandomMdp:
 
 class TestPoissonPmf:
     def test_sums_to_one_after_lumping(self):
-        pmf = _poisson_pmf_lumped(2.0, 1e-12)
+        pmf = _poisson_pmf_lumped(2.0)
         assert abs(pmf.sum() - 1.0) <= 1e-14
         assert np.all(pmf >= 0.0)
 
     def test_matches_direct_formula(self):
-        pmf = _poisson_pmf_lumped(2.0, 1e-12)
+        pmf = _poisson_pmf_lumped(2.0)
         for w in range(min(8, pmf.size - 1)):
             direct = math.exp(-2.0) * 2.0**w / math.factorial(w)
             assert pmf[w] == pytest.approx(direct, rel=1e-12)
@@ -112,7 +113,7 @@ class TestBuildInventory:
 
     def test_expected_cost_matches_direct_summation(self):
         spec = InventorySpec(capacity=6, shortfall_cost=100.0)
-        pmf = _poisson_pmf_lumped(spec.demand_rate, spec.demand_tail_eps)
+        pmf = _poisson_pmf_lumped(spec.demand_rate)
         policy = np.array([3, 2, 2, 1, 0, 0, 0])
         stock = 2
         cost = build_inventory(spec).cost_pre[stock, policy[stock]]
@@ -139,3 +140,23 @@ class TestBuildInventory:
             InventorySpec(order_cost_basis="per-unit")
         with pytest.raises(ValueError):
             InventorySpec(demand_rate=0.0)
+
+
+class TestKernelSizing:
+    def test_specs_are_refused_before_their_kernels_exist(self, monkeypatch):
+        # The byte count is what building the environment really holds: two
+        # float64 kernels, plus one bool per entry while each is checked.
+        env = random_env(RandomMdpSpec(n_states=60))
+        kernels = env.mdp.kernel_pre
+        needed = 2 * kernels.nbytes + kernels.size
+        pages = {"SC_PHYS_PAGES": 4, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        limit = "more than the 16384 bytes of physical memory"
+        with pytest.raises(ValueError) as refused:
+            RandomMdpSpec(n_states=60)
+        assert str(refused.value) == f"kernels of 60 states x 3 actions need {needed} bytes, {limit}"
+        with pytest.raises(ValueError) as refused:
+            InventorySpec(capacity=10)
+        assert str(refused.value) == f"kernels of 11 states x 11 actions need 22627 bytes, {limit}"
+        # 5 states x 3 actions need 1275 bytes.
+        RandomMdpSpec()

@@ -24,7 +24,7 @@ from modeswitch.environments import (
     random_env,
 )
 from modeswitch.mdp import ModePairMdp, finite_horizon_cost
-from modeswitch.pipeline import SolveOptions, mode_pair_chains, solve_env
+from modeswitch.pipeline import mode_pair_chains, solve_env
 from modeswitch.simulate import (
     EpisodeBatch,
     episode_rng,
@@ -45,7 +45,7 @@ def small_solved():
     env = random_env(
         RandomMdpSpec(n_states=3, n_actions=2, seed=3, change_rate=0.05, discount=0.9)
     )
-    return solve_env(env, SolveOptions(grid_size=301))
+    return solve_env(env, grid_size=301)
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +76,6 @@ def degenerate_solved():
     table, iterations = solve_fixed_point(operator, weight)
     return SolvedEnv(
         env=env,
-        options=SolveOptions(grid_size=201),
         policy_pre=policy,
         policy_post=policy.copy(),
         values_pre=values,
@@ -517,7 +516,7 @@ def readme_sweep():
             random_env(
                 RandomMdpSpec(n_states=5, n_actions=3, seed=10, change_rate=rate, discount=0.999)
             ),
-            SolveOptions(grid_size=101),
+            grid_size=101,
         )
         for rate in README_RATES
     ]
@@ -752,7 +751,7 @@ def inventory_pair():
     return [
         solve_env(
             build_inventory(InventorySpec(capacity=15, change_rate=rate)),
-            SolveOptions(grid_size=101),
+            grid_size=101,
         )
         for rate in (0.05, 0.1)
     ]
@@ -833,7 +832,7 @@ class TestDetectionStatisticsMatchTheDp:
     def test_inventory(self):
         solved = solve_env(
             build_inventory(InventorySpec(capacity=15, change_rate=0.01)),
-            SolveOptions(grid_size=1000),
+            grid_size=1000,
         )
         batch = run_batch(solved, self.n_episodes, 1200, self.master, workers=2)
         assert_detection_statistics_match_the_dp(solved, batch)
