@@ -154,7 +154,9 @@ class TestKernelSizing:
         limit = "more than the 16384 bytes of physical memory"
         with pytest.raises(ValueError) as refused:
             RandomMdpSpec(n_states=60)
-        assert str(refused.value) == f"kernels of 60 states x 3 actions need {needed} bytes, {limit}"
+        assert str(refused.value) == (
+            f"kernels of 60 states x 3 actions need {needed} bytes, {limit}"
+        )
         with pytest.raises(ValueError) as refused:
             InventorySpec(capacity=10)
         assert str(refused.value) == f"kernels of 11 states x 11 actions need 22627 bytes, {limit}"
