@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import InducedChain
+from .mdp import InducedChain, check_fits_in_memory
 
 _STATIONARY_RESIDUAL_TOL = 1e-10
 _ENVELOPE_BETA_FLOOR = 1e-6
@@ -197,7 +197,16 @@ def verify_mixing_bound(
     (1-discount*beta)``.  Both are theorems, so any violation beyond float
     noise is reported as a bug with its witness.  ``stationary`` is the
     chain's solved stationary law, as :func:`mixing_profile` takes it.
+
+    Before anything is computed, the tables are sized against physical
+    memory (a :class:`ValueError` names the byte count): per horizon, up to
+    three float rows of the chain's states live at once (the k-step costs,
+    the gaps and a temporary of them, or the slack), up to eight floats of
+    the profile, bounds and their temporaries, and a Python float of the
+    horizon factors' list (32 bytes with its pointer).
     """
+    needed = (k_max + 1) * (8 * (3 * chain.n_states + 8) + 32)
+    check_fits_in_memory(needed, f"mixing tables for mixing_k_max {k_max} need {needed} bytes")
     profile = mixing_profile(chain, k_max, stationary)
     cost_inf = float(np.max(np.abs(chain.cost_vec)))
     stationary_cost = float(chain.cost_vec @ stationary)

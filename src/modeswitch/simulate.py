@@ -36,11 +36,12 @@ streams one episode at a time and, with :func:`run_episode`, is the
 independent scalar reference the kernel must match bit for bit.
 
 The kernel keeps no step uniform as a float.  Each episode draws its step
-uniforms ``_BLOCK`` (512) at a time and stores each as a uint16 *code*
-(uint32 past 65,534 cut points): the number of the pass's distinct
-cumulative cut points at or below it, found with a guide table of
-``_GUIDE_BINS`` bins (:class:`_CodedTransitions`).  A uint16 block costs
-1 KiB per episode.  A step's next state depends on its uniform
+uniforms ``_BLOCK`` (512) at a time and stores each as a *code*: the number
+of the pass's distinct cumulative cut points at or below it, found with a
+guide table of ``_GUIDE_BINS`` bins (:class:`_CodedTransitions`).  Codes are
+uint8 below 255 distinct cut points, then uint16 up to 65,534, then uint32;
+the README instance's passes have 44, so a block costs 512 bytes per
+episode.  A step's next state depends on its uniform
 only through that code, so each lane steps by one ``take`` from a (code,
 key) table of next states; a pass whose table would exceed
 ``_TABLE_BYTES`` counts codes against the cut rows' ranks instead.  The
@@ -61,6 +62,7 @@ import numpy as np
 
 from .chains import k_step_costs
 from .detector import bayes_step, check_thresholds
+from .mdp import check_fits_in_memory
 from .pipeline import SolvedEnv
 
 #: Steps of uniforms drawn per episode at a time.
@@ -88,6 +90,9 @@ _TABLE_BYTES = 2**20
 #: numpy's ``Generator.geometric(p)`` inverts one standard-exponential draw
 #: below this rate and searches with one uniform from it on.
 _INVERSION_BELOW = 1.0 / 3.0
+#: Bytes of one episode's record in an :class:`EpisodeBatch`: nine eight-byte
+#: fields and the two bool flags.
+_RECORD_BYTES = 9 * 8 + 2
 
 
 @dataclass(frozen=True)
@@ -281,7 +286,7 @@ def _code_dtype(n_cuts: int) -> np.dtype:
     """Dtype of the codes of a pass with up to ``n_cuts`` cut points: it
     holds the codes 0 to ``n_cuts`` and, above them, the guide table's mark
     for a bin that must be searched."""
-    for dtype in (np.uint16, np.uint32):
+    for dtype in (np.uint8, np.uint16, np.uint32):
         if n_cuts < np.iinfo(dtype).max:
             return np.dtype(dtype)
     raise ValueError(f"{n_cuts} cut points are too many to code as uint32")
@@ -293,7 +298,9 @@ class _CodedTransitions:
     ``cum_rows`` is the pass's flat table of cumulative transition rows, one
     row per key.  Its *cut points* are the distinct entries of
     ``cum_rows[:, :-1]``, and a uniform's *code* is the number of cut points
-    at or below it.  The next state from key ``k`` at uniform ``u``,
+    at or below it, stored in the narrowest dtype that holds the codes and
+    the search mark (:func:`_code_dtype` of the distinct count, so uint8
+    below 255 cut points).  The next state from key ``k`` at uniform ``u``,
     ``min(searchsorted(cum_rows[k], u, 'right'), n - 1)``, is the number of
     the row's first ``n - 1`` entries at or below ``u``: cumulative sums of
     nonnegative probabilities never decrease, so the last entry is at or
@@ -312,12 +319,12 @@ class _CodedTransitions:
     def __init__(self, cum_rows: np.ndarray):
         n_keys = cum_rows.shape[0]
         entries = cum_rows[:, :-1]
-        self.dtype = _code_dtype(entries.size)
-        self.search_mark = self.dtype.type(np.iinfo(self.dtype).max)
         ordered = np.sort(entries, axis=None)
         distinct = np.ones(ordered.size, dtype=bool)
         np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
         cuts = ordered[distinct]
+        self.dtype = _code_dtype(cuts.size)
+        self.search_mark = self.dtype.type(np.iinfo(self.dtype).max)
         # Scaling by a power of two is exact, so scaled uniforms and scaled
         # cut points compare as the unscaled ones do.
         self.scaled_cuts = cuts * _GUIDE_BINS
@@ -459,13 +466,14 @@ def _run_chunk(
     (512) steps at a time, drawn by groups of ``_DRAW_GROUP`` episodes into
     a 128 KiB float buffer, coded there with a 128 KiB buffer of guide-table
     bins, and stored as codes in a (block, chunk) array, so each step reads
-    one contiguous row, shared by the episode's lanes.  A uint16 code block
-    is 1 KiB per episode.  ``random(k)`` followed by ``random(m)`` yields the
-    same values as ``random(k + m)``, so the draws do not depend on the
-    block length or on the longest horizon, and memory does not grow with
-    the horizon.  The (code, key) table holds (cut points + 1) x keys intp
-    entries, at most 81 x 20 for one rate of the README instance and
-    481 x 120 for its six-rate sweep (45 x 20 and 45 x 120 as built: its
+    one contiguous row, shared by the episode's lanes.  A code block is 512
+    bytes per episode in uint8, the dtype of the README instance's passes
+    (44 cut points), and 1 KiB in uint16.  ``random(k)`` followed by
+    ``random(m)`` yields the same values as ``random(k + m)``, so the draws
+    do not depend on the block length or on the longest horizon, and memory
+    does not grow with the horizon.  The (code, key) table holds (cut
+    points + 1) x keys intp entries, at most 81 x 20 for one rate of the
+    README instance and 481 x 120 for its six-rate sweep (45 x 20 and 45 x 120 as built: its
     rates share their 44 cut points).  Past ``_TABLE_BYTES`` the pass
     counts each lane's codes against its key's cut points coded as ranks,
     the same comparison as the table's, on integers.
@@ -683,9 +691,17 @@ def _chunk_width(n_rates: int, n_states: int) -> int:
     """Episodes per chunk under ``_CHUNK_BYTES``: an episode holds its
     generator and code block and, per rate of the pass, one lane with the
     ``n_states - 1`` compared entries (an intp rank and a bool each) of a
-    count on codes, which is more than a table lookup's one intp index."""
-    code = _code_dtype(4 * n_rates * n_states * (n_states - 1))
-    episode = _GENERATOR_BYTES + _BLOCK * code.itemsize
+    count on codes, which is more than a table lookup's one intp index.
+
+    The width is set before the pass's table exists, so codes are sized from
+    the pass's entry count, a bound on its distinct cut points, and at two
+    bytes at least: a pass under 255 cut points codes in one byte, but its
+    chunks keep the two-byte width (3010 episodes for one rate of the README
+    instance, 2019 for its six-rate sweep).  Widening the six-rate chunks to
+    one-byte codes slowed the README sweep (0.912 to 0.968 s) and saved only
+    0.34 MB of peak memory, so the narrower codes halve the block instead."""
+    bound = _code_dtype(4 * n_rates * n_states * (n_states - 1))
+    episode = _GENERATOR_BYTES + _BLOCK * max(2, bound.itemsize)
     lane = _LANE_BYTES + 9 * (n_states - 1)
     return max(1, _CHUNK_BYTES // (episode + n_rates * lane))
 
@@ -840,6 +856,12 @@ def _check_run(
         raise ValueError("workers must be at least 1")
     for solved in solveds:
         check_thresholds(solved.thresholds, solved.env.mdp.n_states)
+    # Every chunk's records are held until they are joined, and the joined
+    # batches are copies of them.
+    needed = 2 * len(solveds) * n_episodes * _RECORD_BYTES
+    check_fits_in_memory(
+        needed, f"{len(solveds)} x {n_episodes} episode records need {needed} bytes"
+    )
 
 
 def _run_pass(
@@ -909,11 +931,12 @@ def run_sweep(
     (:func:`_run_pass`).
 
     The arguments and every solve's thresholds are checked first, and a bad
-    one raises :class:`ValueError`.  Then, before any pass runs, one stream
-    check compares the first episode's generator with :func:`episode_rng`'s
-    and, at every rate of a shared pass, its derived change point with
-    ``geometric``; a mismatch raises :class:`RuntimeError` naming the numpy
-    version.
+    one raises :class:`ValueError`, as do records of every rate and episode
+    that, held twice while chunks are joined, would not fit in physical
+    memory.  Then, before any pass runs, one stream check compares the
+    first episode's generator with :func:`episode_rng`'s and, at every rate
+    of a shared pass, its derived change point with ``geometric``; a
+    mismatch raises :class:`RuntimeError` naming the numpy version.
     """
     _check_run(solveds, n_episodes, horizons, workers)
     # Rates that share a pass, keyed by what their chain tables must share

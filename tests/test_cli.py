@@ -365,6 +365,40 @@ class TestErrorPaths:
         assert err.count("\n") == 1
         assert 10**6 not in built
 
+    def test_episode_records_are_sized_before_any_chunk_runs(self, tmp_path, capsys, monkeypatch):
+        # 4 MB of physical memory holds the kernels and the stencil, but not
+        # 10**6 episodes' records (74 bytes each, held twice while joined).
+        from modeswitch import simulate
+
+        pages = {"SC_PHYS_PAGES": 1024, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        chunks = []
+        monkeypatch.setattr(simulate, "_run_chunk", lambda *args: chunks.append(args))
+        config = write_config(tmp_path, n_episodes=10**6)
+        assert main(["simulate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "error in stage 'simulate rho=0.05': 1 x 1000000 episode records need "
+            "148000000 bytes, more than the 4194304 bytes of physical memory\n"
+        )
+        assert not chunks
+
+    def test_mixing_k_max_is_sized_before_any_matrix_power(self, tmp_path, capsys, monkeypatch):
+        # 4 MB of physical memory holds the kernels and the stencil, but not
+        # the mixing tables of 10**5 horizons (168 bytes each at three states).
+        from modeswitch import chains
+
+        pages = {"SC_PHYS_PAGES": 1024, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        profiles = []
+        monkeypatch.setattr(chains, "mixing_profile", lambda *args: profiles.append(args))
+        config = write_config(tmp_path, mixing_k_max=10**5)
+        assert main(["mixing", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "error in stage 'mixing rho=0.05': mixing tables for mixing_k_max 100000 need "
+            "16800168 bytes, more than the 4194304 bytes of physical memory\n"
+        )
+        assert not profiles
+
     @pytest.mark.parametrize(
         ("environment", "message"),
         [
@@ -632,8 +666,9 @@ _PROPERTY_BASES = (
 )
 
 #: Values of a wrong JSON type for most keys, non-finite numbers, 0 and -1.
-#: Huge values are left out: n_episodes and horizon only add work, and a
-#: size just under the physical-memory limit would really allocate.
+#: Huge values are left out: horizon only adds work, and every other size
+#: (kernels, grid, mixing_k_max, n_episodes) is checked against physical
+#: memory, so a size just under that limit would really allocate.
 _BAD_VALUES = ("x", [], {}, True, None, math.nan, math.inf, -math.inf, 0, -1)
 
 

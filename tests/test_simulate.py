@@ -586,6 +586,11 @@ class TestRunSweep:
                     assert oracle.geometric(rate) == change_point
                     assert oracle.random() == start_u
 
+    def test_record_bytes_are_a_batchs(self, small_solved):
+        batch = run_batch(small_solved, 3, 5, 0)
+        itemsizes = [getattr(batch, field.name).itemsize for field in fields(EpisodeBatch)]
+        assert sum(itemsizes) == simulate._RECORD_BYTES
+
     def test_validation(self, small_solved):
         with pytest.raises(ValueError, match="one horizon per solve"):
             simulate.run_sweep([small_solved], 10, [10, 20], 0)
@@ -714,15 +719,51 @@ class TestCodedTransitions:
         uniforms = np.concatenate([rng.random(100), rng.choice(cum_rows[:, :-1].ravel(), 100)])
         assert_codes_give_the_searched_states(cum_rows, uniforms[uniforms < 1.0], budgets=(0,))
 
+    @pytest.mark.parametrize(("n_cuts", "dtype"), [(254, np.uint8), (255, np.uint16)])
+    def test_distinct_cut_points_set_the_code_dtype(self, n_cuts, dtype):
+        # Two keys whose rows share some cut points and hold n_cuts distinct
+        # ones in all, a few of them inside one guide-table bin.
+        rng = np.random.default_rng(n_cuts)
+        spread = rng.choice(np.arange(2**6, 2**20), n_cuts - 4, replace=False) / 2**20
+        cuts = np.sort(np.concatenate([(np.arange(4) + 1) * BIN / 8, spread]))
+        half = n_cuts // 2 + 2
+        cum_rows = np.array(
+            [np.append(cuts[:half], 1.0), np.append(cuts[n_cuts - half :], 1.0)]
+        )
+        assert np.unique(cum_rows[:, :-1]).size == n_cuts
+        assert simulate._CodedTransitions(cum_rows).dtype == dtype
+        assert_codes_give_the_searched_states(cum_rows, probe_uniforms(cum_rows))
+
+    def test_readme_passes_code_in_one_byte(self, readme_sweep, monkeypatch):
+        # The six-rate sweep and one rate of it (mc-long's instance: seed 10
+        # at 0.0028 on a 101-point grid) share 44 distinct cut points.
+        dtypes = []
+        coded = simulate._CodedTransitions
+
+        def recording(cum_rows):
+            transitions = coded(cum_rows)
+            dtypes.append(transitions.dtype)
+            return transitions
+
+        monkeypatch.setattr(simulate, "_CodedTransitions", recording)
+        simulate.run_sweep(readme_sweep, 2, [3] * len(README_RATES), 0)
+        run_batch(readme_sweep[-1], 2, 3, 0)
+        assert dtypes == [np.uint8, np.uint8]
+
     def test_code_dtype_and_chunk_width(self):
-        assert simulate._code_dtype(0) == np.uint16
+        assert simulate._code_dtype(0) == np.uint8
+        assert simulate._code_dtype(254) == np.uint8
+        assert simulate._code_dtype(255) == np.uint16
         assert simulate._code_dtype(2**16 - 2) == np.uint16
         assert simulate._code_dtype(2**16 - 1) == np.uint32
         assert simulate._code_dtype(2**32 - 2) == np.uint32
         with pytest.raises(ValueError, match="too many"):
             simulate._code_dtype(2**32 - 1)
-        # mc-long's 6000 episodes stay two chunks of 3000 on two processes.
-        assert simulate._chunk_width(1, 5) >= 3000
+        # Widths budget two bytes a code even where the codes take one:
+        # mc-long's 6000 episodes stay two chunks of 3000 on two processes,
+        # and the README sweep's run as chunks of 2019, 2019 and 1962.
+        assert simulate._chunk_width(1, 5) == 3010
+        assert simulate._chunk_width(6, 5) == 2019
 
     def test_count_on_codes_gives_the_tables_batches(self, small_solved, readme_sweep, monkeypatch):
         horizons = [int(np.ceil(2.0 / rate)) for rate in README_RATES]
