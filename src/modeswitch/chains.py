@@ -1,6 +1,6 @@
 """Stationary analysis of policy-induced chains: fixed-point distributions,
-total-variation mixing profiles with fitted geometric envelopes, and checks of
-the discounted cost-gap bound those envelopes imply."""
+total-variation mixing profiles with the geometric envelopes derived from
+them, and checks of the discounted cost-gap bound those envelopes imply."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from .mdp import InducedChain, check_fits_in_memory
 
 _STATIONARY_RESIDUAL_TOL = 1e-10
 _ENVELOPE_BETA_FLOOR = 1e-6
-_ENVELOPE_CAP_FACTOR = 1e6
 
 
 class ReducibleChainError(ValueError):
@@ -30,8 +29,8 @@ class MixingProfile:
 
     ``tv_by_step[t]`` is the maximum over start states of the TV distance
     between the ``t``-step distribution and the stationary one.  The profile
-    is dominated by the fitted geometric envelope ``envelope_b *
-    envelope_beta ** t`` on the recorded range.
+    is dominated by the geometric envelope ``envelope_b * envelope_beta **
+    t`` that :func:`mixing_profile` derives from the same kernel powers.
     """
 
     tv_by_step: np.ndarray
@@ -126,47 +125,48 @@ def stationary_distribution(chain: InducedChain) -> np.ndarray:
     return dist
 
 
-def _fit_envelope(tv: np.ndarray) -> tuple[float, float]:
-    """Smallest-beta geometric envelope whose constant stays within a cap.
-
-    A beta is feasible when ``max_t tv[t] / beta**t`` does not exceed
-    ``cap = tv[0] * 1e6``, that is when ``beta >= (tv[t] / cap) ** (1 / t)``
-    for every ``t >= 1``; the smallest feasible beta is the largest of those
-    roots, clamped to ``[1e-6, 1 - 1e-9]``, and the constant is the ratio max
-    at that beta.  If the profile is zero beyond step 0 every beta is
-    feasible and the floor value is returned.
-    """
-    if not np.any(tv[1:] > 0.0):
-        b = float(tv[0]) if tv[0] > 0.0 else 1.0
-        return b, _ENVELOPE_BETA_FLOOR
-    steps = np.flatnonzero(tv > 0.0)
-    log_tv = np.log(tv[steps])
-    later = steps > 0
-    # log space: tv / cap and beta**t underflow long before their logarithms do
-    root = np.max((log_tv[later] - math.log(tv[0] * _ENVELOPE_CAP_FACTOR)) / steps[later])
-    beta = min(max(math.exp(root), _ENVELOPE_BETA_FLOOR), 1.0 - 1e-9)
-    return math.exp(np.max(log_tv - steps * math.log(beta))), beta
-
-
-def mixing_profile(chain: InducedChain, t_max: int, stationary: np.ndarray) -> MixingProfile:
-    """Exact TV mixing profile up to ``t_max`` plus a fitted envelope.
+def mixing_profile(
+    chain: InducedChain, t_max: int, stationary: np.ndarray, discount: float
+) -> MixingProfile:
+    """Exact TV mixing profile up to ``t_max`` plus the lemma's envelope.
 
     The supremum over initial distributions is attained at a point mass, so
     each ``d(t)`` is the maximum over rows of half the l1 distance between
     the ``t``-step kernel power and the chain's ``stationary`` law, which the
-    caller has already solved (:func:`stationary_distribution`).
+    caller has already solved (:func:`stationary_distribution`).  With
+    ``dbar(t)`` the largest TV distance between two rows of that power,
+    ``d(t) <= dbar(m) ** floor(t/m) <= b * beta**t`` for ``beta = dbar(m) **
+    (1/m)`` (at least 1e-6) and ``b = beta ** (1-m)`` (Levin, Peres & Wilmer
+    2017, Lemmas 4.10-4.12).  The ``m`` taken minimises ``b / (1 - discount
+    * beta)`` over ``dbar(m) < 1``; no ``m >= t`` has a ratio below
+    ``dbar(t) ** ((1-t)/t)``, so ``dbar`` is not taken once that reaches the
+    best.  :class:`ValueError` if no ``m <= t_max`` has ``dbar(m) < 1``: the
+    chain is not shown to mix.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     n = chain.n_states
     power = np.eye(n)
     tv = np.empty(t_max + 1)
+    best = (math.inf, 0.0, 0)  # log(b / (1 - discount*beta)), beta, m
+    searching = True
     for t in range(t_max + 1):
         tv[t] = 0.5 * float(np.max(np.abs(power - stationary).sum(axis=1)))
+        if t and searching:
+            # one row against the later ones at a time: (n, n) temporaries
+            rows = (np.abs(power[i + 1 :] - power[i]).sum(axis=1).max() for i in range(n - 1))
+            dbar = 0.5 * float(max(rows, default=0.0))
+            if dbar < 1.0:
+                beta = max(dbar ** (1.0 / t), _ENVELOPE_BETA_FLOOR)
+                ratio = (1 - t) * math.log(beta) - math.log1p(-discount * beta)
+                best = min(best, (ratio, beta, t))
+            searching = dbar > 0.0 and (1 - t) / t * math.log(dbar) < best[0]
         if t < t_max:
             power = power @ chain.transition
-    envelope_b, envelope_beta = _fit_envelope(tv)
-    return MixingProfile(tv, envelope_b, envelope_beta)
+    _, beta, m = best
+    if not m:
+        raise ValueError(f"chain not shown to mix: rows of P^m are TV 1 apart for all m <= {t_max}")
+    return MixingProfile(tv, beta ** (1 - m), beta)
 
 
 def k_step_costs(
@@ -199,19 +199,20 @@ def verify_mixing_bound(
     chain's solved stationary law, as :func:`mixing_profile` takes it.
 
     Before anything is computed, the tables are sized against physical
-    memory (a :class:`ValueError` names the byte count): per horizon, up to
-    three float rows of the chain's states live at once (the k-step costs,
-    the gaps and a temporary of them, or the slack), up to eight floats of
-    the profile, bounds and their temporaries, and a Python float of the
-    horizon factors' list (32 bytes with its pointer).
+    memory at ``8 * (3n + 12)`` bytes per horizon for ``n`` states (a
+    :class:`ValueError` names the count).  Live at once per horizon are one
+    float row of states (the k-step costs, turned into their gaps in place)
+    and up to twelve floats: the profile, the bounds, their temporaries and
+    the profiles a caller keeps of the chains it checked before (``modeswitch
+    mixing`` checks four).  The two further rows are headroom for what the
+    allocator keeps beyond that.
     """
-    needed = (k_max + 1) * (8 * (3 * chain.n_states + 8) + 32)
+    needed = (k_max + 1) * 8 * (3 * chain.n_states + 12)
     check_fits_in_memory(needed, f"mixing tables for mixing_k_max {k_max} need {needed} bytes")
-    profile = mixing_profile(chain, k_max, stationary)
+    profile = mixing_profile(chain, k_max, stationary, discount)
     cost_inf = float(np.max(np.abs(chain.cost_vec)))
     stationary_cost = float(chain.cost_vec @ stationary)
 
-    costs = k_step_costs(chain.transition, chain.cost_vec, discount, k_max, 0.0)
     stepwise = np.zeros(k_max + 1)
     geom = discount ** np.arange(k_max)
     stepwise[1:] = 2.0 * cost_inf * np.cumsum(geom * profile.tv_by_step[:-1])
@@ -223,8 +224,13 @@ def verify_mixing_bound(
     atol = 1e-9 * max(1.0, cost_inf / (1.0 - discount))
     # Row k holds horizon k (row 0 is zero).  Each factor takes the scalar
     # discount**k, which a vectorised power need not match to the last bit.
-    factors = np.array([(1.0 - discount**k) / (1.0 - discount) for k in range(k_max + 1)])
-    gaps = np.abs(costs - factors[:, None] * stationary_cost)
+    factors = np.fromiter(
+        ((1.0 - discount**k) / (1.0 - discount) for k in range(k_max + 1)), float, k_max + 1
+    )
+    # The k-step costs become their gaps in place: one row of states per horizon.
+    gaps = k_step_costs(chain.transition, chain.cost_vec, discount, k_max, 0.0)
+    gaps -= factors[:, None] * stationary_cost
+    np.abs(gaps, out=gaps)
     worst = gaps.max(axis=1)
     stepwise_broken = worst > stepwise + atol
     broken = np.flatnonzero(stepwise_broken | (worst > envelope + atol))
@@ -235,5 +241,7 @@ def verify_mixing_bound(
             f"{kind} cost-gap bound violated at state {np.argmax(gaps[k])}, horizon {k}: "
             f"gap {worst[k]:.6e} > bound {bound[k]:.6e}"
         )
-    slack = envelope[1:, None] - gaps[1:]
-    return MixingBoundReport(float(slack.max()), float(slack.min()), profile)
+    # The slack envelope[k] - gaps[k, x] is extreme where the gap is.
+    max_slack = (envelope[1:] - gaps[1:].min(axis=1)).max()
+    min_slack = (envelope[1:] - worst[1:]).min()
+    return MixingBoundReport(float(max_slack), float(min_slack), profile)

@@ -205,19 +205,27 @@ def _build_env(config: ExperimentConfig, rho: float | None = None) -> SwitchingE
     return SwitchingEnv(spec, spec.stage_cost, spec.stage_cost, uniform, "custom-kernels")
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write equal-length columns under ``header``: bool and integer columns
-    as decimal integers, floats with 17 significant digits (round-trip exact)."""
-    row_format = ",".join("%d" if column.dtype.kind in "biu" else "%.17g" for column in columns)
-    lines = [",".join(header)]
-    lines.extend(row_format % row for row in zip(*(column.tolist() for column in columns)))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+#: Rows formatted and written at a time by :func:`_write_csv`.
+_CSV_BLOCK_ROWS = 4096
 
 
-def _columns(blocks: list[list]) -> list[np.ndarray]:
-    """Join blocks of columns column by column; a block is one list of
-    equal-length arrays, or one row of scalars."""
-    return [np.concatenate([np.atleast_1d(part) for part in parts]) for parts in zip(*blocks)]
+def _write_csv(path: Path, header: list[str], *blocks: list) -> None:
+    """Write blocks of rows under ``header``; a block is one list of
+    equal-length columns, or one row of scalars.  Bool and integer columns
+    are written as decimal integers, floats with 17 significant digits
+    (round-trip exact).  Rows are formatted ``_CSV_BLOCK_ROWS`` at a time
+    from ``tolist()`` of their slice, so no file's text is ever held whole."""
+    with open(path, "w", newline="\n") as file:
+        file.write(",".join(header) + "\n")
+        for block in blocks:
+            columns = [np.atleast_1d(column) for column in block]
+            row_format = ",".join(
+                "%d" if column.dtype.kind in "biu" else "%.17g" for column in columns
+            ) + "\n"
+            for start in range(0, columns[0].size, _CSV_BLOCK_ROWS):
+                part = slice(start, start + _CSV_BLOCK_ROWS)
+                rows = zip(*(column[part].tolist() for column in columns))
+                file.write("".join(row_format % row for row in rows))
 
 
 def _manifest(config: ExperimentConfig, out: Path, extra: dict) -> None:
@@ -343,7 +351,7 @@ _EPISODE_COLUMNS = (
 def cmd_simulate(config: ExperimentConfig, out: Path) -> None:
     rows = []
     manifest_runs = []
-    episode_columns = []
+    episode_blocks = []
     for solved, batch, report, run in _simulate_sweep(config, "simulate"):
         rate = solved.env.mdp.change_rate
         rows.append(
@@ -352,80 +360,68 @@ def cmd_simulate(config: ExperimentConfig, out: Path) -> None:
         manifest_runs.append(run)
         if config.write_episodes:
             n_episodes = batch.n_episodes
-            episode_columns.append(
+            episode_blocks.append(
                 [
-                    np.full(n_episodes, rate),
+                    np.broadcast_to(rate, n_episodes),
                     np.arange(n_episodes),
                     *(getattr(batch, name) for name in _EPISODE_COLUMNS),
                 ]
             )
-    _write_csv(out / "report.csv", ["rho", "lambda", *_REPORT_COLUMNS], _columns(rows))
+    _write_csv(out / "report.csv", ["rho", "lambda", *_REPORT_COLUMNS], *rows)
     if config.write_episodes:
-        _write_csv(
-            out / "episodes.csv",
-            ["rho", "episode", *_EPISODE_COLUMNS],
-            _columns(episode_columns),
-        )
+        _write_csv(out / "episodes.csv", ["rho", "episode", *_EPISODE_COLUMNS], *episode_blocks)
     _manifest(config, out, {"simulate": manifest_runs})
 
 
 def cmd_figure1(config: ExperimentConfig, out: Path) -> None:
     if not config.rho_sweep:
         raise ConfigError("figure1 needs a rho_sweep")
-    threshold_columns = []
+    threshold_blocks = []
     pfa_rows = []
     manifest_runs = []
     for rho, (solved, _, report, run) in zip(
         config.rho_sweep, _simulate_sweep(config, "figure1")
     ):
         n = solved.env.mdp.n_states
-        threshold_columns.append([np.full(n, rho), np.arange(n), solved.thresholds])
+        threshold_blocks.append([np.full(n, rho), np.arange(n), solved.thresholds])
         stderr = math.sqrt(
             max(report.false_alarm_rate * (1.0 - report.false_alarm_rate), 0.0)
             / config.n_episodes
         )
         pfa_rows.append([rho, report.false_alarm_rate, stderr])
         manifest_runs.append(run)
-    _write_csv(
-        out / "thresholds.csv",
-        ["rho", "state", "threshold"],
-        _columns(threshold_columns),
-    )
-    _write_csv(out / "pfa.csv", ["rho", "pfa", "stderr"], _columns(pfa_rows))
+    _write_csv(out / "thresholds.csv", ["rho", "state", "threshold"], *threshold_blocks)
+    _write_csv(out / "pfa.csv", ["rho", "pfa", "stderr"], *pfa_rows)
     _manifest(config, out, {"figure1": manifest_runs})
 
 
 def cmd_mixing(config: ExperimentConfig, out: Path) -> None:
     env = _build_env(config)
-    profile_columns = []
-    envelope_rows = []
+    reports = {}
     with _stage(f"mixing rho={env.mdp.change_rate}"):
         solved = solve_env(env, config.grid_size)
         for i, j in MODE_PAIRS:
-            chain = solved.chains[i, j]
-            report = verify_mixing_bound(
-                chain, env.mdp.discount, config.mixing_k_max, solved.stationary[i, j]
+            reports[i, j] = verify_mixing_bound(
+                solved.chains[i, j], env.mdp.discount, config.mixing_k_max, solved.stationary[i, j]
             )
-            profile = report.profile
-            steps = profile.tv_by_step.size
-            profile_columns.append(
-                [np.full(steps, i), np.full(steps, j), np.arange(steps), profile.tv_by_step]
-            )
-            envelope_rows.append(
-                [
-                    i, j, profile.envelope_b, profile.envelope_beta,
-                    report.max_slack, report.min_slack,
-                ]
-            )
+    steps = config.mixing_k_max + 1
     _write_csv(
         out / "mixing_profile.csv",
         ["policy_mode", "kernel_mode", "t", "tv"],
-        _columns(profile_columns),
+        *(
+            [np.broadcast_to(i, steps), np.broadcast_to(j, steps), np.arange(steps),
+             report.profile.tv_by_step]
+            for (i, j), report in reports.items()
+        ),
     )
     _write_csv(
         out / "mixing_envelope.csv",
         ["policy_mode", "kernel_mode", "envelope_b", "envelope_beta", "max_slack", "min_slack"],
-        _columns(envelope_rows),
+        *(
+            [i, j, report.profile.envelope_b, report.profile.envelope_beta,
+             report.max_slack, report.min_slack]
+            for (i, j), report in reports.items()
+        ),
     )
     _manifest(config, out, {"mixing": {"label": env.label, **_solved_summary(solved)}})
 

@@ -50,10 +50,11 @@ def lazy_chain(rng):
     return InducedChain(lazy * np.eye(n) + (1.0 - lazy) * rows, rng.random(n))
 
 
-def criterion_7_chains():
+def criterion_7_chains(seeds=VALID_SEEDS):
     """The induced chains acceptance criterion 7 checks: both mode-optimal
-    policies under both kernels of each valid random instance."""
-    for seed in VALID_SEEDS:
+    policies under both kernels of each valid random instance, in
+    ``MODE_PAIRS`` order."""
+    for seed in seeds:
         mdp = gen_random_mdp(RandomMdpSpec(seed=seed, change_rate=0.01))
         policies = [
             value_iteration(kernel, mdp.stage_cost, mdp.discount)[0]
@@ -64,27 +65,22 @@ def criterion_7_chains():
                 yield induced_chain(policy, kernel, mdp.stage_cost)
 
 
-def bisection_constant(tv, beta):
-    """``max_t tv[t] / beta**t`` over the positive entries, inf past e**700."""
-    steps = np.flatnonzero(tv > 0.0)
-    peak = float(np.max(np.log(tv[steps]) - steps * math.log(beta)))
-    return math.exp(peak) if peak < 700.0 else math.inf
-
-
-def bisection_envelope_rate(tv):
-    """Reference: the smallest beta whose constant stays within tv[0] * 1e6,
-    bracketed by bisection to 1e-7 (the fit's former search)."""
-    cap = float(tv[0]) * 1e6
-    lo, hi = 1e-6, 1.0 - 1e-9
-    if bisection_constant(tv, lo) <= cap:
-        return lo
-    while hi - lo > 1e-7:
-        mid = 0.5 * (lo + hi)
-        if bisection_constant(tv, mid) <= cap:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def lemma_envelope(chain, t_max, discount):
+    """Reference: ``dbar(m)``, the largest TV distance between two rows of
+    ``np.linalg.matrix_power(P, m)``, for every ``m <= t_max``, and the
+    lemma's ``(b / (1 - discount*beta), b, beta)`` at each ``m`` with
+    ``dbar(m) < 1``: ``beta = max(dbar(m) ** (1/m), 1e-6)``,
+    ``b = beta ** (1 - m)``."""
+    envelopes = []
+    for m in range(1, t_max + 1):
+        power = np.linalg.matrix_power(chain.transition, m)
+        dbar = 0.5 * float(np.abs(power[:, None, :] - power[None, :, :]).sum(axis=2).max())
+        if dbar < 1.0:
+            beta = max(dbar ** (1.0 / m), 1e-6)
+            with np.errstate(over="ignore"):
+                b = float(np.float64(beta) ** (1 - m))
+            envelopes.append((b / (1.0 - discount * beta), b, beta))
+    return envelopes
 
 
 def per_horizon_check(chain, discount, k_max, stationary, profile):
@@ -164,53 +160,88 @@ class TestStationaryDistribution:
 class TestMixingProfile:
     def test_single_absorbing_state(self):
         chain = InducedChain(np.array([[1.0]]), np.array([1.0]))
-        profile = mixing_profile(chain, 10, np.ones(1))
+        profile = mixing_profile(chain, 10, np.ones(1), 0.9)
         assert np.all(profile.tv_by_step == 0.0)
         assert profile.envelope_b > 0.0
 
     def test_one_step_mixing_with_uniform_rows(self):
-        profile = mixing_profile(two_state_chain(0.5, 0.5), 10, np.full(2, 0.5))
+        profile = mixing_profile(two_state_chain(0.5, 0.5), 10, np.full(2, 0.5), 0.9)
         assert profile.tv_by_step[0] == 0.5
         assert np.all(profile.tv_by_step[1:] == 0.0)
 
     def test_two_state_spectral_oracle(self):
         a, b, t_max = 0.1, 0.2, 40
         chain = two_state_chain(a, b)
-        profile = mixing_profile(chain, t_max, stationary_distribution(chain))
+        profile = mixing_profile(chain, t_max, stationary_distribution(chain), 0.9)
         decay = abs(1.0 - a - b)
         expected = profile.tv_by_step[0] * decay ** np.arange(t_max + 1)
         assert np.abs(profile.tv_by_step - expected).max() < 1e-12
-        # Smallest feasible envelope rate given the constant cap d(0) * 1e6.
-        beta_inf = decay * 10 ** (-6.0 / t_max)
-        assert abs(profile.envelope_beta - beta_inf) <= 1e-6
+        # dbar(m) = decay**m, so every m gives beta = decay and b =
+        # decay**(1 - m); m = 1 has the smallest b, 1.
+        assert profile.envelope_b == 1.0
+        assert abs(profile.envelope_beta - decay) < 1e-15
         steps = np.arange(t_max + 1)
-        assert np.all(
-            profile.tv_by_step
-            <= profile.envelope_b * profile.envelope_beta**steps + 1e-12
-        )
+        assert np.all(profile.tv_by_step <= profile.envelope_beta**steps + 1e-15)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_profile_nonincreasing(self, seed):
         chain = random_chain(seed)
-        profile = mixing_profile(chain, 100, stationary_distribution(chain))
+        profile = mixing_profile(chain, 100, stationary_distribution(chain), 0.9)
         assert np.all(np.diff(profile.tv_by_step) <= 1e-12)
 
-    def test_envelope_rate_is_the_bisection_limit(self):
+    @pytest.mark.parametrize("source", ("random", "lazy"))
+    def test_envelope_is_the_lemmas_best(self, source):
         rng = np.random.default_rng(17)
-        for _ in range(120):
-            chain = lazy_chain(rng)
-            t_max = int(rng.integers(10, 201))
-            profile = mixing_profile(chain, t_max, stationary_distribution(chain))
-            tv, beta = profile.tv_by_step, profile.envelope_beta
-            reference = bisection_envelope_rate(tv)
-            assert beta <= reference <= beta + 1e-7, (t_max, beta, reference)
-            if 1e-6 < beta < 1.0 - 1e-9:
-                # Smallest feasible: any lower rate breaks the cap.
-                assert bisection_constant(tv, beta * (1.0 - 1e-9)) > tv[0] * 1e6
+        cases = (
+            [(random_chain(seed), 60, 0.999) for seed in range(10)]
+            if source == "random"
+            else [(lazy_chain(rng), int(rng.integers(10, 121)), 0.999) for _ in range(30)]
+            + [(lazy_chain(rng), 60, 0.9) for _ in range(10)]
+        )
+        for chain, t_max, discount in cases:
+            profile = mixing_profile(chain, t_max, stationary_distribution(chain), discount)
+            b, beta = profile.envelope_b, profile.envelope_beta
+            envelopes = lemma_envelope(chain, t_max, discount)
+            # (b, beta) is the lemma's at some m, and no m's limit of the
+            # cost-gap bound is smaller, up to the rounding of the powers.
+            assert any(
+                abs(b - b_m) <= 1e-9 * b_m and abs(beta - beta_m) <= 1e-9
+                for _, b_m, beta_m in envelopes
+            ), (t_max, b, beta)
+            assert b / (1.0 - discount * beta) <= min(envelopes)[0] * (1.0 + 1e-9)
+            dist = stationary_distribution(chain)
+            steps = np.arange(t_max + 1)
+            tv = [
+                0.5 * np.abs(np.linalg.matrix_power(chain.transition, t) - dist).sum(axis=1).max()
+                for t in steps
+            ]
+            assert np.all(tv <= b * beta**steps + 1e-12)
+
+    def test_periodic_chain_is_not_shown_to_mix(self):
+        chain = InducedChain(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2))
+        with pytest.raises(ValueError, match="chain not shown to mix: .* m <= 50$"):
+            mixing_profile(chain, 50, stationary_distribution(chain), 0.9)
+        with pytest.raises(ValueError, match="chain not shown to mix"):
+            verify_mixing_bound(chain, 0.9, 50, stationary_distribution(chain))
+
+    def test_readme_envelopes_are_tight(self):
+        # The README config (seed 10, rho 0.01, mixing_k_max 200): each
+        # chain takes m = 1, so beta = dbar(1), below 1, and the envelope's
+        # largest slack stays within a small factor of the largest cost gap.
+        discount = 0.999
+        for chain in criterion_7_chains(seeds=(10,)):
+            dist = stationary_distribution(chain)
+            report = verify_mixing_bound(chain, discount, 200, dist)
+            assert report.profile.envelope_b == 1.0
+            assert report.profile.envelope_beta < 0.51
+            costs = k_step_costs(chain.transition, chain.cost_vec, discount, 200, 0.0)
+            factors = (1.0 - discount ** np.arange(201.0)) / (1.0 - discount)
+            largest_gap = np.abs(costs - factors[:, None] * float(chain.cost_vec @ dist)).max()
+            assert 0.0 <= report.min_slack <= report.max_slack <= 10.0 * largest_gap
 
     def test_rejects_zero_horizon(self):
         with pytest.raises(ValueError):
-            mixing_profile(two_state_chain(0.5, 0.5), 0, np.full(2, 0.5))
+            mixing_profile(two_state_chain(0.5, 0.5), 0, np.full(2, 0.5), 0.9)
 
     def test_profile_validation_rejects_bad_envelope(self):
         with pytest.raises(ValueError):
@@ -277,7 +308,7 @@ class TestVerifyMixingBound:
         report = verify_mixing_bound(chain, 0.9, 100, dist)
         assert report.min_slack >= 0.0
         assert report.max_slack >= report.min_slack
-        profile = mixing_profile(chain, 100, dist)
+        profile = mixing_profile(chain, 100, dist, 0.9)
         assert np.array_equal(report.profile.tv_by_step, profile.tv_by_step)
         assert report.profile.envelope_beta == profile.envelope_beta
 
@@ -327,7 +358,7 @@ class TestVerifyMixingBound:
         monkeypatch.setattr(chains_module, "k_step_costs", bumped)
         chain = random_chain(3)
         dist = stationary_distribution(chain)
-        profile = mixing_profile(chain, 200, dist)
+        profile = mixing_profile(chain, 200, dist, 0.9)
         with pytest.raises(MixingBoundError) as expected:
             per_horizon_check(chain, 0.9, 200, dist, profile)
         with pytest.raises(MixingBoundError) as got:
@@ -339,7 +370,7 @@ class TestVerifyMixingBound:
         # breaks the envelope bound and not the stepwise one.
         chain = random_chain(3)
         dist = stationary_distribution(chain)
-        profile = mixing_profile(chain, 200, dist)
+        profile = mixing_profile(chain, 200, dist, 0.9)
         shrunk = SimpleNamespace(
             tv_by_step=profile.tv_by_step,
             envelope_b=profile.envelope_b * 1e-9,

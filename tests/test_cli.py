@@ -189,6 +189,65 @@ class TestMixingCommand:
         assert len(set(calls)) == 4
 
 
+    def test_chain_not_shown_to_mix_exits_2_naming_the_stage(self, tmp_path, capsys):
+        # Both actions swap the two states before the change, so the chains
+        # under the pre-change kernel are periodic: rows of P^m stay at TV
+        # distance 1 for every m.  The solve itself is well defined.
+        swap = [[[0.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 0.0]]]
+        noisy = [[[0.1, 0.9], [0.9, 0.1]], [[0.1, 0.9], [0.9, 0.1]]]
+        config = write_config(
+            tmp_path,
+            environment={
+                "kind": "custom-kernels",
+                "kernel_pre": swap,
+                "kernel_post": noisy,
+                "stage_cost": [[0.0, 1.0], [5.0, 6.0]],
+                "rho": 0.05,
+                "gamma": 0.9,
+            },
+            mixing_k_max=30,
+        )
+        assert main(["solve", "--config", str(config)]) == 0
+        assert main(["mixing", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "error in stage 'mixing rho=0.05': chain not shown to mix: "
+            "rows of P^m are TV 1 apart for all m <= 30\n"
+        )
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for a child's peak")
+    def test_peak_memory_stays_within_the_counted_tables(self, tmp_path):
+        # mixing_profile.csv has 4 * (mixing_k_max + 1) rows.  Written in
+        # blocks, the command's peak stays under verify_mixing_bound's count,
+        # 8 * (3n + 12) bytes per horizon at n = 3 states, above an
+        # interpreter that runs the same command at 60 horizons.  Built whole
+        # in memory before it was written, the file's lines took about six
+        # times the count at 5 * 10**4 horizons.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        # ru_maxrss is in bytes on macOS and in KiB elsewhere.
+        unit = 1 if sys.platform == "darwin" else 1024
+
+        def peak(k_max):
+            out = tmp_path / f"k{k_max}"
+            config = write_config(tmp_path, mixing_k_max=k_max, out_dir=str(out))
+            child = subprocess.Popen(
+                [sys.executable, "-m", "modeswitch.cli", "mixing", "--config", str(config)],
+                env=env,
+            )
+            _, status, usage = os.wait4(child.pid, 0)
+            child.returncode = os.waitstatus_to_exitcode(status)
+            assert child.returncode == 0
+            with open(out / "mixing_profile.csv") as csv:
+                assert sum(1 for _ in csv) == 4 * (k_max + 1) + 1
+            return usage.ru_maxrss * unit
+
+        baseline = peak(60)
+        k_max = 5 * 10**4
+        counted = (k_max + 1) * 8 * (3 * 3 + 12)
+        assert peak(k_max) <= baseline + counted
+
+
 class TestCsvWriter:
     def test_cell_formats(self, tmp_path):
         floats = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 0.1, 2.0**53 + 1]
