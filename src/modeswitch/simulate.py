@@ -20,6 +20,10 @@ are the same numbers at every rate (common random numbers across the sweep).
 one per (rate, episode): each episode's generator and uniform blocks serve
 all its lanes, and each chunk-step steps them all.  A rate from 1/3 on, where
 numpy draws by search, runs alone.  :func:`run_batch` is a sweep of one solve.
+A lane's one position is its *chain key*, its state's index in the pass's
+flat table of induced chains, so a pass of one rate and a pass of many take
+the same path: costs, thresholds, next keys and filter rows are read by key.
+A lane holds its key, two cost sums, records and, until it fires, a belief.
 
 Chunks of episodes step through one vectorized kernel; a byte budget caps
 the chunk width, which therefore shrinks with the number of rates in a pass
@@ -41,9 +45,9 @@ of the pass's distinct cumulative cut points at or below it, found with a
 guide table of ``_GUIDE_BINS`` bins (:class:`_CodedTransitions`).  Codes are
 uint8 below 255 distinct cut points, then uint16 up to 65,534, then uint32;
 the README instance's passes have 44, so a block costs 512 bytes per
-episode.  A step's next state depends on its uniform
-only through that code, so each lane steps by one ``take`` from a (code,
-key) table of next states; a pass whose table would exceed
+episode.  A step's next state depends on its uniform only through that
+code, so each lane steps by one ``take`` from a (code, key) table of next
+keys; a pass whose table would exceed
 ``_TABLE_BYTES`` counts codes against the cut rows' ranks instead.  The
 kernel compares codes where :func:`run_episode` compares floats.
 """
@@ -76,10 +80,11 @@ _GUIDE_BINS = 2**14
 #: Bytes of an episode's generator, seeded from precomputed words.
 _GENERATOR_BYTES = 704
 #: Bytes one lane (a rate's copy of an episode) holds besides the rows of its
-#: transition count: 19 eight-byte entries, for its state, two offsets, two
-#: cost sums, five records, its change-schedule entry, four of belief
-#: bookkeeping, and its key, increment, next state and filter row in a step.
-#: The filter's own temporaries are not counted.
+#: transition count: 19 eight-byte entries, for its key, two cost sums, five
+#: records, its change-schedule entry, live index and belief, and, in the
+#: belief filter, its increment, live key, filter index, two probabilities,
+#: change rate and two filter temporaries.  With a count's rows at n = 5 that
+#: is 188 bytes; ``tracemalloc`` measures 182-200 on the README instance.
 _LANE_BYTES = 8 * 19
 #: Memory budget of a chunk's per-episode and per-lane buffers; it sets the
 #: chunk width.
@@ -93,6 +98,13 @@ _INVERSION_BELOW = 1.0 / 3.0
 #: Bytes of one episode's record in an :class:`EpisodeBatch`: nine eight-byte
 #: fields and the two bool flags.
 _RECORD_BYTES = 9 * 8 + 2
+#: The :class:`EpisodeBatch` fields the lane kernel writes, with their dtypes;
+#: the others follow from them in closed form.
+_STEPPED = {
+    "change_point": np.int64, "switch_time": np.int64, "cost_cd": np.float64,
+    "cost_mo": np.float64, "state_at_switch": np.int64, "state_at_change": np.int64,
+    "regret_pre_switch": np.float64,
+}
 
 
 @dataclass(frozen=True)
@@ -310,13 +322,14 @@ class _CodedTransitions:
     :meth:`encode` finds codes with a guide table of ``_GUIDE_BINS`` equal
     bins (Chen & Asau 1974; Devroye 1986, section III.2): a bin with no cut
     point strictly inside holds one code, and the uniforms that fall in a bin
-    with one are searched.  :meth:`next_state` reads a (code, key) table of
-    next states when it fits ``_TABLE_BYTES``; otherwise it counts the codes
-    against the rows' entries coded as ranks among the cut points, which is
-    the comparison of ``run_episode``'s search done on integers.
+    with one are searched.  :meth:`next_state` gives the next state's key,
+    ``base[k]`` (the intp base of key ``k``'s block) plus the state.  It
+    reads a (code, key) table of next keys when that fits ``_TABLE_BYTES``;
+    otherwise it counts the codes against the rows' entries coded as ranks
+    among the cut points, ``run_episode``'s comparison done on integers.
     """
 
-    def __init__(self, cum_rows: np.ndarray):
+    def __init__(self, cum_rows: np.ndarray, base: np.ndarray):
         n_keys = cum_rows.shape[0]
         entries = cum_rows[:, :-1]
         ordered = np.sort(entries, axis=None)
@@ -342,11 +355,13 @@ class _CodedTransitions:
             entry_at = ranks * n_keys + np.arange(n_keys, dtype=np.intp)[:, None]
             counts = np.bincount(entry_at.ravel(), minlength=n_codes * n_keys)
             self.table = np.cumsum(counts.reshape(n_codes, n_keys), axis=0, dtype=np.intp)
+            self.table += base
             self.next_state = self._look_up
         else:
             # The count is the only path whose memory stays bounded at large
             # n: the table holds up to about 16 * r**2 * n**3 entries (r rates).
             self.rank_t = np.ascontiguousarray(ranks.T)
+            self.base = base
             self.next_state = self._count
 
     def encode(self, u: np.ndarray, bins: np.ndarray) -> np.ndarray:
@@ -363,14 +378,14 @@ class _CodedTransitions:
         return code
 
     def _look_up(self, key: np.ndarray, code: np.ndarray) -> np.ndarray:
-        """Next states (intp) from the keys ``key`` at the codes ``code``,
-        which broadcast over ``key``'s leading axes."""
+        """Next states' keys (intp) from the keys ``key`` at the codes
+        ``code``, which broadcast over ``key``'s leading axes."""
         index = np.multiply(code, self.n_keys, dtype=np.intp)
         return self.table.take(np.add(key, index, dtype=np.intp))
 
     def _count(self, key: np.ndarray, code: np.ndarray) -> np.ndarray:
         below = self.rank_t.take(key, axis=1) <= code
-        return np.add.reduce(below, axis=0, dtype=np.intp)
+        return np.add.reduce(below, axis=0, dtype=np.intp) + self.base.take(key)
 
 
 def _fill_codes(
@@ -417,142 +432,129 @@ def _run_chunk(
     master_seed: int,
     lo: int,
     hi: int,
-) -> list[EpisodeBatch]:
-    """Vectorized episode runner for indices [lo, hi), one batch per solve
-    of the pass, each under its solve's ``thresholds``.  The solves share a
-    state count and discount and come in decreasing horizon order, the
-    lane-block order.  :func:`run_batch` runs a pass of one solve.
+    records: dict[str, np.ndarray],
+) -> None:
+    """Vectorized episode runner for indices [lo, hi), each solve of the
+    pass under its ``thresholds``, writing its lanes' ``_STEPPED`` fields
+    into the flat arrays of ``records`` in lane order (:func:`_join` derives
+    the rest).  The solves share a state count and discount and come in
+    decreasing horizon order, the lane-block order.
 
     A *lane* is one (rate, episode) pair, at index ``r * (hi - lo) + i``.
     Each lane produces the record :func:`run_episode` returns at its rate,
     bit for bit: the same comparisons and the same cost additions in the
     same order.  Its generators are built from vectorized seed words in the
-    states :func:`episode_rng` gives them, one per episode, whatever the
-    number of rates: the rates of a pass are below 1/3, where numpy's
-    ``geometric`` is ``ceil(-E / log1p(-rate))`` of one exponential draw
-    ``E`` (:func:`_change_points`), so every rate reads the same start
-    uniform and step uniforms after it.  A pass of one rate draws
-    ``geometric`` itself, at any rate.
+    states :func:`episode_rng` gives them, one per episode.  The rates of a
+    pass of several are below 1/3, where numpy's ``geometric`` is
+    ``ceil(-E / log1p(-rate))`` of one exponential draw ``E``
+    (:func:`_change_points`), so every rate reads the same start uniform and
+    step uniforms after it; a pass of one rate draws ``geometric`` itself,
+    at any rate.  That draw is the one place the number of rates matters.
 
-    Both controllers step through one flat table of the induced chains,
-    keyed by ``4 * n * r + (2 * policy_mode + kernel_mode) * n + state``
-    with 0-based modes, so a rate's pairs (1, 1), (1, 2), (2, 1), (2, 2)
-    follow one another; the filter reads its rows from each solve's ``dyn``.
+    A lane's one position is its detection controller's *key*,
+    ``4 * n * r + (2 * policy_mode + kernel_mode) * n + state`` with
+    0-based modes, the index of the pass's flat table of induced chains.
     The kernel mode is 1 from the change point on; the baseline's policy
     mode equals it and the detection controller's is 1 once it has
-    switched.  Each lane keeps one key offset per controller,
-    moved only at the switch and at the change.  A step is a ``take`` of
-    stage costs and a ``take`` of the next state from the (code, key) table
-    at the step's uniform code, which gives :func:`run_episode`'s
-    ``searchsorted`` on the key's cumulative row (:class:`_CodedTransitions`).
+    switched, so the change adds ``n`` to a key and the switch ``2 * n``.
+    Costs, thresholds, change rates and filter rows are gathered by key, and
+    one ``take`` from the (code, key) table at the step's uniform code gives
+    the next key (:class:`_CodedTransitions`).  A state, the key modulo
+    ``n``, is read only for ``state_at_change`` and ``state_at_switch``.  A
+    lane holds its key, two cost sums and records, and while live its belief.
 
     The baseline sits on the detection controller's key until a change or
-    switch leaves their offsets unequal, and again once the offsets agree and
-    a step lands both on the same state: from then on both see the same key
-    and the same uniforms.  So one key per lane is stepped, and the
-    baseline is stepped on its own only for the *split* lanes in between.
-    A merged lane's cost increment is computed once and added to each
-    controller's sum separately, so each sum keeps its own rounding.
+    a switch moves one of them alone, and again once a step lands both on
+    the same key.  So one key per lane is stepped, and the baseline, with
+    its own key, only for the *split* lanes in between.  A merged lane's
+    cost increment is computed once and added to each controller's sum
+    separately, so each sum keeps its own rounding.
 
     Changes are read from a schedule of the chunk's change points.  The fire
     check and the belief update run only on the *live* lanes, those whose
     rule has not fired, an index array compacted when some fire.  Lane blocks
     follow decreasing horizon, so the lanes still running are a prefix: a
     rate that reaches its horizon shortens it and its lanes leave the live
-    and split sets.  The realized objective is written at the end in closed
-    form.
+    and split sets.
 
     Each episode's step uniforms come from its own generator, ``_BLOCK``
-    (512) steps at a time, drawn by groups of ``_DRAW_GROUP`` episodes into
-    a 128 KiB float buffer, coded there with a 128 KiB buffer of guide-table
-    bins, and stored as codes in a (block, chunk) array, so each step reads
-    one contiguous row, shared by the episode's lanes.  A code block is 512
-    bytes per episode in uint8, the dtype of the README instance's passes
-    (44 cut points), and 1 KiB in uint16.  ``random(k)`` followed by
-    ``random(m)`` yields the same values as ``random(k + m)``, so the draws
-    do not depend on the block length or on the longest horizon, and memory
-    does not grow with the horizon.  The (code, key) table holds (cut
-    points + 1) x keys intp entries, at most 81 x 20 for one rate of the
-    README instance and 481 x 120 for its six-rate sweep (45 x 20 and 45 x 120 as built: its
-    rates share their 44 cut points).  Past ``_TABLE_BYTES`` the pass
-    counts each lane's codes against its key's cut points coded as ranks,
-    the same comparison as the table's, on integers.
+    (512) steps at a time (:func:`_fill_codes`), stored as codes in a
+    (block, chunk) array whose rows the episode's lanes share.  ``random(k)``
+    then ``random(m)`` gives the values of ``random(k + m)``, so the draws do
+    not depend on the block length and memory does not grow with the horizon.
     """
     mdp = solveds[0].env.mdp
     n_states = mdp.n_states
     discount = mdp.discount
     rates = np.array([solved.env.mdp.change_rate for solved in solveds])
     n_rates = rates.size
-    # One-rate branches stay: folding them into the lane path slowed a 3000-episode
-    # mc-long chunk (0.538 -> 0.569 s median process time; it won 3 of 12 pairs).
-    stacked = n_rates > 1
     width = hi - lo
-    size = n_rates * width
 
     # numpy.random loads here, not at import: commands without a Monte
     # Carlo never pay for it.
     from ._seeding import episode_generators
 
     rngs = episode_generators(master_seed, lo, hi)
-    if stacked:
+    change_point = records["change_point"]
+    if n_rates > 1:
         exponential = np.array([rng.standard_exponential() for rng in rngs])
-        change_point = _change_points(exponential, rates).ravel()
+        change_point[:] = _change_points(exponential, rates).ravel()
     else:
-        change_point = np.array([rng.geometric(rates[0]) for rng in rngs], dtype=np.int64)
+        change_point[:] = [rng.geometric(rates[0]) for rng in rngs]
     start_u = np.array([rng.random() for rng in rngs])
 
-    # Block r of the flat chain table holds rate r's four chains, block r of
-    # the thresholds its n thresholds and block r of the filter rows the
-    # n * n rows of its ``dyn``.
+    # Per-key tables.  Block r of the flat chain table holds rate r's four
+    # chains; a key's threshold and filter rows are row r * n + state of the
+    # rates' stacked thresholds and ``dyn`` rows, less its base for a filter.
     chains = [
         solved.chains[pair] for solved in solveds for pair in ((1, 1), (1, 2), (2, 1), (2, 2))
     ]
     flat_cost = np.concatenate([chain.cost_vec for chain in chains])
+    keys = np.arange(flat_cost.size, dtype=np.intp)
+    key_state = keys % n_states
+    base = keys - key_state
     transitions = _CodedTransitions(
-        np.cumsum(np.concatenate([chain.transition for chain in chains]), axis=1)
+        np.cumsum(np.concatenate([chain.transition for chain in chains]), axis=1), base
     )
     next_state = transitions.next_state
-    thresholds = np.array([solved.thresholds for solved in solveds], dtype=float).ravel()
+    key_row = keys // (4 * n_states) * n_states + key_state
+    thresholds = np.array([solved.thresholds for solved in solveds], dtype=float).ravel()[key_row]
+    key_rate = np.repeat(rates, 4 * n_states)
+    filter_row = key_row * n_states - base
     pre_rows = np.concatenate([solved.dyn.kernel_pre.ravel() for solved in solveds])
     post_rows = np.concatenate([solved.dyn.kernel_post.ravel() for solved in solveds])
 
-    state = np.concatenate(
+    key = np.concatenate(
         [
-            np.minimum(
+            4 * n_states * r
+            + np.minimum(
                 np.searchsorted(np.cumsum(solved.env.initial_dist), start_u, side="right"),
                 n_states - 1,
             )
-            for solved in solveds
+            for r, solved in enumerate(solveds)
         ]
     )
-    offset_cd = np.repeat(np.arange(n_rates, dtype=np.intp) * (4 * n_states), width)
-    offset_mo = offset_cd.copy()
-    cost_cd = np.zeros(size)
-    cost_mo = np.zeros(size)
-    # Split lanes and their baseline states.
+    cost_cd, cost_mo = records["cost_cd"], records["cost_mo"]
+    switch_time, regret_pre_switch = records["switch_time"], records["regret_pre_switch"]
+    state_at_switch, state_at_change = records["state_at_switch"], records["state_at_change"]
+    cost_cd[:] = cost_mo[:] = regret_pre_switch[:] = 0.0
+    state_at_switch[:] = state_at_change[:] = -1
+    switch_time[:] = np.repeat(horizons, width)
+    # Split lanes and their baselines' keys.
     split = np.empty(0, dtype=np.intp)
-    split_state = np.empty(0, dtype=np.intp)
-    switch_time = np.repeat(np.array(horizons, dtype=np.int64), width)
-    state_at_switch = np.full(size, -1, dtype=np.int64)
-    state_at_change = np.full(size, -1, dtype=np.int64)
-    regret_pre_switch = np.zeros(size)
+    split_key = np.empty(0, dtype=np.intp)
     # Lanes by change point, for the steps before their horizon at which
     # any change falls.
     order = np.flatnonzero(change_point < switch_time)
     order = order[np.argsort(change_point[order], kind="stable")]
     change_steps, starts = np.unique(change_point[order], return_index=True)
     changes_at = dict(zip(change_steps.tolist(), np.split(order, starts[1:])))
-    # Lanes whose rule may still fire, with their beliefs and, across rates,
-    # their first threshold and filter row and their rate.
-    live = np.arange(size)
-    belief = np.zeros(size)
-    rate = float(rates[0])
-    if stacked:
-        live_base = np.repeat(np.arange(n_rates, dtype=np.intp) * n_states, width)
-        rate = np.repeat(rates, width)
-    # The running prefix of the lanes and of their offsets and cost sums.
+    # Lanes whose rule may still fire, with their beliefs.
+    live = np.arange(key.size)
+    belief = np.zeros(key.size)
+    # The running prefix of the lanes' cost sums (``key`` holds its keys).
     n_active = n_rates
-    active_offset, active_cd, active_mo = offset_cd, cost_cd, cost_mo
+    active_cd, active_mo = cost_cd, cost_mo
     codes = np.empty((min(_BLOCK, horizons[0]), width), dtype=transitions.dtype)
     uniforms = np.empty((min(_DRAW_GROUP, width), codes.shape[0]))
     bins = np.empty(uniforms.shape, dtype=np.intp)
@@ -562,122 +564,108 @@ def _run_chunk(
             while horizons[n_active - 1] == t:
                 n_active -= 1
             active = n_active * width
-            state = state[:active]
-            active_offset, active_cd, active_mo = (
-                offset_cd[:active], cost_cd[:active], cost_mo[:active]
-            )
+            key, active_cd, active_mo = key[:active], cost_cd[:active], cost_mo[:active]
             running = live < active
-            live, belief, live_base, rate = (
-                live[running], belief[running], live_base[running], rate[running]
-            )
+            live, belief = live[running], belief[running]
             running = split < active
-            split, split_state = split[running], split_state[running]
+            split, split_key = split[running], split_key[running]
         row = t % _BLOCK
         if row == 0:
             _fill_codes(rngs, codes, min(_BLOCK, horizons[0] - t), transitions, uniforms, bins)
         code = codes[row]
 
-        events = []
         changed = changes_at.get(t)
         if changed is not None:
-            state_at_change[changed] = state[changed]
-            offset_cd[changed] += n_states
-            offset_mo[changed] += 3 * n_states
-            events.append(changed)
+            state_at_change[changed] = key[changed] % n_states
+            # A lane whose rule fired before its change is split; its
+            # baseline leaves pair (1, 1) for (2, 2).
+            if (switch_time.take(changed) < t).any():
+                split_key[change_point.take(split) == t] += 3 * n_states
+            key[changed] += n_states
         fired = None
         if live.size:
-            live_row = state.take(live)
-            if stacked:
-                live_row += live_base
-            fire = belief >= thresholds.take(live_row)
+            live_key = key.take(live)
+            fire = belief >= thresholds.take(live_key)
             if fire.any():
                 fired = live[fire]
                 waiting = ~fire
-                live = live[waiting]
-                live_row = live_row[waiting]
-                belief = belief[waiting]
-                if stacked:
-                    live_base = live_base[waiting]
-                    rate = rate[waiting]
+                live, live_key, belief = live[waiting], live_key[waiting], belief[waiting]
         if fired is not None:
             switch_time[fired] = t
-            state_at_switch[fired] = state[fired]
+            state_at_switch[fired] = key[fired] % n_states
             regret_pre_switch[fired] = cost_cd[fired] - cost_mo[fired]
-            offset_cd[fired] += 2 * n_states
-            events.append(fired)
-        if events:
-            # A lane's first event splits it unless the change and the
-            # switch fall on the same step.
-            events = np.concatenate(events)
-            entering = events[offset_cd[events] != offset_mo[events]]
+            key[fired] += 2 * n_states
+            # A switch before the change splits a lane; its baseline stays on
+            # pair (1, 1).
+            entering = fired[change_point.take(fired) > t]
             split = np.concatenate((split, entering))
-            split_state = np.concatenate((split_state, state[entering]))
+            split_key = np.concatenate((split_key, key.take(entering) - 2 * n_states))
+        if changed is not None:
+            # So does a change before the switch, its baseline now on (2, 2).
+            entering = changed[switch_time.take(changed) > t]
+            split = np.concatenate((split, entering))
+            split_key = np.concatenate((split_key, key.take(entering) + 2 * n_states))
 
-        key = active_offset + state
         step_cost = disc * flat_cost
         increment = step_cost.take(key)
         active_cd += increment
         if split.size:
-            split_key = offset_mo[split] + split_state
             increment[split] = step_cost.take(split_key)
         active_mo += increment
-        if stacked:
-            state = next_state(key.reshape(-1, width), code).ravel()
-        else:
-            state = next_state(key, code)
+        key = next_state(key.reshape(-1, width), code).ravel()
         if split.size:
-            split_state = next_state(split_key, code[split % width] if stacked else code[split])
-            rejoined = (split_state == state[split]) & (offset_cd[split] == offset_mo[split])
+            split_key = next_state(split_key, code[split % width])
+            rejoined = split_key == key.take(split)
             if rejoined.any():
-                split = split[~rejoined]
-                split_state = split_state[~rejoined]
+                split, split_key = split[~rejoined], split_key[~rejoined]
 
         if live.size:
-            moved = live_row * n_states + state.take(live)
-            belief, _ = bayes_step(belief, pre_rows.take(moved), post_rows.take(moved), rate)
+            moved = filter_row.take(live_key) + key.take(live)
+            belief, _ = bayes_step(
+                belief, pre_rows.take(moved), post_rows.take(moved), key_rate.take(live_key)
+            )
         disc *= discount
 
-    shape = (n_rates, width)
-    change_point = change_point.reshape(shape)
-    switch_time = switch_time.reshape(shape)
-    cost_cd = cost_cd.reshape(shape)
-    cost_mo = cost_mo.reshape(shape)
-    regret_pre_switch = regret_pre_switch.reshape(shape)
+
+
+def _join(
+    shares: list[list[tuple[int, int]]],
+    records: list[dict[str, np.ndarray]],
+    solveds: list[SolvedEnv],
+    horizons: list[int],
+) -> list[EpisodeBatch]:
+    """One batch per solve of the pass from the records :func:`_run_chunk`
+    wrote for each share's chunks, joined a field at a time, each field's
+    share arrays dropped once joined; then the closed-form fields."""
+    n_rates = len(solveds)
+
+    def chunk_columns(name):
+        for share, columns in zip(shares, records):
+            column, start = columns.pop(name), share[0][0]
+            for lo, hi in share:
+                lanes = column[n_rates * (lo - start) : n_rates * (hi - start)]
+                yield lanes.reshape(n_rates, hi - lo)
+
+    joined = {name: np.concatenate(list(chunk_columns(name)), axis=1) for name in _STEPPED}
+    change_point, switch_time = joined["change_point"], joined["switch_time"]
     truncated = switch_time == np.array(horizons)[:, None]
-    regret_pre_switch[truncated] = cost_cd[truncated] - cost_mo[truncated]
+    np.subtract(
+        joined["cost_cd"], joined["cost_mo"], out=joined["regret_pre_switch"], where=truncated
+    )
     # run_episode adds either the weight once or 1.0 per step, never both, so
     # its stepwise sum is exactly this closed form.
-    objective = np.where(
+    joined["objective_realized"] = np.where(
         change_point >= switch_time,
         np.array([[solved.weight] for solved in solveds]),
         np.maximum(switch_time - change_point - 1, 0),
     )
-    columns = dict(
-        change_point=change_point,
-        switch_time=switch_time,
-        cost_cd=cost_cd,
-        cost_mo=cost_mo,
-        false_alarm=switch_time < change_point,
-        delay=np.maximum(switch_time - change_point, 0),
-        objective_realized=objective,
-        truncated=truncated,
-        state_at_switch=state_at_switch.reshape(shape),
-        state_at_change=state_at_change.reshape(shape),
-        regret_pre_switch=regret_pre_switch,
-    )
+    joined["false_alarm"] = switch_time < change_point
+    joined["delay"] = np.maximum(switch_time - change_point, 0)
+    joined["truncated"] = truncated
     return [
-        EpisodeBatch(**{name: column[r] for name, column in columns.items()})
-        for r in range(n_rates)
+        EpisodeBatch(**{f.name: joined[f.name][r] for f in fields(EpisodeBatch)})
+        for r in range(len(solveds))
     ]
-
-
-def _concat(batches: list[EpisodeBatch]) -> EpisodeBatch:
-    return EpisodeBatch(
-        **{
-            f.name: np.concatenate([getattr(b, f.name) for b in batches])
-            for f in fields(EpisodeBatch)
-        }
-    )
 
 
 def _available_cpus() -> int:
@@ -856,8 +844,8 @@ def _check_run(
         raise ValueError("workers must be at least 1")
     for solved in solveds:
         check_thresholds(solved.thresholds, solved.env.mdp.n_states)
-    # Every chunk's records are held until they are joined, and the joined
-    # batches are copies of them.
+    # A pass holds its records once and one joined field beside them; twice
+    # the records leaves room for what the caller makes of its batches.
     needed = 2 * len(solveds) * n_episodes * _RECORD_BYTES
     check_fits_in_memory(
         needed, f"{len(solveds)} x {n_episodes} episode records need {needed} bytes"
@@ -877,22 +865,31 @@ def _run_pass(
     With ``workers`` 1 the chunks run one after another in this process.
     With more, ``min(workers, n_episodes, available CPUs)`` processes share
     the chunks: this one runs the first share while forked children run the
-    others and send their records back through pipes.  Each chunk is a pure
-    function of (master seed, episode indices), so the batches are the same,
-    bit for bit, for every ``workers``.  Where ``os.fork`` does not exist
+    others and send their records back through pipes.  A process allocates
+    its share's records once, and each chunk writes its lanes' into them.
+    Each chunk is a pure function of (master seed, episode indices), so the
+    batches are the same, bit for bit, for every ``workers``.  Where ``os.fork`` does not exist
     the chunks run serially.  A child's exception is raised here again with
     its episode range, and a child that dies without a result raises
     :class:`RuntimeError`.  Threads would not help: the kernel's numpy calls
     on chunk-sized arrays hold the interpreter lock most of the time.
     """
 
-    def run(share: list[tuple[int, int]]) -> list[list[EpisodeBatch]]:
-        return [_run_chunk(solveds, horizons, master_seed, lo, hi) for lo, hi in share]
+    n_rates = len(solveds)
 
-    width = _chunk_width(len(solveds), solveds[0].env.mdp.n_states)
-    shares = _plan(n_episodes, workers, width)
-    chunks = [chunk for parts in _run_forked(shares, run) for chunk in parts]
-    return [_concat([chunk[r] for chunk in chunks]) for r in range(len(solveds))]
+    def run(share: list[tuple[int, int]]) -> dict[str, np.ndarray]:
+        # Each chunk's lanes take one contiguous slice of the share's records.
+        start = share[0][0]
+        size = n_rates * (share[-1][1] - start)
+        records = {name: np.empty(size, dtype) for name, dtype in _STEPPED.items()}
+        for lo, hi in share:
+            lanes = slice(n_rates * (lo - start), n_rates * (hi - start))
+            chunk = {name: column[lanes] for name, column in records.items()}
+            _run_chunk(solveds, horizons, master_seed, lo, hi, chunk)
+        return records
+
+    shares = _plan(n_episodes, workers, _chunk_width(n_rates, solveds[0].env.mdp.n_states))
+    return _join(shares, _run_forked(shares, run), solveds, horizons)
 
 
 def run_batch(
@@ -932,8 +929,8 @@ def run_sweep(
 
     The arguments and every solve's thresholds are checked first, and a bad
     one raises :class:`ValueError`, as do records of every rate and episode
-    that, held twice while chunks are joined, would not fit in physical
-    memory.  Then, before any pass runs, one stream check compares the
+    that, counted twice for the shares and their join, would not fit in
+    physical memory.  Then, before any pass runs, one stream check compares the
     first episode's generator with :func:`episode_rng`'s and, at every rate
     of a shared pass, its derived change point with ``geometric``; a
     mismatch raises :class:`RuntimeError` naming the numpy version.

@@ -222,30 +222,71 @@ class TestMixingCommand:
         # interpreter that runs the same command at 60 horizons.  Built whole
         # in memory before it was written, the file's lines took about six
         # times the count at 5 * 10**4 horizons.
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        # ru_maxrss is in bytes on macOS and in KiB elsewhere.
-        unit = 1 if sys.platform == "darwin" else 1024
-
         def peak(k_max):
             out = tmp_path / f"k{k_max}"
             config = write_config(tmp_path, mixing_k_max=k_max, out_dir=str(out))
-            child = subprocess.Popen(
-                [sys.executable, "-m", "modeswitch.cli", "mixing", "--config", str(config)],
-                env=env,
-            )
-            _, status, usage = os.wait4(child.pid, 0)
-            child.returncode = os.waitstatus_to_exitcode(status)
-            assert child.returncode == 0
+            rss = child_peak_rss("mixing", config)
             with open(out / "mixing_profile.csv") as csv:
                 assert sum(1 for _ in csv) == 4 * (k_max + 1) + 1
-            return usage.ru_maxrss * unit
+            return rss
 
         baseline = peak(60)
         k_max = 5 * 10**4
         counted = (k_max + 1) * 8 * (3 * 3 + 12)
         assert peak(k_max) <= baseline + counted
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for a child's peak")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_episode_records_stay_within_their_count(self, tmp_path, workers):
+        # A simulate with episode records peaks under run_sweep's record
+        # count, 2 * 74 bytes per episode, above the same command at 1000
+        # episodes.  When every chunk's records were held until all were
+        # joined, the heap kept them resident beside the joined batch, and
+        # 2 * 10**5 episodes peaked 1.4 to 3.6 MiB over the count.
+        from modeswitch import simulate
+
+        def peak(n_episodes):
+            out = tmp_path / f"n{n_episodes}"
+            config = write_config(
+                tmp_path, n_episodes=n_episodes, horizon=2, workers=workers,
+                write_episodes=True, out_dir=str(out),
+            )
+            rss = child_peak_rss("simulate", config)
+            with open(out / "episodes.csv") as csv:
+                assert sum(1 for _ in csv) == n_episodes + 1
+            return rss
+
+        baseline = peak(1000)
+        n_episodes = 2 * 10**5
+        counted = 2 * n_episodes * simulate._RECORD_BYTES
+        assert peak(n_episodes) <= baseline + counted
+
+
+def child_peak_rss(command, config):
+    """Peak resident bytes of ``modeswitch <command> --config <config>``,
+    run with the package of this checkout; the command must exit 0.
+
+    The command runs as the child of a fresh interpreter, not of this one:
+    Linux carries a process's peak into the ``ru_maxrss`` of a child it
+    forks and execs, and this test process is larger than the small runs."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    launcher = (
+        "import os, subprocess, sys\n"
+        "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+        "_, status, usage = os.wait4(child.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    command_line = [sys.executable, "-m", "modeswitch.cli", command, "--config", str(config)]
+    launched = subprocess.run(
+        [sys.executable, "-c", launcher, *command_line],
+        env=env, stdout=subprocess.PIPE, text=True, check=True,
+    )
+    code, maxrss = map(int, launched.stdout.split())
+    assert code == 0
+    # ru_maxrss is in bytes on macOS and in KiB elsewhere.
+    return maxrss * (1 if sys.platform == "darwin" else 1024)
 
 
 class TestCsvWriter:

@@ -130,7 +130,7 @@ def small_instances(draw, base):
         kernel(),
         rng.random((n_states, n_actions)),
         draw(st.sampled_from([0.9, 0.99, 0.999])),
-        draw(st.sampled_from([0.005, 0.02, 0.1, 0.3])),
+        draw(st.sampled_from([0.005, 0.02, 0.1, 0.3, 0.5])),
     )
     env = SwitchingEnv(
         mdp=mdp,
@@ -550,6 +550,24 @@ class TestRunSweep:
         for solved, horizon, batch in zip(solveds, horizons, batches):
             assert_batches_identical(batch, run_batch(solved, n_episodes, horizon, master))
 
+    def test_pass_of_solves_with_different_chains(self):
+        # Two instances that share a state count and discount, so one pass,
+        # but not their kernels, costs, policies, thresholds or filter rows:
+        # a kernel that read rate block 0's tables for both rates would
+        # give the second batch the first instance's transitions.
+        specs = [
+            RandomMdpSpec(n_states=3, n_actions=2, seed=seed, change_rate=rate, discount=0.9)
+            for seed, rate in ((3, 0.05), (8, 0.02))
+        ]
+        solveds = [solve_env(random_env(spec), grid_size=301) for spec in specs]
+        transitions = [solved.chains[1, 1].transition for solved in solveds]
+        assert not np.array_equal(*transitions)
+        horizons, n_episodes, master = [60, 90], 300, 2**40 + 3
+        batches = simulate.run_sweep(solveds, n_episodes, horizons, master)
+        for solved, horizon, batch in zip(solveds, horizons, batches):
+            assert_batches_identical(batch, run_batch(solved, n_episodes, horizon, master))
+        assert_batch_matches_oracle(batches[1], solveds[1], horizons[1], master)
+
     def test_worker_count_does_not_matter(self, readme_sweep, forks):
         horizons = [int(np.ceil(2.0 / rate)) for rate in README_RATES]
         serial = simulate.run_sweep(readme_sweep, 2101, horizons, 5, workers=1)
@@ -635,6 +653,11 @@ CUT_TABLES = {
 }
 
 
+def zero_base(cum_rows):
+    """Block bases of 0 for every key, so that next keys are next states."""
+    return np.zeros(cum_rows.shape[0], dtype=np.intp)
+
+
 def probe_uniforms(cum_rows, extra=()):
     """Every cut point, the floats beside each, every bin edge, 0, the
     largest uniform and ``extra``: the uniforms below 1 of these."""
@@ -663,7 +686,7 @@ def assert_codes_give_the_searched_states(cum_rows, uniforms, budgets=(None, 0))
         with pytest.MonkeyPatch.context() as patch:
             if budget is not None:
                 patch.setattr(simulate, "_TABLE_BYTES", budget)
-            transitions = simulate._CodedTransitions(cum_rows)
+            transitions = simulate._CodedTransitions(cum_rows, zero_base(cum_rows))
         assert hasattr(transitions, "table") == (budget is None)
         code = transitions.encode(uniforms.copy(), np.empty(uniforms.shape, dtype=np.intp))
         assert code.dtype == transitions.dtype
@@ -715,7 +738,7 @@ class TestCodedTransitions:
         # code can number, and their table would be far over budget.
         rng = np.random.default_rng(5)
         cum_rows = np.cumsum(rng.dirichlet(np.ones(220), size=300), axis=1)
-        assert simulate._CodedTransitions(cum_rows).dtype == np.uint32
+        assert simulate._CodedTransitions(cum_rows, zero_base(cum_rows)).dtype == np.uint32
         uniforms = np.concatenate([rng.random(100), rng.choice(cum_rows[:, :-1].ravel(), 100)])
         assert_codes_give_the_searched_states(cum_rows, uniforms[uniforms < 1.0], budgets=(0,))
 
@@ -731,7 +754,7 @@ class TestCodedTransitions:
             [np.append(cuts[:half], 1.0), np.append(cuts[n_cuts - half :], 1.0)]
         )
         assert np.unique(cum_rows[:, :-1]).size == n_cuts
-        assert simulate._CodedTransitions(cum_rows).dtype == dtype
+        assert simulate._CodedTransitions(cum_rows, zero_base(cum_rows)).dtype == dtype
         assert_codes_give_the_searched_states(cum_rows, probe_uniforms(cum_rows))
 
     def test_readme_passes_code_in_one_byte(self, readme_sweep, monkeypatch):
@@ -740,8 +763,8 @@ class TestCodedTransitions:
         dtypes = []
         coded = simulate._CodedTransitions
 
-        def recording(cum_rows):
-            transitions = coded(cum_rows)
+        def recording(cum_rows, base):
+            transitions = coded(cum_rows, base)
             dtypes.append(transitions.dtype)
             return transitions
 
