@@ -3,6 +3,8 @@ transition kernel switches once at a geometric random time."""
 
 __version__ = "0.1.0"
 
+from importlib import import_module as _import_module
+
 from .mdp import (
     ConvergenceError,
     InducedChain,
@@ -47,19 +49,36 @@ from .environments import (
     random_env,
 )
 from .pipeline import SolvedEnv, mode_pair_chains, mode_pair_weight, solve_env
-from .simulate import (
-    EpisodeBatch,
-    RegretCheck,
-    RegretEstimate,
-    SimReport,
-    episode_rng,
-    estimate_exact_regret,
-    estimate_regret_decomposition,
-    regret_consistency,
-    run_batch,
-    run_episode,
-    run_sweep,
-    summarize,
+
+#: The Monte Carlo's names.  They resolve on first use through the module
+#: ``__getattr__`` (PEP 562), so importing the package, and the ``solve`` and
+#: ``mixing`` commands, never load ``simulate``.
+_MONTE_CARLO = (
+    "EpisodeBatch",
+    "RegretCheck",
+    "RegretEstimate",
+    "SimReport",
+    "episode_rng",
+    "estimate_exact_regret",
+    "estimate_regret_decomposition",
+    "regret_consistency",
+    "run_batch",
+    "run_episode",
+    "run_sweep",
+    "summarize",
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(
+    [name for name in dir() if not name.startswith("_")] + ["simulate", *_MONTE_CARLO]
+)
+
+
+def __getattr__(name: str):
+    if name != "simulate" and name not in _MONTE_CARLO:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    simulate = _import_module(".simulate", __name__)
+    return simulate if name == "simulate" else getattr(simulate, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

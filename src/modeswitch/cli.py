@@ -15,6 +15,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import datetime, timezone
+from importlib import import_module
 from pathlib import Path
 from typing import get_type_hints
 
@@ -25,8 +26,20 @@ from .chains import verify_mixing_bound
 from .environments import InventorySpec, RandomMdpSpec, SwitchingEnv, build_inventory, random_env
 from .mdp import ModePairMdp
 from .pipeline import DEFAULT_GRID_SIZE, MODE_PAIRS, SolvedEnv, solve_env
-# ``run_batch`` is not called here; bench/child.py times its probe batch through it.
-from .simulate import run_batch, run_sweep, summarize  # noqa: F401
+
+#: Monte Carlo names, module attributes that load ``simulate`` on first access
+#: (PEP 562), so ``solve`` and ``mixing`` never load it.  ``_simulate_sweep``
+#: looks them up through the module, so a replaced attribute is the one
+#: called.  ``run_batch`` is not called here; bench/child.py times its probe
+#: batch through it.  Defined above the ``__main__`` guard, since
+#: ``python -m modeswitch.cli`` runs ``main`` there.
+_MONTE_CARLO = ("run_batch", "run_sweep", "summarize")
+
+
+def __getattr__(name: str):
+    if name not in _MONTE_CARLO:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(".simulate", __package__), name)
 
 
 class ConfigError(ValueError):
@@ -299,6 +312,10 @@ def _simulate_sweep(config: ExperimentConfig, command: str):
     then run their Monte Carlo in one :func:`run_sweep`, a failure naming
     every rate.  Returns per rate its solve, batch, report and manifest
     entry."""
+    # Loaded before the solves: compiled after them, simulate.py raised the
+    # README sweep's peak RSS by about 0.4 MB.
+    module = sys.modules[__name__]
+    run_sweep, summarize = module.run_sweep, module.summarize
     solveds = []
     horizons = []
     for rho in config.rho_sweep or (None,):
@@ -352,18 +369,21 @@ def cmd_simulate(config: ExperimentConfig, out: Path) -> None:
     rows = []
     manifest_runs = []
     episode_blocks = []
-    for solved, batch, report, run in _simulate_sweep(config, "simulate"):
+    runs = _simulate_sweep(config, "simulate")
+    # Every rate runs config.n_episodes episodes, so one index column serves
+    # all; it is made after the Monte Carlo, which it would otherwise sit beside.
+    episodes = np.arange(config.n_episodes) if config.write_episodes else None
+    for solved, batch, report, run in runs:
         rate = solved.env.mdp.change_rate
         rows.append(
             [rate, solved.weight, *(getattr(report, name) for name in _REPORT_COLUMNS.values())]
         )
         manifest_runs.append(run)
         if config.write_episodes:
-            n_episodes = batch.n_episodes
             episode_blocks.append(
                 [
-                    np.broadcast_to(rate, n_episodes),
-                    np.arange(n_episodes),
+                    np.broadcast_to(rate, config.n_episodes),
+                    episodes,
                     *(getattr(batch, name) for name in _EPISODE_COLUMNS),
                 ]
             )

@@ -12,9 +12,9 @@ concavity in the belief, which is what makes per-state thresholds optimal.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -283,20 +283,44 @@ class BeliefOperator:
             self.blocks.append((states, index.reshape(rows, 2 * k), weights.reshape(rows, 2 * k)))
 
     def continuation(self, values: np.ndarray) -> np.ndarray:
-        """Expected interpolated table value after one more observation."""
+        """Expected interpolated table value after one more observation, as a
+        fresh array.  A one-block operator (every dense kernel) returns its
+        row-wise dot products as they are; more blocks scatter theirs into
+        their state columns."""
         flat = values.ravel()
-        out = np.empty((self.grid.size, self.n_states))
+        shape = (self.grid.size, self.n_states)
+        if len(self.blocks) == 1:  # its states are all states, in order
+            _, index, weights = self.blocks[0]
+            return np.einsum("ij,ij->i", weights, flat.take(index)).reshape(shape)
+        out = np.empty(shape)
         for states, index, weights in self.blocks:
             out[:, states] = np.einsum("ij,ij->i", weights, flat.take(index)).reshape(
                 -1, states.size
             )
         return out
 
+    def stepper(self, weight: float) -> Callable[[np.ndarray], np.ndarray]:
+        """min{weight*(1-p), p + continuation} as a function of a table.
+
+        The stop and belief columns are computed here, once.  Each call adds
+        the beliefs and takes the minimum in place, on the fresh array that
+        :meth:`continuation` returns, so the gather is its only temporary;
+        it returns that array, which no later call touches.
+        """
+        points = self.grid.points[:, None]
+        stop = weight * (1.0 - points)
+
+        def step(values: np.ndarray) -> np.ndarray:
+            out = self.continuation(values)
+            out += points
+            return np.minimum(out, stop, out=out)
+
+        return step
+
     def apply(self, values: np.ndarray, weight: float) -> np.ndarray:
-        """One application of min{weight*(1-p), p + continuation} to a table."""
-        points = self.grid.points
-        stop = weight * (1.0 - points)[:, None]
-        return np.minimum(stop, points[:, None] + self.continuation(values))
+        """One application of min{weight*(1-p), p + continuation} to a table,
+        as a fresh array (one call of :meth:`stepper`'s step)."""
+        return self.stepper(weight)(values)
 
 
 def _iterate(
@@ -317,9 +341,11 @@ def _iterate(
     The history lives in preallocated (depth, cells) ring buffers, and the
     least-squares weights come from the at most depth x depth normal
     equations, whose Gram matrix gains one row per pass; a singular Gram
-    matrix keeps the plain step.  Every product over the cells is an
-    ``np.einsum``, which never calls BLAS, so the iterates do not depend on
-    the BLAS thread count.
+    matrix, or a non-finite weight, keeps the plain step.  The residual's
+    magnitudes go through one scratch buffer, and the extrapolated iterate
+    is formed in the array that holds its correction.  Every product over
+    the cells is an ``np.einsum``, which never calls BLAS, so the iterates
+    do not depend on the BLAS thread count.
 
     Stops at the first g(x) whose residual is at most ``threshold`` and
     returns ``(g(x), applications)``; every call of ``step``, restarts
@@ -332,6 +358,7 @@ def _iterate(
     delta_f = np.empty((depth, cells))
     delta_g = np.empty((depth, cells))
     gram = np.empty((depth, depth))
+    scratch = np.empty(cells)
     filled = slot = 0
     x = values.reshape(cells)
     previous_f = previous_g = None
@@ -339,7 +366,7 @@ def _iterate(
     for iteration in range(1, max_iter + 1):
         g = step(x.reshape(shape)).reshape(cells)
         f = g - x
-        residual = float(np.max(np.abs(f)))
+        residual = float(np.abs(f, out=scratch).max())
         if residual <= threshold:
             return g.reshape(shape), iteration
         if residual > _RESTART_GROWTH * previous_residual:
@@ -362,8 +389,9 @@ def _iterate(
                 )
             except np.linalg.LinAlgError:  # singular Gram matrix: keep the plain step
                 continue
-            if np.all(np.isfinite(coefficients)):
-                x = g - np.einsum("i,ik->k", coefficients, delta_g[:filled])
+            if all(map(math.isfinite, coefficients.tolist())):
+                x = np.einsum("i,ik->k", coefficients, delta_g[:filled])
+                np.subtract(g, x, out=x)
     raise ConvergenceError(f"{what} did not converge", residual)
 
 
@@ -421,9 +449,10 @@ def solve_fixed_point(
         if start.grid.size != grid.size:
             raise ValueError("start table lives on a different grid")
         values = start.values
-    step = partial(operator.apply, weight=weight)
     threshold = tol * operator.dyn.change_rate / _STOP_MARGIN
-    values, iterations = _iterate(step, values, threshold, max_iter, "stopping-operator iteration")
+    values, iterations = _iterate(
+        operator.stepper(weight), values, threshold, max_iter, "stopping-operator iteration"
+    )
     return BeliefValueTable(grid, values), iterations
 
 
@@ -439,10 +468,10 @@ def finite_horizon_dp(
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    operator = BeliefOperator(dyn, grid)
+    step = BeliefOperator(dyn, grid).stepper(weight)
     values = stop_cost_table(grid, weight, dyn.n_states).values
     for _ in range(horizon):
-        values = operator.apply(values, weight)
+        values = step(values)
     return BeliefValueTable(grid, values)
 
 

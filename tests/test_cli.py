@@ -48,6 +48,14 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def checkout_env(**variables):
+    """This process's environment with the package of this checkout first on
+    ``PYTHONPATH``, and ``variables`` set."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **variables}
+
+
 def read_outputs(out_dir):
     return {
         child.name: child.read_bytes()
@@ -86,12 +94,10 @@ class TestSolveCommand:
         config = write_config(
             tmp_path, environment={"kind": "inventory", "capacity": 15, "rho": 0.01}
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         tables = []
         for threads in ("1", "2"):
             out = tmp_path / f"blas{threads}"
-            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+            env = checkout_env(OPENBLAS_NUM_THREADS=threads)
             command = ["solve", "--config", str(config), "--out", str(out)]
             subprocess.run(
                 [sys.executable, "-m", "modeswitch.cli", *command], env=env, check=True, timeout=120
@@ -269,9 +275,7 @@ def child_peak_rss(command, config):
     The command runs as the child of a fresh interpreter, not of this one:
     Linux carries a process's peak into the ``ru_maxrss`` of a child it
     forks and execs, and this test process is larger than the small runs."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = checkout_env()
     launcher = (
         "import os, subprocess, sys\n"
         "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
@@ -287,6 +291,82 @@ def child_peak_rss(command, config):
     assert code == 0
     # ru_maxrss is in bytes on macOS and in KiB elsewhere.
     return maxrss * (1 if sys.platform == "darwin" else 1024)
+
+
+#: The package's Monte Carlo names, all of them from ``modeswitch.simulate``.
+MONTE_CARLO_NAMES = (
+    "EpisodeBatch", "RegretCheck", "RegretEstimate", "SimReport", "episode_rng",
+    "estimate_exact_regret", "estimate_regret_decomposition", "regret_consistency",
+    "run_batch", "run_episode", "run_sweep", "summarize",
+)
+
+
+def fresh_interpreter(code, *args):
+    """Standard output of ``code`` run by a fresh interpreter on the package of
+    this checkout, with ``args`` as its ``sys.argv[1:]``."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=checkout_env(), stdout=subprocess.PIPE, text=True, check=True, timeout=120,
+    ).stdout
+
+
+class TestMonteCarloLoading:
+    """The Monte Carlo module loads on first use of one of its names."""
+
+    @pytest.mark.parametrize(
+        "command, loads", [("solve", False), ("mixing", False), ("simulate", True)]
+    )
+    def test_only_monte_carlo_commands_load_simulate(self, tmp_path, command, loads):
+        config = write_config(tmp_path, n_episodes=16)
+        code = (
+            "import sys\n"
+            "from modeswitch import cli\n"
+            "before = 'modeswitch.simulate' in sys.modules\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(before, 'modeswitch.simulate' in sys.modules)\n"
+        )
+        printed = fresh_interpreter(code, command, "--config", str(config))
+        assert printed == f"False {loads}\n"
+
+    def test_package_names_stay_public_and_load_on_use(self):
+        code = (
+            "import sys\n"
+            "import modeswitch\n"
+            "print('modeswitch.simulate' in sys.modules)\n"
+            "from modeswitch import run_batch\n"
+            "print('modeswitch.simulate' in sys.modules)\n"
+        )
+        assert fresh_interpreter(code) == "False\nTrue\n"
+        import modeswitch
+        from modeswitch import simulate
+
+        for name in MONTE_CARLO_NAMES:
+            assert name in modeswitch.__all__ and name in dir(modeswitch)
+            assert getattr(modeswitch, name) is getattr(simulate, name)
+        assert "simulate" in modeswitch.__all__ and modeswitch.simulate is simulate
+        with pytest.raises(AttributeError, match="no attribute 'absent'"):
+            modeswitch.absent
+
+    def test_cli_names_are_the_simulate_functions(self):
+        from modeswitch import simulate
+
+        for name in ("run_batch", "run_sweep", "summarize"):
+            assert getattr(cli, name) is getattr(simulate, name)
+        with pytest.raises(AttributeError, match="no attribute 'absent'"):
+            cli.absent
+
+    def test_a_replaced_summarize_is_the_one_simulate_calls(self, tmp_path, monkeypatch):
+        summarize = cli.summarize
+        summarized = []
+
+        def counting(batch):
+            summarized.append(batch.n_episodes)
+            return summarize(batch)
+
+        monkeypatch.setattr(cli, "summarize", counting)
+        config = write_config(tmp_path, rho_sweep=[0.05, 0.08], n_episodes=16)
+        assert main(["simulate", "--config", str(config)]) == 0
+        assert summarized == [16, 16]
 
 
 class TestCsvWriter:

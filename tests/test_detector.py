@@ -342,6 +342,40 @@ class TestBeliefOperator:
         reference = dense_continuation(dyn, grid, values)
         assert np.abs(cont - reference).max() <= 1e-15 * np.abs(values).max()
 
+    @pytest.mark.parametrize("instance", ["dense", "inventory"])
+    def test_in_place_step_is_the_plain_formula_bit_for_bit(self, instance):
+        if instance == "dense":
+            dyn, blocks = make_positive_dyn(12, n_states=6, rate=0.02), 1
+        else:
+            env = build_inventory(InventorySpec(capacity=15, change_rate=0.01))
+            dyn, blocks = solve_env(env, 51).dyn, 12
+        operator = BeliefOperator(dyn, BeliefGrid.uniform(101))
+        assert len(operator.blocks) == blocks
+        rng = np.random.default_rng(3)
+        weight = 40.0
+        points = operator.grid.points
+        stop = weight * (1.0 - points)[:, None]
+        values = rng.random((101, dyn.n_states)) * stop
+        step = operator.stepper(weight)
+        for _ in range(3):
+            expected = np.minimum(stop, points[:, None] + operator.continuation(values))
+            applied = operator.apply(values, weight)
+            assert np.array_equal(applied, expected)
+            assert np.array_equal(step(values), expected)
+            values = applied
+
+    def test_each_application_returns_a_fresh_array(self):
+        operator = BeliefOperator(make_positive_dyn(4), BeliefGrid.uniform(21))
+        values = stop_cost_table(operator.grid, 5.0, 3).values
+        step = operator.stepper(5.0)
+        first, second = operator.apply(values, 5.0), operator.apply(values, 5.0)
+        third, fourth = step(values), step(values)
+        results = (values, first, second, third, fourth)
+        for i, a in enumerate(results):
+            for b in results[i + 1:]:
+                assert not np.shares_memory(a, b)
+        assert np.array_equal(first, second) and np.array_equal(third, fourth)
+
 
 class TestSolveFixedPoint:
     def test_zero_weight_stops_everywhere(self):
