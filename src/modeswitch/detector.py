@@ -18,15 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import ConvergenceError, check_fits_in_memory, check_solver_budget, check_stochastic
+from .mdp import ConvergenceError, check_fits_in_memory, check_stochastic
 
-#: Default fixed-point distance target and iteration budget of the belief solvers.
+#: Fixed-point distance target and iteration budget of the belief solvers,
+#: read when a solver is called.
 DEFAULT_FP_TOL = 1e-9
 DEFAULT_FP_MAX_ITER = 1_000_000
 
 #: The belief solvers stop once the sup-norm residual is at most
-#: ``tol * change_rate / _STOP_MARGIN``, which puts the table about
-#: ``tol / _STOP_MARGIN`` from the fixed point.
+#: ``DEFAULT_FP_TOL * change_rate / _STOP_MARGIN``, which puts the table
+#: about ``DEFAULT_FP_TOL / _STOP_MARGIN`` from the fixed point.
 _STOP_MARGIN = 100.0
 
 #: Residual differences the accelerated fixed-point loop combines.
@@ -396,11 +397,7 @@ def _iterate(
 
 
 def solve_fixed_point(
-    operator: BeliefOperator,
-    weight: float,
-    tol: float = DEFAULT_FP_TOL,
-    max_iter: int = DEFAULT_FP_MAX_ITER,
-    start: BeliefValueTable | None = None,
+    operator: BeliefOperator, weight: float, start: BeliefValueTable | None = None
 ) -> tuple[BeliefValueTable, int]:
     """Iterate the stopping operator to its fixed point.
 
@@ -410,9 +407,10 @@ def solve_fixed_point(
     plain iteration does.  The operator contracts with modulus
     (1 - change_rate) in the (1-p)-weighted sup norm, so iteration stops once
     the sup-norm residual of one application is at most
-    ``tol * change_rate / 100``; by the geometric-series bound the returned
-    table is then about ``tol / 100`` from the fixed point, a hundredfold
-    margin inside ``tol`` (and its Bellman residual is well under ``tol``).
+    ``DEFAULT_FP_TOL * change_rate / 100``; by the geometric-series bound the
+    returned table is then about ``DEFAULT_FP_TOL / 100`` from the fixed
+    point, a hundredfold margin inside ``DEFAULT_FP_TOL`` (and its Bellman
+    residual is well under it).
 
     Without ``start``, a grid of more than 200 intervals
     (``_COARSE_FACTOR * (_COARSE_POINTS - 1)``) starts instead from the solve
@@ -429,19 +427,22 @@ def solve_fixed_point(
         takes (not those of the coarse pass).
 
     Raises:
-        ValueError: ``tol`` is not finite and positive, or ``max_iter`` is
-            below 1.
-        ConvergenceError: ``max_iter`` applications were not enough.
+        ValueError: ``start`` lives on a different grid.
+        ConvergenceError: ``DEFAULT_FP_MAX_ITER`` applications were not
+            enough, on the coarse grid or on this one.
     """
-    check_solver_budget(tol, max_iter)
     grid = operator.grid
+    threshold = DEFAULT_FP_TOL * operator.dyn.change_rate / _STOP_MARGIN
+    what = "stopping-operator iteration"
     if start is None and grid.size - 1 > _COARSE_FACTOR * (_COARSE_POINTS - 1):
         coarse_grid = BeliefGrid.uniform(_COARSE_POINTS)
-        coarse, _ = solve_fixed_point(
-            BeliefOperator(operator.dyn, coarse_grid), weight, tol * _COARSE_SLACK, max_iter
+        coarse, _ = _iterate(
+            BeliefOperator(operator.dyn, coarse_grid).stepper(weight),
+            stop_cost_table(coarse_grid, weight, operator.n_states).values,
+            _COARSE_SLACK * threshold, DEFAULT_FP_MAX_ITER, what,
         )
         values = np.column_stack(
-            [np.interp(grid.points, coarse_grid.points, column) for column in coarse.values.T]
+            [np.interp(grid.points, coarse_grid.points, column) for column in coarse.T]
         )
     elif start is None:
         values = stop_cost_table(grid, weight, operator.n_states).values
@@ -449,9 +450,8 @@ def solve_fixed_point(
         if start.grid.size != grid.size:
             raise ValueError("start table lives on a different grid")
         values = start.values
-    threshold = tol * operator.dyn.change_rate / _STOP_MARGIN
     values, iterations = _iterate(
-        operator.stepper(weight), values, threshold, max_iter, "stopping-operator iteration"
+        operator.stepper(weight), values, threshold, DEFAULT_FP_MAX_ITER, what
     )
     return BeliefValueTable(grid, values), iterations
 
@@ -507,11 +507,7 @@ def extract_thresholds(
 
 
 def evaluate_switch_rule(
-    thresholds: np.ndarray,
-    operator: BeliefOperator,
-    weight: float,
-    tol: float = DEFAULT_FP_TOL,
-    max_iter: int = DEFAULT_FP_MAX_ITER,
+    thresholds: np.ndarray, operator: BeliefOperator, weight: float
 ) -> BeliefValueTable:
     """Value table of a fixed threshold rule (stop once belief >= threshold).
 
@@ -523,7 +519,6 @@ def evaluate_switch_rule(
     """
     dyn, grid = operator.dyn, operator.grid
     thresholds = check_thresholds(thresholds, dyn.n_states)
-    check_solver_budget(tol, max_iter)
     points = grid.points
     stop_mask = points[:, None] >= thresholds[None, :]
     stop_values = weight * (1.0 - points)[:, None]
@@ -541,6 +536,6 @@ def evaluate_switch_rule(
         return new_values
 
     values = np.broadcast_to(stop_values, (grid.size, dyn.n_states)).copy()
-    threshold = tol * dyn.change_rate / _STOP_MARGIN
-    values, _ = _iterate(step, values, threshold, max_iter, "switch-rule evaluation")
+    threshold = DEFAULT_FP_TOL * dyn.change_rate / _STOP_MARGIN
+    values, _ = _iterate(step, values, threshold, DEFAULT_FP_MAX_ITER, "switch-rule evaluation")
     return BeliefValueTable(grid, values)

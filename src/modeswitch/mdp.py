@@ -52,14 +52,6 @@ def check_fits_in_memory(needed: int, what: str) -> None:
         raise ValueError(f"{what}, more than the {available} bytes of physical memory")
 
 
-def check_solver_budget(tol: float, max_iter: int) -> None:
-    """Validate an iterative solver's stopping target and iteration budget."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-
-
 @dataclass(frozen=True)
 class ModePairMdp:
     """A finite MDP whose transition kernel switches once at a random time.
@@ -143,13 +135,11 @@ def greedy_backup(
 
 
 def value_iteration(
-    kernel: np.ndarray,
-    stage_cost: np.ndarray,
-    discount: float,
-    tol: float = DEFAULT_VI_TOL,
-    max_iter: int = DEFAULT_VI_MAX_ITER,
+    kernel: np.ndarray, stage_cost: np.ndarray, discount: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve one mode's discounted MDP to a Bellman residual below ``tol``.
+    """Solve one mode's discounted MDP to a Bellman residual below
+    ``DEFAULT_VI_TOL``, within ``DEFAULT_VI_MAX_ITER`` backups (both read
+    when the function is called).
 
     Iterates the optimality backup from the zero vector.  Besides the usual
     sup-norm stop, the loop exits early once the iterate change has collapsed
@@ -162,13 +152,12 @@ def value_iteration(
         kernel: transition law, ``[state][action][next]``.
         stage_cost: cost per ``(state, action)``; minimized.
         discount: discount factor in ``(0, 1)``.
-        tol: sup-norm Bellman residual target, finite and > 0.
-        max_iter: iteration budget, at least 1.
 
     Returns:
         ``(policy, values)``: the greedy policy for ``values`` and a value
-        vector whose Bellman residual is at most ``tol`` and which lies
-        within ``tol * discount / (1 - discount)`` of the optimum.
+        vector whose Bellman residual is at most ``DEFAULT_VI_TOL`` and
+        which lies within ``DEFAULT_VI_TOL * discount / (1 - discount)`` of
+        the optimum.
 
     Raises:
         ConvergenceError: the budget ran out before either stop triggered.
@@ -176,19 +165,18 @@ def value_iteration(
     kernel = np.asarray(kernel, dtype=float)
     stage_cost = np.asarray(stage_cost, dtype=float)
     check_stochastic(kernel, "kernel")
-    check_solver_budget(tol, max_iter)
 
     values = np.zeros(kernel.shape[0])
     delta = values
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_VI_MAX_ITER):
         new_values, _ = greedy_backup(kernel, stage_cost, discount, values)
         delta = new_values - values
         hi = float(delta.max())
         lo = float(delta.min())
         values = new_values
-        if max(abs(hi), abs(lo)) <= tol:
+        if max(abs(hi), abs(lo)) <= DEFAULT_VI_TOL:
             break
-        if hi - lo <= tol:
+        if hi - lo <= DEFAULT_VI_TOL:
             # Span has collapsed: the iterate is optimal up to a constant.
             follow_up, _ = greedy_backup(kernel, stage_cost, discount, values)
             residual = follow_up - values

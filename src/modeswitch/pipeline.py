@@ -118,7 +118,8 @@ def mode_pair_weight(
 
 def solve_env(env: SwitchingEnv, grid_size: int = DEFAULT_GRID_SIZE) -> SolvedEnv:
     """Run the full pipeline for one environment on a ``grid_size``-point
-    belief grid; the solvers stop at their default tolerances and budgets."""
+    belief grid; the solvers stop at the tolerances and budgets of the
+    ``DEFAULT_*`` constants in :mod:`.mdp` and :mod:`.detector`."""
     mdp = env.mdp
     policy_pre, values_pre = value_iteration(mdp.kernel_pre, env.cost_pre, mdp.discount)
     policy_post, values_post = value_iteration(mdp.kernel_post, env.cost_post, mdp.discount)

@@ -967,11 +967,14 @@ def _stderr(values: np.ndarray) -> float:
 def summarize(batch: EpisodeBatch) -> SimReport:
     """Aggregate a batch in episode order into a report."""
     n = batch.n_episodes
+    mean_cd = float(batch.cost_cd.mean())
+    mean_mo = float(batch.cost_mo.mean())
+    # Each variance is computed once; its root over sqrt(n) is _stderr's value.
     var_cd = float(batch.cost_cd.var(ddof=1)) if n > 1 else 0.0
     var_mo = float(batch.cost_mo.var(ddof=1)) if n > 1 else 0.0
     pooled = var_cd / n + var_mo / n
     if pooled > 0.0:
-        welch_t = float((batch.cost_cd.mean() - batch.cost_mo.mean()) / math.sqrt(pooled))
+        welch_t = (mean_cd - mean_mo) / math.sqrt(pooled)
         welch_df = pooled**2 / (
             (var_cd / n) ** 2 / (n - 1) + (var_mo / n) ** 2 / (n - 1)
         )
@@ -980,10 +983,10 @@ def summarize(batch: EpisodeBatch) -> SimReport:
         welch_df = float(n - 1)
     return SimReport(
         n_episodes=n,
-        mean_cost_cd=float(batch.cost_cd.mean()),
-        stderr_cost_cd=_stderr(batch.cost_cd),
-        mean_cost_mo=float(batch.cost_mo.mean()),
-        stderr_cost_mo=_stderr(batch.cost_mo),
+        mean_cost_cd=mean_cd,
+        stderr_cost_cd=math.sqrt(var_cd) / math.sqrt(n),
+        mean_cost_mo=mean_mo,
+        stderr_cost_mo=math.sqrt(var_mo) / math.sqrt(n),
         false_alarm_rate=float(batch.false_alarm.mean()),
         mean_delay=float(batch.delay.mean()),
         welch_t=welch_t,

@@ -113,7 +113,6 @@ def test_criterion_06_fixed_point_unique_from_both_ends(canonical):
     from_below, _ = solve_fixed_point(
         BeliefOperator(canonical.dyn, canonical.grid),
         canonical.weight,
-        tol=DEFAULT_FP_TOL,
         start=zeros,
     )
     gap = float(np.abs(from_below.values - canonical.value_table.values).max())
@@ -204,7 +203,7 @@ def test_criterion_10_perturbed_rules_cost_at_least_the_optimum(canonical):
             0.0,
             top,
         )
-        evaluated = evaluate_switch_rule(rule, operator, canonical.weight, tol=1e-6)
+        evaluated = evaluate_switch_rule(rule, operator, canonical.weight)
         shortfall = float((canonical.value_table.values - evaluated.values).max())
         assert shortfall <= slack, (trial, shortfall, slack)
 

@@ -500,6 +500,24 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "solve" in err and "numerator nonpositive" in err
 
+    @pytest.mark.parametrize(
+        ("budget", "solver"),
+        [
+            ("modeswitch.mdp.DEFAULT_VI_MAX_ITER", "value iteration"),
+            ("modeswitch.detector.DEFAULT_FP_MAX_ITER", "stopping-operator iteration"),
+        ],
+    )
+    def test_a_spent_solver_budget_exits_2_naming_the_stage(
+        self, tmp_path, capsys, monkeypatch, budget, solver
+    ):
+        # The solvers read their budgets when they run, so a lowered one binds.
+        monkeypatch.setattr(budget, 2)
+        config = write_config(tmp_path)
+        assert main(["solve", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error in stage 'solve': {solver} did not converge (last residual ")
+        assert err.count("\n") == 1
+
     def test_oversized_belief_stencil_is_refused_up_front(self, tmp_path, capsys):
         # 16 states at grid 10**7: an 80 MB grid but a 47 GB operator stencil,
         # two 16-byte terms per grid point for each (state, next state) pair

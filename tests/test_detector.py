@@ -26,7 +26,7 @@ from modeswitch.detector import (
     stop_cost_table,
 )
 from modeswitch.environments import InventorySpec, RandomMdpSpec, build_inventory, random_env
-from modeswitch.mdp import ConvergenceError, value_iteration
+from modeswitch.mdp import ConvergenceError
 from modeswitch.pipeline import solve_env
 from conftest import (
     CANONICAL_SEED,
@@ -384,20 +384,21 @@ class TestSolveFixedPoint:
         assert np.all(table.values == 0.0)
         assert iterations == 1
 
-    def test_uninformative_observations_collapse_states(self):
+    def test_uninformative_observations_collapse_states(self, monkeypatch):
+        monkeypatch.setattr("modeswitch.detector.DEFAULT_FP_TOL", 1e-10)
         dyn = make_positive_dyn(6, rate=0.05)
         flat = BeliefDynamics(dyn.kernel_pre, dyn.kernel_pre.copy(), 0.05)
         grid = BeliefGrid.uniform(201)
-        table, _ = solve_fixed_point(BeliefOperator(flat, grid), 8.0, tol=1e-10)
+        table, _ = solve_fixed_point(BeliefOperator(flat, grid), 8.0)
         assert np.abs(table.values - table.values[:, :1]).max() <= 1e-12
         single = BeliefDynamics(np.array([[1.0]]), np.array([[1.0]]), 0.05)
-        reduced, _ = solve_fixed_point(BeliefOperator(single, grid), 8.0, tol=1e-10)
+        reduced, _ = solve_fixed_point(BeliefOperator(single, grid), 8.0)
         assert np.abs(table.values[:, 0] - reduced.values[:, 0]).max() <= 1e-10
 
     def test_finite_horizon_oracle_small_instance(self):
         dyn = make_positive_dyn(7, rate=0.1)
         grid = BeliefGrid.uniform(301)
-        table, _ = solve_fixed_point(BeliefOperator(dyn, grid), 5.0, tol=1e-9)
+        table, _ = solve_fixed_point(BeliefOperator(dyn, grid), 5.0)
         oracle = finite_horizon_dp(dyn, 5.0, grid, 120)
         assert np.abs(table.values - oracle.values).max() <= 1e-5
 
@@ -411,7 +412,7 @@ class TestSolveFixedPoint:
         weight, tol = solved.weight, DEFAULT_FP_TOL
         # An explicit start bypasses the coarse pass.
         start = stop_cost_table(solved.grid, weight, solved.dyn.n_states)
-        plain, applications = solve_fixed_point(operator, weight, tol=tol, start=start)
+        plain, applications = solve_fixed_point(operator, weight, start=start)
         # The coarse pass leaves fewer applications on the fine grid.
         assert solved.fp_iterations < applications
         assert np.abs(solved.value_table.values - plain.values).max() <= tol / 10
@@ -432,10 +433,10 @@ class TestSolveFixedPoint:
         dyn = make_positive_dyn(8, rate=0.1)
         grid = BeliefGrid.uniform(201)
         operator = BeliefOperator(dyn, grid)
-        tol = 1e-9
-        from_top, _ = solve_fixed_point(operator, 5.0, tol=tol)
+        tol = DEFAULT_FP_TOL
+        from_top, _ = solve_fixed_point(operator, 5.0)
         zeros = BeliefValueTable(grid, np.zeros((grid.size, dyn.n_states)))
-        from_bottom, _ = solve_fixed_point(operator, 5.0, tol=tol, start=zeros)
+        from_bottom, _ = solve_fixed_point(operator, 5.0, start=zeros)
         assert np.abs(from_top.values - from_bottom.values).max() <= 10 * tol
 
     @given(
@@ -458,10 +459,10 @@ class TestSolveFixedPoint:
         # (1 - rate)**(40 / rate) < e**-40: backward induction has converged.
         oracle = finite_horizon_dp(dyn, weight, grid, math.ceil(40.0 / rate))
         oracle_thresholds = extract_thresholds(oracle, operator, weight)
-        tol = 1e-9
+        tol = DEFAULT_FP_TOL
         zeros = BeliefValueTable(grid, np.zeros((grid_size, n_states)))
         for start in (None, zeros):
-            table, _ = solve_fixed_point(operator, weight, tol=tol, start=start)
+            table, _ = solve_fixed_point(operator, weight, start=start)
             assert np.abs(table.values - oracle.values).max() <= tol
             assert np.array_equal(extract_thresholds(table, operator, weight), oracle_thresholds)
 
@@ -675,25 +676,7 @@ class TestEvaluateSwitchRule:
         pre /= pre.sum(axis=1, keepdims=True)
         dyn = BeliefDynamics(pre, pre.copy(), 0.01)  # belief climbs only by drift
         with pytest.raises(DivergenceError):
-            evaluate_switch_rule(
-                np.ones(2), BeliefOperator(dyn, BeliefGrid.uniform(20001)), 0.01, tol=1e-6
-            )
-
-    @pytest.mark.parametrize(
-        ("tol", "max_iter"),
-        [(math.inf, 10), (math.nan, 10), (0.0, 10), (-1.0, 10), (1e-9, 0)],
-        ids=["tol-inf", "tol-nan", "tol-zero", "tol-negative", "max-iter-zero"],
-    )
-    def test_solvers_reject_bad_budgets(self, tol, max_iter):
-        dyn = make_positive_dyn(21)
-        operator = BeliefOperator(dyn, BeliefGrid.uniform(21))
-        with pytest.raises(ValueError, match="tol|max_iter"):
-            solve_fixed_point(operator, 1.0, tol, max_iter)
-        with pytest.raises(ValueError, match="tol|max_iter"):
-            evaluate_switch_rule(np.full(3, 0.5), operator, 1.0, tol, max_iter)
-        kernel = np.stack([dyn.kernel_pre, dyn.kernel_post], axis=1)
-        with pytest.raises(ValueError, match="tol|max_iter"):
-            value_iteration(kernel, np.ones((3, 2)), 0.9, tol, max_iter)
+            evaluate_switch_rule(np.ones(2), BeliefOperator(dyn, BeliefGrid.uniform(20001)), 0.01)
 
     def test_rejects_bad_thresholds(self):
         dyn = make_positive_dyn(20)

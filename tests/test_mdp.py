@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from modeswitch.mdp import (
+    DEFAULT_VI_TOL,
     ConvergenceError,
     finite_horizon_cost,
     greedy_backup,
@@ -42,8 +43,8 @@ class TestValueIteration:
         )
         cost = np.array([[1.0, 2.0], [0.3, 0.6]])
         discount = 0.9
-        tol = 1e-10
-        _, values = value_iteration(kernel, cost, discount, tol)
+        tol = DEFAULT_VI_TOL
+        _, values = value_iteration(kernel, cost, discount)
         candidates = [
             policy_value(kernel, cost, discount, np.array(choice))
             for choice in itertools.product(range(2), repeat=2)
@@ -54,8 +55,8 @@ class TestValueIteration:
     @pytest.mark.parametrize("seed", range(20))
     def test_greedy_policy_evaluates_to_vi_output(self, seed):
         mdp = gen_random_mdp(RandomMdpSpec(seed=seed, change_rate=0.01, discount=0.95))
-        tol = 1e-10
-        policy, values = value_iteration(mdp.kernel_pre, mdp.stage_cost, 0.95, tol)
+        tol = DEFAULT_VI_TOL
+        policy, values = value_iteration(mdp.kernel_pre, mdp.stage_cost, 0.95)
         exact = policy_value(mdp.kernel_pre, mdp.stage_cost, 0.95, policy)
         assert np.max(np.abs(exact - values)) <= tol * 0.95 / (1 - 0.95)
 
@@ -69,12 +70,12 @@ class TestValueIteration:
 
     def test_pre_policy_beats_post_policy_in_pre_mode(self, light_solve):
         # Optimality of the pre-change policy for the pre-change kernel.
-        tol = 1e-10
+        tol = DEFAULT_VI_TOL
         for seed in (1, 2, 5):
             env, _, _ = light_solve(seed, 0.01)
             mdp = env.mdp
-            policy_pre, _ = value_iteration(mdp.kernel_pre, env.cost_pre, mdp.discount, tol)
-            policy_post, _ = value_iteration(mdp.kernel_post, env.cost_post, mdp.discount, tol)
+            policy_pre, _ = value_iteration(mdp.kernel_pre, env.cost_pre, mdp.discount)
+            policy_post, _ = value_iteration(mdp.kernel_post, env.cost_post, mdp.discount)
             chain_own = induced_chain(policy_pre, mdp.kernel_pre, env.cost_pre)
             chain_other = induced_chain(policy_post, mdp.kernel_pre, env.cost_pre)
             slack = 2 * tol * mdp.discount / (1 - mdp.discount)
@@ -85,19 +86,18 @@ class TestValueIteration:
                 other = finite_horizon_cost(chain_other, point, math.inf, mdp.discount)
                 assert own <= other + slack
 
-    def test_budget_exhaustion_raises_with_residual(self):
+    def test_budget_exhaustion_raises_with_residual(self, monkeypatch):
+        monkeypatch.setattr("modeswitch.mdp.DEFAULT_VI_MAX_ITER", 1)
         kernel = np.ones((2, 1, 2)) * 0.5
         cost = np.array([[1.0], [3.0]])
         with pytest.raises(ConvergenceError) as info:
-            value_iteration(kernel, cost, 0.9, tol=1e-12, max_iter=1)
+            value_iteration(kernel, cost, 0.9)
         assert info.value.residual > 0.0
 
     def test_rejects_bad_inputs(self):
         kernel = np.ones((1, 1, 1))
         with pytest.raises(ValueError):
             value_iteration(kernel * 0.5, np.array([[1.0]]), 0.9)
-        with pytest.raises(ValueError):
-            value_iteration(kernel, np.array([[1.0]]), 0.9, tol=0.0)
 
 
 class TestInducedChain:
