@@ -57,10 +57,10 @@ class _StageError(RuntimeError):
 @contextmanager
 def _stage(name: str):
     """Report a failure inside the block as a :class:`_StageError` of ``name``;
-    config errors pass through."""
+    config errors and the stage errors of an inner block pass through."""
     try:
         yield
-    except ConfigError:
+    except (ConfigError, _StageError):
         raise
     except Exception as exc:
         raise _StageError(name, exc) from exc
@@ -254,11 +254,7 @@ def _manifest(config: ExperimentConfig, out: Path, extra: dict) -> None:
 def _solved_summary(solved: SolvedEnv) -> dict:
     return {
         "lambda": solved.weight,
-        "cost_rates": {
-            f.name: getattr(solved.cost_rates, f.name)
-            for f in fields(solved.cost_rates)
-            if f.name != "change_rate"
-        },
+        "cost_rates": asdict(solved.cost_rates),
         "residuals": {
             "value_iteration_pre": solved.vi_residual_pre,
             "value_iteration_post": solved.vi_residual_post,
@@ -483,19 +479,16 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     out = Path(config.out_dir)
-    stage = "setup"
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        stage = args.command
-        _COMMANDS[args.command](config, out)
+        with _stage("setup"):
+            out.mkdir(parents=True, exist_ok=True)
+        with _stage(args.command):
+            _COMMANDS[args.command](config, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except _StageError as exc:
+    except _StageError as exc:  # numerical / model failures -> exit 2, stage named
         print(f"error in stage '{exc.stage}': {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # numerical / model failures -> exit 2, stage named
-        print(f"error in stage '{stage}': {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -89,11 +89,6 @@ class SwitchingEnv:
     initial_dist: np.ndarray
     label: str
 
-    def cost_for_mode(self, mode: int) -> np.ndarray:
-        if mode not in (1, 2):
-            raise ValueError("mode must be 1 (pre-change) or 2 (post-change)")
-        return self.cost_pre if mode == 1 else self.cost_post
-
 
 def gen_random_mdp(spec: RandomMdpSpec) -> ModePairMdp:
     """Deterministically generate the seeded random kernel pair.

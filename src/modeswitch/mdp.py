@@ -136,7 +136,7 @@ def greedy_backup(
 
 def value_iteration(
     kernel: np.ndarray, stage_cost: np.ndarray, discount: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Solve one mode's discounted MDP to a Bellman residual below
     ``DEFAULT_VI_TOL``, within ``DEFAULT_VI_MAX_ITER`` backups (both read
     when the function is called).
@@ -154,10 +154,11 @@ def value_iteration(
         discount: discount factor in ``(0, 1)``.
 
     Returns:
-        ``(policy, values)``: the greedy policy for ``values`` and a value
-        vector whose Bellman residual is at most ``DEFAULT_VI_TOL`` and
+        ``(policy, values, residual)``: the greedy policy for ``values``, a
+        value vector whose Bellman residual is at most ``DEFAULT_VI_TOL`` and
         which lies within ``DEFAULT_VI_TOL * discount / (1 - discount)`` of
-        the optimum.
+        the optimum, and that sup-norm residual, of the backup that picks
+        ``policy``.
 
     Raises:
         ConvergenceError: the budget ran out before either stop triggered.
@@ -187,8 +188,8 @@ def value_iteration(
         raise ConvergenceError(
             "value iteration did not converge", float(np.max(np.abs(delta)))
         )
-    _, policy = greedy_backup(kernel, stage_cost, discount, values)
-    return policy, values
+    backed_up, policy = greedy_backup(kernel, stage_cost, discount, values)
+    return policy, values, float(np.max(np.abs(backed_up - values)))
 
 
 def induced_chain(policy: np.ndarray, kernel: np.ndarray, stage_cost: np.ndarray) -> InducedChain:

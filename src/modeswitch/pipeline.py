@@ -18,12 +18,7 @@ from .detector import (
     stencil_supports,
 )
 from .environments import SwitchingEnv
-from .mdp import (
-    InducedChain,
-    greedy_backup,
-    induced_chain,
-    value_iteration,
-)
+from .mdp import InducedChain, induced_chain, value_iteration
 from .chains import stationary_distribution
 from .regret import SwitchingCostRates, false_alarm_weight
 
@@ -49,7 +44,6 @@ class SolvedEnv:
     stationary: dict = field(repr=False)
     cost_rates: SwitchingCostRates
     weight: float
-    grid: BeliefGrid
     value_table: BeliefValueTable
     fp_iterations: int
     fp_residual: float
@@ -61,6 +55,11 @@ class SolvedEnv:
         return _filter_dynamics(self.chains, self.env.mdp.change_rate)
 
     @property
+    def grid(self) -> BeliefGrid:
+        """The belief grid, the value table's."""
+        return self.value_table.grid
+
+    @property
     def grid_slack(self) -> float:
         """Interpolation slack unit: weight times the grid spacing."""
         return self.weight * self.grid.spacing
@@ -70,20 +69,16 @@ class SolvedEnv:
         return float(self.env.initial_dist @ self.value_table.values[0])
 
 
-def _bellman_residual(kernel, cost, discount, values) -> float:
-    backed_up, _ = greedy_backup(kernel, cost, discount, values)
-    return float(np.max(np.abs(backed_up - values)))
-
-
 def mode_pair_chains(
     env: SwitchingEnv, policy_pre: np.ndarray, policy_post: np.ndarray
 ) -> dict[tuple[int, int], InducedChain]:
     """The induced chain of every (policy, kernel) pair in :data:`MODE_PAIRS`."""
     policies = {1: policy_pre, 2: policy_post}
     kernels = {1: env.mdp.kernel_pre, 2: env.mdp.kernel_post}
+    costs = {1: env.cost_pre, 2: env.cost_post}
     return {
         (policy_mode, kernel_mode): induced_chain(
-            policies[policy_mode], kernels[kernel_mode], env.cost_for_mode(kernel_mode)
+            policies[policy_mode], kernels[kernel_mode], costs[kernel_mode]
         )
         for policy_mode, kernel_mode in MODE_PAIRS
     }
@@ -111,9 +106,8 @@ def mode_pair_weight(
         pre_in_pre=averages[1, 1],
         pre_in_post=averages[1, 2],
         post_in_post=averages[2, 2],
-        change_rate=env.mdp.change_rate,
     )
-    return chains, stationary, rates, false_alarm_weight(rates)
+    return chains, stationary, rates, false_alarm_weight(rates, env.mdp.change_rate)
 
 
 def solve_env(env: SwitchingEnv, grid_size: int = DEFAULT_GRID_SIZE) -> SolvedEnv:
@@ -121,8 +115,12 @@ def solve_env(env: SwitchingEnv, grid_size: int = DEFAULT_GRID_SIZE) -> SolvedEn
     belief grid; the solvers stop at the tolerances and budgets of the
     ``DEFAULT_*`` constants in :mod:`.mdp` and :mod:`.detector`."""
     mdp = env.mdp
-    policy_pre, values_pre = value_iteration(mdp.kernel_pre, env.cost_pre, mdp.discount)
-    policy_post, values_post = value_iteration(mdp.kernel_post, env.cost_post, mdp.discount)
+    policy_pre, values_pre, vi_residual_pre = value_iteration(
+        mdp.kernel_pre, env.cost_pre, mdp.discount
+    )
+    policy_post, values_post, vi_residual_post = value_iteration(
+        mdp.kernel_post, env.cost_post, mdp.discount
+    )
     chains, stationary, rates, weight = mode_pair_weight(env, policy_pre, policy_post)
 
     dyn = _filter_dynamics(chains, mdp.change_rate)
@@ -138,15 +136,12 @@ def solve_env(env: SwitchingEnv, grid_size: int = DEFAULT_GRID_SIZE) -> SolvedEn
         policy_post=policy_post,
         values_pre=values_pre,
         values_post=values_post,
-        vi_residual_pre=_bellman_residual(mdp.kernel_pre, env.cost_pre, mdp.discount, values_pre),
-        vi_residual_post=_bellman_residual(
-            mdp.kernel_post, env.cost_post, mdp.discount, values_post
-        ),
+        vi_residual_pre=vi_residual_pre,
+        vi_residual_post=vi_residual_post,
         chains=chains,
         stationary=stationary,
         cost_rates=rates,
         weight=weight,
-        grid=operator.grid,
         value_table=table,
         fp_iterations=iterations,
         fp_residual=fp_residual,

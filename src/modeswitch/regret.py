@@ -19,11 +19,6 @@ class SwitchingCostRates:
     pre_in_pre: float
     pre_in_post: float
     post_in_post: float
-    change_rate: float
-
-    def __post_init__(self):
-        if not 0.0 < self.change_rate <= 1.0:
-            raise ValueError(f"change_rate must lie in (0, 1], got {self.change_rate}")
 
     @property
     def false_alarm_gap(self) -> float:
@@ -36,13 +31,16 @@ class SwitchingCostRates:
         return self.pre_in_post - self.post_in_post
 
 
-def false_alarm_weight(rates: SwitchingCostRates) -> float:
+def false_alarm_weight(rates: SwitchingCostRates, change_rate: float) -> float:
     """Weight on the false-alarm probability in the detection objective.
 
     Equals the false-alarm cost gap divided by the delay cost gap and by the
-    change rate.  Both gaps must be strictly positive for the rescaling to be
-    valid; the error names the offending side.
+    change rate, which must lie in (0, 1].  Both gaps must be strictly
+    positive for the rescaling to be valid; the error names the offending
+    side.
     """
+    if not 0.0 < change_rate <= 1.0:
+        raise ValueError(f"change_rate must lie in (0, 1], got {change_rate}")
     if rates.false_alarm_gap <= 0.0:
         raise ValueError(
             "numerator nonpositive: the false-alarm cost gap "
@@ -55,4 +53,4 @@ def false_alarm_weight(rates: SwitchingCostRates) -> float:
             f"(pre-in-post {rates.pre_in_post!r} minus post-in-post {rates.post_in_post!r}) "
             "must be strictly positive"
         )
-    return rates.false_alarm_gap / (rates.delay_gap * rates.change_rate)
+    return rates.false_alarm_gap / (rates.delay_gap * change_rate)

@@ -67,7 +67,7 @@ import numpy as np
 from .chains import k_step_costs
 from .detector import bayes_step, check_thresholds
 from .mdp import check_fits_in_memory
-from .pipeline import SolvedEnv
+from .pipeline import MODE_PAIRS, SolvedEnv
 
 #: Steps of uniforms drawn per episode at a time.
 _BLOCK = 512
@@ -169,7 +169,6 @@ class RegretCheck:
 
     estimate: float
     stderr: float
-    predicted: float
     tolerance: float
     consistent: bool
 
@@ -452,11 +451,12 @@ def _run_chunk(
     at any rate.  That draw is the one place the number of rates matters.
 
     A lane's one position is its detection controller's *key*,
-    ``4 * n * r + (2 * policy_mode + kernel_mode) * n + state`` with
-    0-based modes, the index of the pass's flat table of induced chains.
+    ``4 * n * r + (policy_mode + 2 * kernel_mode) * n + state`` with
+    0-based modes, the index of the pass's flat table of induced chains,
+    whose block r holds rate r's chains in :data:`MODE_PAIRS` order.
     The kernel mode is 1 from the change point on; the baseline's policy
     mode equals it and the detection controller's is 1 once it has
-    switched, so the change adds ``n`` to a key and the switch ``2 * n``.
+    switched, so the change adds ``2 * n`` to a key and the switch ``n``.
     Costs, thresholds, change rates and filter rows are gathered by key, and
     one ``take`` from the (code, key) table at the step's uniform code gives
     the next key (:class:`_CodedTransitions`).  A state, the key modulo
@@ -506,9 +506,7 @@ def _run_chunk(
     # Per-key tables.  Block r of the flat chain table holds rate r's four
     # chains; a key's threshold and filter rows are row r * n + state of the
     # rates' stacked thresholds and ``dyn`` rows, less its base for a filter.
-    chains = [
-        solved.chains[pair] for solved in solveds for pair in ((1, 1), (1, 2), (2, 1), (2, 2))
-    ]
+    chains = [solved.chains[pair] for solved in solveds for pair in MODE_PAIRS]
     flat_cost = np.concatenate([chain.cost_vec for chain in chains])
     keys = np.arange(flat_cost.size, dtype=np.intp)
     key_state = keys % n_states
@@ -581,7 +579,7 @@ def _run_chunk(
             # baseline leaves pair (1, 1) for (2, 2).
             if (switch_time.take(changed) < t).any():
                 split_key[change_point.take(split) == t] += 3 * n_states
-            key[changed] += n_states
+            key[changed] += 2 * n_states
         fired = None
         if live.size:
             live_key = key.take(live)
@@ -594,17 +592,17 @@ def _run_chunk(
             switch_time[fired] = t
             state_at_switch[fired] = key[fired] % n_states
             regret_pre_switch[fired] = cost_cd[fired] - cost_mo[fired]
-            key[fired] += 2 * n_states
+            key[fired] += n_states
             # A switch before the change splits a lane; its baseline stays on
             # pair (1, 1).
             entering = fired[change_point.take(fired) > t]
             split = np.concatenate((split, entering))
-            split_key = np.concatenate((split_key, key.take(entering) - 2 * n_states))
+            split_key = np.concatenate((split_key, key.take(entering) - n_states))
         if changed is not None:
             # So does a change before the switch, its baseline now on (2, 2).
             entering = changed[switch_time.take(changed) > t]
             split = np.concatenate((split, entering))
-            split_key = np.concatenate((split_key, key.take(entering) + 2 * n_states))
+            split_key = np.concatenate((split_key, key.take(entering) + n_states))
 
         step_cost = disc * flat_cost
         increment = step_cost.take(key)
@@ -1015,7 +1013,6 @@ def regret_consistency(
     return RegretCheck(
         estimate=estimate,
         stderr=stderr,
-        predicted=predicted,
         tolerance=tolerance,
         consistent=abs(estimate - predicted) <= tolerance,
     )

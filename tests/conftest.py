@@ -39,8 +39,8 @@ def light_solve_cached(seed: int, rho: float):
     if key not in _LIGHT_CACHE:
         env = random_env(RandomMdpSpec(seed=seed, change_rate=rho))
         mdp = env.mdp
-        policy_pre, _ = value_iteration(mdp.kernel_pre, env.cost_pre, mdp.discount)
-        policy_post, _ = value_iteration(mdp.kernel_post, env.cost_post, mdp.discount)
+        policy_pre, _, _ = value_iteration(mdp.kernel_pre, env.cost_pre, mdp.discount)
+        policy_post, _, _ = value_iteration(mdp.kernel_post, env.cost_post, mdp.discount)
         chains, _, _, weight = mode_pair_weight(env, policy_pre, policy_post)
         dyn = BeliefDynamics(chains[1, 1].transition, chains[1, 2].transition, mdp.change_rate)
         _LIGHT_CACHE[key] = (env, weight, dyn)

@@ -80,6 +80,9 @@ class TestSolveCommand:
             assert (out / name).exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["solve"]["lambda"] > 0.0
+        assert set(manifest["solve"]["cost_rates"]) == {
+            "post_in_pre", "pre_in_pre", "pre_in_post", "post_in_post"
+        }
         assert manifest["versions"]["modeswitch"]
 
     def test_reruns_are_byte_identical(self, tmp_path):
@@ -414,6 +417,13 @@ class TestErrorPaths:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 1
+
+    def test_an_out_dir_that_cannot_be_made_names_the_setup_stage(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        config = write_config(tmp_path, out_dir=str(taken))
+        assert main(["solve", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("error in stage 'setup': ")
 
     @pytest.mark.parametrize("command", ["simulate", "figure1"])
     def test_failure_names_the_swept_rate(self, tmp_path, capsys, monkeypatch, command):

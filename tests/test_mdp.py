@@ -28,12 +28,12 @@ def policy_value(kernel, cost, discount, policy):
 
 class TestValueIteration:
     def test_single_state_geometric_series(self):
-        policy, values = value_iteration(np.ones((1, 1, 1)), np.array([[1.0]]), 0.5)
+        policy, values, _ = value_iteration(np.ones((1, 1, 1)), np.array([[1.0]]), 0.5)
         assert policy.tolist() == [0]
         assert abs(values[0] - 2.0) < 1e-9
 
     def test_dominant_action(self):
-        policy, values = value_iteration(np.ones((1, 2, 1)), np.array([[1.0, 0.5]]), 0.9)
+        policy, values, _ = value_iteration(np.ones((1, 2, 1)), np.array([[1.0, 0.5]]), 0.9)
         assert policy.tolist() == [1]
         assert abs(values[0] - 5.0) < 1e-9
 
@@ -44,7 +44,7 @@ class TestValueIteration:
         cost = np.array([[1.0, 2.0], [0.3, 0.6]])
         discount = 0.9
         tol = DEFAULT_VI_TOL
-        _, values = value_iteration(kernel, cost, discount)
+        _, values, _ = value_iteration(kernel, cost, discount)
         candidates = [
             policy_value(kernel, cost, discount, np.array(choice))
             for choice in itertools.product(range(2), repeat=2)
@@ -56,9 +56,14 @@ class TestValueIteration:
     def test_greedy_policy_evaluates_to_vi_output(self, seed):
         mdp = gen_random_mdp(RandomMdpSpec(seed=seed, change_rate=0.01, discount=0.95))
         tol = DEFAULT_VI_TOL
-        policy, values = value_iteration(mdp.kernel_pre, mdp.stage_cost, 0.95)
+        policy, values, residual = value_iteration(mdp.kernel_pre, mdp.stage_cost, 0.95)
         exact = policy_value(mdp.kernel_pre, mdp.stage_cost, 0.95, policy)
         assert np.max(np.abs(exact - values)) <= tol * 0.95 / (1 - 0.95)
+        # The returned residual is that of the backup that picked the policy.
+        backed_up, greedy = greedy_backup(mdp.kernel_pre, mdp.stage_cost, 0.95, values)
+        assert np.array_equal(greedy, policy)
+        assert residual == float(np.max(np.abs(backed_up - values)))
+        assert residual <= tol
 
     def test_iterates_nondecreasing_from_zero(self):
         mdp = gen_random_mdp(RandomMdpSpec(seed=4, change_rate=0.01, discount=0.9))
@@ -74,8 +79,8 @@ class TestValueIteration:
         for seed in (1, 2, 5):
             env, _, _ = light_solve(seed, 0.01)
             mdp = env.mdp
-            policy_pre, _ = value_iteration(mdp.kernel_pre, env.cost_pre, mdp.discount)
-            policy_post, _ = value_iteration(mdp.kernel_post, env.cost_post, mdp.discount)
+            policy_pre, _, _ = value_iteration(mdp.kernel_pre, env.cost_pre, mdp.discount)
+            policy_post, _, _ = value_iteration(mdp.kernel_post, env.cost_post, mdp.discount)
             chain_own = induced_chain(policy_pre, mdp.kernel_pre, env.cost_pre)
             chain_other = induced_chain(policy_post, mdp.kernel_pre, env.cost_pre)
             slack = 2 * tol * mdp.discount / (1 - mdp.discount)

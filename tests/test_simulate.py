@@ -68,7 +68,7 @@ def degenerate_solved():
     from modeswitch.pipeline import SolvedEnv
     from modeswitch.regret import SwitchingCostRates
 
-    policy, values = value_iteration(flat.kernel_pre, flat.stage_cost, 0.9)
+    policy, values, _ = value_iteration(flat.kernel_pre, flat.stage_cost, 0.9)
     chains = mode_pair_chains(env, policy, policy)
     dyn = BeliefDynamics(chains[1, 1].transition, chains[1, 2].transition, flat.change_rate)
     operator = BeliefOperator(dyn, BeliefGrid.uniform(201))
@@ -84,9 +84,8 @@ def degenerate_solved():
         vi_residual_post=0.0,
         chains=chains,
         stationary={},
-        cost_rates=SwitchingCostRates(1.0, 0.0, 1.0, 0.0, 0.1),
+        cost_rates=SwitchingCostRates(1.0, 0.0, 1.0, 0.0),
         weight=weight,
-        grid=operator.grid,
         value_table=table,
         fp_iterations=iterations,
         fp_residual=0.0,
@@ -979,7 +978,7 @@ class TestRegretConsistency:
             predicted=small_solved.start_value(),
             slack=2.0 * small_solved.grid_slack,
         )
-        assert check.consistent, (check.estimate, check.predicted, check.tolerance)
+        assert check.consistent, (check.estimate, small_solved.start_value(), check.tolerance)
 
     def test_truncation_precondition(self, small_solved):
         batch = run_batch(replace(small_solved, thresholds=np.ones(3)), 200, 25, 7)
