@@ -60,7 +60,6 @@ _MONTE_CARLO = (
     "SimReport",
     "episode_rng",
     "estimate_exact_regret",
-    "estimate_regret_decomposition",
     "regret_consistency",
     "run_batch",
     "run_episode",

@@ -142,6 +142,8 @@ _MINIMA = (
     ("master_seed", 0, "master_seed must be non-negative"),
     ("mixing_k_max", 1, "mixing_k_max must be at least 1"),
 )
+#: The largest horizon: the Monte Carlo records a switch time as an int64.
+_MAX_HORIZON = 2**63 - 1
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
@@ -194,6 +196,8 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         value = getattr(config, key)
         if value is not None and value < low:
             raise ConfigError(message)
+    if config.horizon is not None and config.horizon > _MAX_HORIZON:
+        raise ConfigError(f"horizon must be at most 2**63 - 1, got {config.horizon}")
     return config
 
 

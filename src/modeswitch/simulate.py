@@ -1,5 +1,6 @@
 """Coupled Monte Carlo of the change-detection controller against the
-mode-observing baseline, under common random numbers, plus regret estimators.
+mode-observing baseline, under common random numbers, plus the regret
+estimate and the check of the realized detection cost against the DP.
 
 Per-episode randomness comes from its own stream,
 ``SeedSequence(entropy=master_seed, spawn_key=(episode_index,))``, consumed in
@@ -64,7 +65,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .chains import k_step_costs
 from .detector import bayes_step, check_thresholds
 from .mdp import check_fits_in_memory
 from .pipeline import MODE_PAIRS, SolvedEnv
@@ -80,12 +80,13 @@ _GUIDE_BINS = 2**14
 #: Bytes of an episode's generator, seeded from precomputed words.
 _GENERATOR_BYTES = 704
 #: Bytes one lane (a rate's copy of an episode) holds besides the rows of its
-#: transition count: 19 eight-byte entries, for its key, two cost sums, five
-#: records, its change-schedule entry, live index and belief, and, in the
-#: belief filter, its increment, live key, filter index, two probabilities,
-#: change rate and two filter temporaries.  With a count's rows at n = 5 that
-#: is 188 bytes; ``tracemalloc`` measures 182-200 on the README instance.
-_LANE_BYTES = 8 * 19
+#: transition count: 16 eight-byte entries, for its key, two cost sums, two
+#: records (change point and switch time), its change-schedule entry, live
+#: index and belief, and, in the belief filter, its increment, live key,
+#: filter index, two probabilities, change rate and two filter temporaries.
+#: With a count's rows at n = 5 that is 164 bytes; ``tracemalloc`` measures
+#: 157-182 on the README instance (horizons 700 down to 50).
+_LANE_BYTES = 8 * 16
 #: Memory budget of a chunk's per-episode and per-lane buffers; it sets the
 #: chunk width.
 _CHUNK_BYTES = 11 * 2**19  # 5.5 MiB
@@ -95,15 +96,14 @@ _TABLE_BYTES = 2**20
 #: numpy's ``Generator.geometric(p)`` inverts one standard-exponential draw
 #: below this rate and searches with one uniform from it on.
 _INVERSION_BELOW = 1.0 / 3.0
-#: Bytes of one episode's record in an :class:`EpisodeBatch`: nine eight-byte
+#: Bytes of one episode's record in an :class:`EpisodeBatch`: six eight-byte
 #: fields and the two bool flags.
-_RECORD_BYTES = 9 * 8 + 2
+_RECORD_BYTES = 6 * 8 + 2
 #: The :class:`EpisodeBatch` fields the lane kernel writes, with their dtypes;
 #: the others follow from them in closed form.
 _STEPPED = {
     "change_point": np.int64, "switch_time": np.int64, "cost_cd": np.float64,
-    "cost_mo": np.float64, "state_at_switch": np.int64, "state_at_change": np.int64,
-    "regret_pre_switch": np.float64,
+    "cost_mo": np.float64,
 }
 
 
@@ -122,12 +122,6 @@ class EpisodeBatch:
     defined as P(change strictly before t), prices; the plain detection
     metrics ``delay`` = (switch_time - change_point)_+ and ``false_alarm`` =
     (switch_time < change_point) are recorded alongside.
-
-    ``state_at_switch`` is the detection controller's state when the rule
-    fired (-1 if it never fired), ``state_at_change`` its state at the change
-    point (-1 if the change lies at or past the horizon), and
-    ``regret_pre_switch`` is ``cost_cd - cost_mo`` as it stood when the rule
-    fired (at the horizon if it never fired).
     """
 
     change_point: np.ndarray
@@ -138,9 +132,6 @@ class EpisodeBatch:
     delay: np.ndarray
     objective_realized: np.ndarray
     truncated: np.ndarray
-    state_at_switch: np.ndarray
-    state_at_change: np.ndarray
-    regret_pre_switch: np.ndarray
 
     @property
     def n_episodes(self) -> int:
@@ -232,20 +223,14 @@ def run_episode(
     belief = 0.0
     switched = False
     switch_time = horizon
-    state_at_switch = -1
-    state_at_change = -1
     cost_cd = 0.0
     cost_mo = 0.0
     objective = 0.0
     disc = 1.0
     for t in range(horizon):
-        if t == change_point:
-            state_at_change = state_cd
         if not switched and belief >= thresholds[state_cd]:
             switched = True
             switch_time = t
-            state_at_switch = state_cd
-            regret_pre_switch = cost_cd - cost_mo
             if change_point >= t:
                 objective += weight
         pre_change = t < change_point
@@ -273,10 +258,8 @@ def run_episode(
         state_mo = next_mo
         disc *= mdp.discount
     truncated = not switched
-    if truncated:
-        regret_pre_switch = cost_cd - cost_mo
-        if change_point >= horizon:
-            objective += weight
+    if truncated and change_point >= horizon:
+        objective += weight
     record = dict(
         change_point=change_point,
         switch_time=switch_time,
@@ -286,9 +269,6 @@ def run_episode(
         delay=max(switch_time - change_point, 0),
         objective_realized=objective,
         truncated=truncated,
-        state_at_switch=state_at_switch,
-        state_at_change=state_at_change,
-        regret_pre_switch=regret_pre_switch,
     )
     return EpisodeBatch(**{name: np.array([value]) for name, value in record.items()})
 
@@ -459,9 +439,8 @@ def _run_chunk(
     switched, so the change adds ``2 * n`` to a key and the switch ``n``.
     Costs, thresholds, change rates and filter rows are gathered by key, and
     one ``take`` from the (code, key) table at the step's uniform code gives
-    the next key (:class:`_CodedTransitions`).  A state, the key modulo
-    ``n``, is read only for ``state_at_change`` and ``state_at_switch``.  A
-    lane holds its key, two cost sums and records, and while live its belief.
+    the next key (:class:`_CodedTransitions`).  A lane holds its key, two
+    cost sums and records, and while live its belief.
 
     The baseline sits on the detection controller's key until a change or
     a switch moves one of them alone, and again once a step lands both on
@@ -532,11 +511,8 @@ def _run_chunk(
             for r, solved in enumerate(solveds)
         ]
     )
-    cost_cd, cost_mo = records["cost_cd"], records["cost_mo"]
-    switch_time, regret_pre_switch = records["switch_time"], records["regret_pre_switch"]
-    state_at_switch, state_at_change = records["state_at_switch"], records["state_at_change"]
-    cost_cd[:] = cost_mo[:] = regret_pre_switch[:] = 0.0
-    state_at_switch[:] = state_at_change[:] = -1
+    cost_cd, cost_mo, switch_time = records["cost_cd"], records["cost_mo"], records["switch_time"]
+    cost_cd[:] = cost_mo[:] = 0.0
     switch_time[:] = np.repeat(horizons, width)
     # Split lanes and their baselines' keys.
     split = np.empty(0, dtype=np.intp)
@@ -574,7 +550,6 @@ def _run_chunk(
 
         changed = changes_at.get(t)
         if changed is not None:
-            state_at_change[changed] = key[changed] % n_states
             # A lane whose rule fired before its change is split; its
             # baseline leaves pair (1, 1) for (2, 2).
             if (switch_time.take(changed) < t).any():
@@ -590,8 +565,6 @@ def _run_chunk(
                 live, live_key, belief = live[waiting], live_key[waiting], belief[waiting]
         if fired is not None:
             switch_time[fired] = t
-            state_at_switch[fired] = key[fired] % n_states
-            regret_pre_switch[fired] = cost_cd[fired] - cost_mo[fired]
             key[fired] += n_states
             # A switch before the change splits a lane; its baseline stays on
             # pair (1, 1).
@@ -625,7 +598,6 @@ def _run_chunk(
         disc *= discount
 
 
-
 def _join(
     shares: list[list[tuple[int, int]]],
     records: list[dict[str, np.ndarray]],
@@ -646,10 +618,6 @@ def _join(
 
     joined = {name: np.concatenate(list(chunk_columns(name)), axis=1) for name in _STEPPED}
     change_point, switch_time = joined["change_point"], joined["switch_time"]
-    truncated = switch_time == np.array(horizons)[:, None]
-    np.subtract(
-        joined["cost_cd"], joined["cost_mo"], out=joined["regret_pre_switch"], where=truncated
-    )
     # run_episode adds either the weight once or 1.0 per step, never both, so
     # its stepwise sum is exactly this closed form.
     joined["objective_realized"] = np.where(
@@ -659,7 +627,7 @@ def _join(
     )
     joined["false_alarm"] = switch_time < change_point
     joined["delay"] = np.maximum(switch_time - change_point, 0)
-    joined["truncated"] = truncated
+    joined["truncated"] = switch_time == np.array(horizons)[:, None]
     return [
         EpisodeBatch(**{f.name: joined[f.name][r] for f in fields(EpisodeBatch)})
         for r in range(len(solveds))
@@ -682,8 +650,8 @@ def _chunk_width(n_rates: int, n_states: int) -> int:
     The width is set before the pass's table exists, so codes are sized from
     the pass's entry count, a bound on its distinct cut points, and at two
     bytes at least: a pass under 255 cut points codes in one byte, but its
-    chunks keep the two-byte width (3010 episodes for one rate of the README
-    instance, 2019 for its six-rate sweep).  Widening the six-rate chunks to
+    chunks keep the two-byte width (3048 episodes for one rate of the README
+    instance, 2126 for its six-rate sweep).  Widening the six-rate chunks to
     one-byte codes slowed the README sweep (0.912 to 0.968 s) and saved only
     0.34 MB of peak memory, so the narrower codes halve the block instead."""
     bound = _code_dtype(4 * n_rates * n_states * (n_states - 1))
@@ -1038,53 +1006,3 @@ def estimate_exact_regret(
     )
     bound = mdp.discount**horizon * cost_max / (1.0 - mdp.discount)
     return RegretEstimate(float(totals.mean()), _stderr(totals), bound)
-
-
-def estimate_regret_decomposition(
-    solved: SolvedEnv, n_episodes: int, horizon: int, master_seed: int
-) -> tuple[float, float]:
-    """Regret estimate from realized pre-switch terms plus exact cost-to-go.
-
-    Each episode of one coupled batch contributes its realized discounted
-    cost difference up to the switch (``regret_pre_switch``, nonzero only
-    over the delay period) plus, at the switch, the expected regret-to-go
-    evaluated in closed form from the induced chains: the false-alarm branch
-    compares running the two policies until the realized change and then
-    matching infinite tails; the delay branch compares the post-change chain
-    started at the switch state against the same chain started (and
-    propagated) from the state at the change.  Episodes whose rule never
-    fired contribute their realized part only.
-    """
-    discount = solved.env.mdp.discount
-    chain_21 = solved.chains[2, 1]
-    chain_11 = solved.chains[1, 1]
-    chain_22 = solved.chains[2, 2]
-    tail_22 = np.linalg.solve(
-        np.eye(chain_22.n_states) - discount * chain_22.transition, chain_22.cost_vec
-    )
-
-    batch = run_batch(solved, n_episodes, horizon, master_seed)
-    fired = ~batch.truncated
-    switch_time = batch.switch_time[fired]
-    change_point = batch.change_point[fired]
-    state = batch.state_at_switch[fired]
-    early = switch_time < change_point
-    lag = np.abs(change_point - switch_time)
-    # Cost-to-go tables up to the largest lag of a fired episode: lag steps
-    # of a chain from each state, then the post-change tail (the false-alarm
-    # branch), and the tail propagated lag steps through the post-change
-    # chain (the delay branch, at the state at the change).
-    max_lag = int(lag.max(initial=0))
-    lead_21 = k_step_costs(chain_21.transition, chain_21.cost_vec, discount, max_lag, tail_22)
-    lead_11 = k_step_costs(chain_11.transition, chain_11.cost_vec, discount, max_lag, tail_22)
-    ahead_22 = k_step_costs(chain_22.transition, 0.0, 1.0, max_lag, tail_22)
-    # An early switch's state at the change may be -1 (change past the
-    # horizon); that branch discards the entry it indexes.
-    to_go = np.where(
-        early,
-        lead_21[lag, state] - lead_11[lag, state],
-        tail_22[state] - ahead_22[lag, batch.state_at_change[fired]],
-    )
-    totals = batch.regret_pre_switch.copy()
-    totals[fired] += discount ** switch_time.astype(float) * to_go
-    return float(totals.mean()), _stderr(totals)

@@ -248,8 +248,8 @@ class TestMixingCommand:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_episode_records_stay_within_their_count(self, tmp_path, workers):
         # A simulate with episode records peaks under run_sweep's record
-        # count, 2 * 74 bytes per episode, above the same command at 1000
-        # episodes.  When every chunk's records were held until all were
+        # count, twice simulate._RECORD_BYTES per episode, above the same
+        # command at 1000 episodes.  When every chunk's records were held until all were
         # joined, the heap kept them resident beside the joined batch, and
         # 2 * 10**5 episodes peaked 1.4 to 3.6 MiB over the count.
         from modeswitch import simulate
@@ -299,8 +299,8 @@ def child_peak_rss(command, config):
 #: The package's Monte Carlo names, all of them from ``modeswitch.simulate``.
 MONTE_CARLO_NAMES = (
     "EpisodeBatch", "RegretCheck", "RegretEstimate", "SimReport", "episode_rng",
-    "estimate_exact_regret", "estimate_regret_decomposition", "regret_consistency",
-    "run_batch", "run_episode", "run_sweep", "summarize",
+    "estimate_exact_regret", "regret_consistency", "run_batch", "run_episode",
+    "run_sweep", "summarize",
 )
 
 
@@ -575,7 +575,7 @@ class TestErrorPaths:
 
     def test_episode_records_are_sized_before_any_chunk_runs(self, tmp_path, capsys, monkeypatch):
         # 4 MB of physical memory holds the kernels and the stencil, but not
-        # 10**6 episodes' records (74 bytes each, held twice while joined).
+        # 10**6 episodes' records (50 bytes each, held twice while joined).
         from modeswitch import simulate
 
         pages = {"SC_PHYS_PAGES": 1024, "SC_PAGE_SIZE": 4096}
@@ -586,7 +586,7 @@ class TestErrorPaths:
         assert main(["simulate", "--config", str(config)]) == 2
         assert capsys.readouterr().err == (
             "error in stage 'simulate rho=0.05': 1 x 1000000 episode records need "
-            "148000000 bytes, more than the 4194304 bytes of physical memory\n"
+            "100000000 bytes, more than the 4194304 bytes of physical memory\n"
         )
         assert not chunks
 
@@ -643,6 +643,11 @@ class TestErrorPaths:
             ({"workers": 2.5}, [], "workers must be an integer"),
             ({"n_episodes": True}, [], "n_episodes must be an integer"),
             ({"horizon": 0}, [], "horizon must be at least 1"),
+            (
+                {"horizon": 10**20},
+                [],
+                "horizon must be at most 2**63 - 1, got 100000000000000000000",
+            ),
             ({}, ["--workers", "0"], "workers must be at least 1"),
             ({"environment": {"kind": ["random-mdp"]}}, [], "unknown environment kind"),
             (
@@ -715,6 +720,7 @@ class TestErrorPaths:
             "workers-float",
             "episodes-bool",
             "horizon-zero",
+            "horizon-above-int64",
             "workers-flag-zero",
             "kind-list",
             "missing-kernels",
@@ -738,6 +744,14 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
         assert err.count("\n") == 1
+
+    def test_the_largest_horizon_is_int64_max(self, tmp_path):
+        # The Monte Carlo records a switch time as an int64, so 2**63 - 1
+        # loads and 2**63 is a config error (nothing runs either horizon).
+        largest = 2**63 - 1
+        assert cli.load_config(write_config(tmp_path, horizon=largest)).horizon == largest
+        with pytest.raises(cli.ConfigError, match=r"at most 2\*\*63 - 1, got 9223372036854775808$"):
+            cli.load_config(write_config(tmp_path, horizon=largest + 1))
 
     @pytest.mark.parametrize(
         ("overrides", "message"),

@@ -1,5 +1,6 @@
 """Tests for the coupled Monte Carlo harness and the regret estimators."""
 
+import bisect
 import contextlib
 import math
 import os
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from modeswitch import simulate
 from modeswitch._seeding import episode_generators, seed_words
-from modeswitch.detector import BeliefGrid, BeliefOperator, evaluate_switch_rule
+from modeswitch.detector import BeliefGrid, BeliefOperator, bayes_step, evaluate_switch_rule
 from modeswitch.environments import (
     InventorySpec,
     RandomMdpSpec,
@@ -29,7 +30,6 @@ from modeswitch.simulate import (
     EpisodeBatch,
     episode_rng,
     estimate_exact_regret,
-    estimate_regret_decomposition,
     regret_consistency,
     run_batch,
     run_episode,
@@ -188,17 +188,103 @@ def test_threshold_vectors_are_checked(small_solved, entry, thresholds, message)
         entry(small_solved, thresholds)
 
 
-def decomposition_loop(solved, batch):
-    """Per-episode regret of the decomposition estimator, one episode at a
-    time from finite_horizon_cost and matrix powers."""
+#: The columns of :func:`decomposition_records`.
+DECOMPOSITION_FIELDS = (
+    "change_point", "switch_time", "cost_cd", "cost_mo", "truncated",
+    "state_at_switch", "state_at_change", "regret_pre_switch",
+)
+
+
+def decomposition_records(solved, n_episodes, horizon, master):
+    """Episodes ``0 .. n_episodes - 1`` stepped one at a time as
+    :func:`run_episode` steps them, from the same streams, as arrays of the
+    batch's stepped fields and ``truncated`` plus what the regret
+    decomposition reads: ``state_at_switch``, the detection controller's
+    state when the rule fired (-1 if it never fired); ``state_at_change``,
+    its state at the change point (-1 if the change lies at or past the
+    horizon); and ``regret_pre_switch``, ``cost_cd - cost_mo`` as it stood
+    when the rule fired (at the horizon if it never fired).
+
+    Tables are read as Python lists, and a transition is found with
+    ``bisect_right``, which counts the cumulative entries at or below a
+    uniform as ``searchsorted(..., side="right")`` does."""
+    env, mdp = solved.env, solved.env.mdp
+    last = mdp.n_states - 1
+    cum_initial = np.cumsum(env.initial_dist).tolist()
+    cum = {True: np.cumsum(mdp.kernel_pre, axis=2).tolist(),
+           False: np.cumsum(mdp.kernel_post, axis=2).tolist()}
+    cost = {True: env.cost_pre.tolist(), False: env.cost_post.tolist()}
+    kernel_pre, kernel_post = mdp.kernel_pre.tolist(), mdp.kernel_post.tolist()
+    policy = {True: solved.policy_pre.tolist(), False: solved.policy_post.tolist()}
+    thresholds = np.asarray(solved.thresholds, dtype=float).tolist()
+    rows = []
+    for index in range(n_episodes):
+        rng = episode_rng(master, index)
+        change_point = int(rng.geometric(mdp.change_rate))
+        start_u = float(rng.random())
+        step_u = rng.random(horizon).tolist()
+        state_cd = state_mo = min(bisect.bisect_right(cum_initial, start_u), last)
+        belief, switched, switch_time = 0.0, False, horizon
+        state_at_switch = state_at_change = -1
+        cost_cd = cost_mo = 0.0
+        disc = 1.0
+        for t in range(horizon):
+            if t == change_point:
+                state_at_change = state_cd
+            if not switched and belief >= thresholds[state_cd]:
+                switched, switch_time, state_at_switch = True, t, state_cd
+                regret_pre_switch = cost_cd - cost_mo
+            pre_change = t < change_point
+            action_cd = policy[not switched][state_cd]
+            action_mo = policy[pre_change][state_mo]
+            cost_cd += disc * cost[pre_change][state_cd][action_cd]
+            cost_mo += disc * cost[pre_change][state_mo][action_mo]
+            u = step_u[t]
+            next_cd = min(bisect.bisect_right(cum[pre_change][state_cd][action_cd], u), last)
+            next_mo = min(bisect.bisect_right(cum[pre_change][state_mo][action_mo], u), last)
+            if not switched:
+                belief = float(bayes_step(
+                    belief,
+                    kernel_pre[state_cd][action_cd][next_cd],
+                    kernel_post[state_cd][action_cd][next_cd],
+                    mdp.change_rate,
+                )[0])
+            state_cd, state_mo = next_cd, next_mo
+            disc *= mdp.discount
+        if not switched:
+            regret_pre_switch = cost_cd - cost_mo
+        rows.append((
+            change_point, switch_time, cost_cd, cost_mo, not switched,
+            state_at_switch, state_at_change, regret_pre_switch,
+        ))
+    return {name: np.array(column) for name, column in zip(DECOMPOSITION_FIELDS, zip(*rows))}
+
+
+def assert_records_match_batch(records, batch):
+    """The stepped fields of :func:`decomposition_records` equal the batch's,
+    bit for bit, so the decomposition reads the episodes the batch ran."""
+    for name in ("change_point", "switch_time", "cost_cd", "cost_mo", "truncated"):
+        column = getattr(batch, name)
+        assert records[name].astype(column.dtype).tobytes() == column.tobytes(), name
+
+
+def decomposition_loop(solved, records):
+    """Per-episode regret of the decomposition, one episode at a time from
+    finite_horizon_cost and matrix powers: each episode's realized cost
+    difference up to the switch plus, at the switch, the expected
+    regret-to-go of the induced chains.  The false-alarm branch runs the two
+    policies until the change and then the post-change chain's infinite
+    tail; the delay branch compares the post-change chain started at the
+    switch state with the same chain propagated from the state at the
+    change.  Episodes whose rule never fired keep their realized part."""
     discount = solved.env.mdp.discount
     c21, c11, c22 = (solved.chains[pair] for pair in ((2, 1), (1, 1), (2, 2)))
     tail = np.linalg.solve(np.eye(c22.n_states) - discount * c22.transition, c22.cost_vec)
     power = np.linalg.matrix_power
-    totals = batch.regret_pre_switch.copy()
-    for i in np.flatnonzero(~batch.truncated):
-        tau, gamma = int(batch.switch_time[i]), int(batch.change_point[i])
-        state = int(batch.state_at_switch[i])
+    totals = records["regret_pre_switch"].copy()
+    for i in np.flatnonzero(~records["truncated"]):
+        tau, gamma = int(records["switch_time"][i]), int(records["change_point"][i])
+        state = int(records["state_at_switch"][i])
         if tau < gamma:
             lag = gamma - tau
             point = np.eye(c22.n_states)[state]
@@ -209,7 +295,7 @@ def decomposition_loop(solved, batch):
                 + discount**lag * float(ahead @ tail)
             )
         else:
-            origin = int(batch.state_at_change[i])
+            origin = int(records["state_at_change"][i])
             to_go = tail[state] - power(c22.transition, tau - gamma)[origin] @ tail
         totals[i] += discount**tau * to_go
     return totals
@@ -451,29 +537,34 @@ class TestRunBatch:
         # No stage difference accrues before both the switch and the change:
         # zero thresholds fire at time 0, and any rule firing no later than
         # the change has nothing to show for it yet.  A rule firing at the
-        # change itself does so in the state the change finds.
+        # change itself does so in the state the change finds.  The states
+        # and pre-switch regrets are the decomposition's records of the
+        # batch's own episodes.
         horizon = 40
-        solved_rule = run_batch(small_solved, 600, horizon, 27)
-        early = solved_rule.switch_time <= solved_rule.change_point
+        solved_rule = decomposition_records(small_solved, 600, horizon, 27)
+        assert_records_match_batch(solved_rule, run_batch(small_solved, 600, horizon, 27))
+        early = solved_rule["switch_time"] <= solved_rule["change_point"]
         assert 0 < early.sum() < early.size
-        assert np.all(solved_rule.regret_pre_switch[early] == 0.0)
-        at_change = solved_rule.switch_time == solved_rule.change_point
+        assert np.all(solved_rule["regret_pre_switch"][early] == 0.0)
+        at_change = solved_rule["switch_time"] == solved_rule["change_point"]
         assert at_change.any()
         assert np.array_equal(
-            solved_rule.state_at_switch[at_change], solved_rule.state_at_change[at_change]
+            solved_rule["state_at_switch"][at_change], solved_rule["state_at_change"][at_change]
         )
-        assert np.all(solved_rule.regret_pre_switch[at_change] == 0.0)
-        beyond = solved_rule.change_point >= horizon
-        assert beyond.any() and np.all(solved_rule.state_at_change[beyond] == -1)
+        assert np.all(solved_rule["regret_pre_switch"][at_change] == 0.0)
+        beyond = solved_rule["change_point"] >= horizon
+        assert beyond.any() and np.all(solved_rule["state_at_change"][beyond] == -1)
 
         for start in range(3):
             pinned = replace(
                 small_solved, env=replace(small_solved.env, initial_dist=np.eye(3)[start])
             )
-            eager = run_batch(replace(pinned, thresholds=np.zeros(3)), 300, horizon, 27)
-            assert np.all(eager.switch_time == 0)
-            assert np.all(eager.state_at_switch == start)
-            assert np.all(eager.regret_pre_switch == 0.0)
+            eager_rule = replace(pinned, thresholds=np.zeros(3))
+            eager = decomposition_records(eager_rule, 300, horizon, 27)
+            assert_records_match_batch(eager, run_batch(eager_rule, 300, horizon, 27))
+            assert np.all(eager["switch_time"] == 0)
+            assert np.all(eager["state_at_switch"] == start)
+            assert np.all(eager["regret_pre_switch"] == 0.0)
 
     def test_coupling_exact_on_unswitched_episodes(self, small_solved):
         horizon = 30
@@ -783,9 +874,9 @@ class TestCodedTransitions:
             simulate._code_dtype(2**32 - 1)
         # Widths budget two bytes a code even where the codes take one:
         # mc-long's 6000 episodes stay two chunks of 3000 on two processes,
-        # and the README sweep's run as chunks of 2019, 2019 and 1962.
-        assert simulate._chunk_width(1, 5) == 3010
-        assert simulate._chunk_width(6, 5) == 2019
+        # and the README sweep's run as chunks of 2126, 2126 and 1748.
+        assert simulate._chunk_width(1, 5) == 3048
+        assert simulate._chunk_width(6, 5) == 2126
 
     def test_count_on_codes_gives_the_tables_batches(self, small_solved, readme_sweep, monkeypatch):
         horizons = [int(np.ceil(2.0 / rate)) for rate in README_RATES]
@@ -826,7 +917,9 @@ class TestSixteenStates:
     def test_batch_matches_oracle(self, inventory_pair, next_state_path):
         solved = inventory_pair[0]
         batch = run_batch(solved, 60, 300, 5)
-        assert (~batch.truncated).any() and batch.state_at_change.max() == 15
+        records = decomposition_records(solved, 60, 300, 5)
+        assert_records_match_batch(records, batch)
+        assert (~batch.truncated).any() and records["state_at_change"].max() == 15
         assert_batch_matches_oracle(batch, solved, 300, 5)
 
     def test_sweep_equals_per_rate_batches(self, inventory_pair, next_state_path):
@@ -1008,25 +1101,40 @@ class TestExactRegret:
             0.9**60 * np.max(small_solved.env.cost_pre) / 0.1, rel=1e-9
         )
 
-    def test_decomposition_matches_the_per_episode_loop(self, small_solved):
-        batch = run_batch(small_solved, 300, 250, 53)
-        assert 0 < (batch.switch_time < batch.change_point).sum() < 300
-        totals = decomposition_loop(small_solved, batch)
-        mean, stderr = estimate_regret_decomposition(small_solved, 300, 250, 53)
-        assert mean == pytest.approx(float(totals.mean()), rel=1e-12)
-        assert stderr == pytest.approx(float(totals.std(ddof=1) / np.sqrt(300)), rel=1e-12)
-
-    def test_decomposition_without_a_fired_rule(self, small_solved):
-        # Belief 0 never reaches threshold 1 in one step: only realized terms.
-        never = replace(small_solved, thresholds=np.ones(3))
-        batch = run_batch(never, 200, 1, 5)
-        assert batch.truncated.all()
-        mean, stderr = estimate_regret_decomposition(never, 200, 1, 5)
-        assert mean == float(batch.regret_pre_switch.mean())
-        assert stderr == float(batch.regret_pre_switch.std(ddof=1) / np.sqrt(200))
+    @pytest.mark.parametrize(
+        ("thresholds", "n_episodes", "horizon", "master"),
+        [(None, 300, 250, 53), (np.ones(3), 200, 1, 5)],
+        ids=["fired", "never-fired"],
+    )
+    def test_decomposition_steps_match_the_batch(
+        self, small_solved, thresholds, n_episodes, horizon, master
+    ):
+        # The decomposition's scalar steps run the batch's episodes, bit for
+        # bit, and a rule that has not fired by the horizon leaves the
+        # realized cost difference as its pre-switch regret.  Belief 0 never
+        # reaches threshold 1 in one step, so the second rule never fires
+        # and the decomposition keeps only realized terms.
+        solved = small_solved
+        if thresholds is not None:
+            solved = replace(small_solved, thresholds=thresholds)
+        batch = run_batch(solved, n_episodes, horizon, master)
+        records = decomposition_records(solved, n_episodes, horizon, master)
+        assert_records_match_batch(records, batch)
+        truncated = batch.truncated
+        difference = batch.cost_cd[truncated] - batch.cost_mo[truncated]
+        assert records["regret_pre_switch"][truncated].tobytes() == difference.tobytes()
+        if thresholds is None:
+            assert 0 < (batch.switch_time < batch.change_point).sum() < n_episodes
+        else:
+            assert truncated.all()
+            totals = decomposition_loop(solved, records)
+            assert totals.tobytes() == (batch.cost_cd - batch.cost_mo).tobytes()
 
     def test_decomposition_agrees_with_direct_estimator(self, small_solved):
         direct = estimate_exact_regret(small_solved, 1500, 250, 53)
-        split_mean, split_err = estimate_regret_decomposition(small_solved, 1500, 250, 53)
+        totals = decomposition_loop(
+            small_solved, decomposition_records(small_solved, 1500, 250, 53)
+        )
+        split_mean, split_err = float(totals.mean()), float(totals.std(ddof=1) / np.sqrt(1500))
         pooled = np.hypot(direct.stderr, split_err)
         assert abs(direct.mean - split_mean) <= 3 * pooled + 10 * direct.truncation_bound
