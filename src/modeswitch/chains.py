@@ -170,17 +170,16 @@ def mixing_profile(
 
 
 def k_step_costs(
-    transition: np.ndarray, cost, discount: float, k_max: int, terminal
+    transition: np.ndarray, cost: np.ndarray, discount: float, k_max: int
 ) -> np.ndarray:
     """Rows ``J_0 .. J_k_max`` of ``J_k = cost + discount * transition @ J_{k-1}``
-    from ``J_0 = terminal``.
+    from ``J_0 = 0``.
 
     ``J_k[x]`` is the expected discounted cost of ``k`` steps of the chain
-    started at ``x`` plus ``discount**k`` times the expected terminal value
-    after them; every start state is propagated at once.
+    started at ``x``; every start state is propagated at once.
     """
     costs = np.empty((k_max + 1, transition.shape[0]))
-    costs[0] = terminal
+    costs[0] = 0.0
     for k in range(1, k_max + 1):
         costs[k] = cost + discount * (transition @ costs[k - 1])
     return costs
@@ -228,7 +227,7 @@ def verify_mixing_bound(
         ((1.0 - discount**k) / (1.0 - discount) for k in range(k_max + 1)), float, k_max + 1
     )
     # The k-step costs become their gaps in place: one row of states per horizon.
-    gaps = k_step_costs(chain.transition, chain.cost_vec, discount, k_max, 0.0)
+    gaps = k_step_costs(chain.transition, chain.cost_vec, discount, k_max)
     gaps -= factors[:, None] * stationary_cost
     np.abs(gaps, out=gaps)
     worst = gaps.max(axis=1)

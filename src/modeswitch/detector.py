@@ -70,7 +70,7 @@ class BeliefGrid:
         if pts[0] != 0.0 or pts[-1] != 1.0:
             raise ValueError("grid endpoints must be exactly 0 and 1")
         gaps = np.diff(pts)
-        if np.any(gaps <= 0.0):
+        if not np.all(gaps > 0.0):  # a NaN gap fails this, not ``gaps <= 0``
             raise ValueError("grid points must be strictly increasing")
         if np.max(np.abs(gaps - gaps[0])) > 1e-12:
             raise ValueError("grid must be uniformly spaced")
@@ -86,6 +86,22 @@ class BeliefGrid:
     @property
     def spacing(self) -> float:
         return 1.0 / (self.points.size - 1)
+
+    def locate(self, beliefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The grid cell around each belief in [0, 1], as ``(lower, blend)``.
+
+        ``lower`` is the index of the knot at or below the belief, at most
+        ``size - 2``, so belief 1 sits at the top of the last cell; ``blend``
+        in [0, 1] is the belief's offset from that knot in units of the
+        spacing, so ``(1 - blend, blend)`` weigh the knots ``lower`` and
+        ``lower + 1`` of a linear interpolation.  The cell comes from the
+        rounded ``beliefs * (size - 1)``, not from a search of the knots, so
+        a belief within an ulp of a knot may sit at the far end of the
+        neighbouring cell, which interpolates the same value there.
+        """
+        position = beliefs * (self.size - 1)
+        lower = np.minimum(position.astype(np.intp), self.size - 2)
+        return lower, position - lower
 
 
 @dataclass(frozen=True)
@@ -133,6 +149,15 @@ class BeliefValueTable:
     @property
     def n_states(self) -> int:
         return self.values.shape[1]
+
+    def at(self, beliefs: np.ndarray) -> np.ndarray:
+        """The table interpolated linearly at each belief in ``beliefs``, for
+        every state: an array of shape ``(beliefs.size, n_states)``."""
+        # np.interp, not locate: their blends differ in the last bits, which
+        # move the fine iteration count of a coarse start.
+        return np.column_stack(
+            [np.interp(beliefs, self.grid.points, column) for column in self.values.T]
+        )
 
 
 def check_thresholds(thresholds, n_states: int) -> np.ndarray:
@@ -273,9 +298,7 @@ class BeliefOperator:
                     beliefs, dyn.kernel_pre[state, support], dyn.kernel_post[state, support],
                     dyn.change_rate,
                 )
-                position = updated * (size - 1)
-                lower = np.minimum(position.astype(np.intp), size - 2)
-                blend = position - lower
+                lower, blend = grid.locate(updated)
                 index[:, slot, :k] = lower * n + support
                 index[:, slot, k:] = index[:, slot, :k] + n
                 weights[:, slot, :k] = mix * (1.0 - blend)
@@ -441,9 +464,7 @@ def solve_fixed_point(
             stop_cost_table(coarse_grid, weight, operator.n_states).values,
             _COARSE_SLACK * threshold, DEFAULT_FP_MAX_ITER, what,
         )
-        values = np.column_stack(
-            [np.interp(grid.points, coarse_grid.points, column) for column in coarse.T]
-        )
+        values = BeliefValueTable(coarse_grid, coarse).at(grid.points)
     elif start is None:
         values = stop_cost_table(grid, weight, operator.n_states).values
     else:

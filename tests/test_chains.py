@@ -88,7 +88,7 @@ def per_horizon_check(chain, discount, k_max, stationary, profile):
     Returns ``(max_slack, min_slack)`` or raises :class:`MixingBoundError`."""
     cost_inf = float(np.max(np.abs(chain.cost_vec)))
     stationary_cost = float(chain.cost_vec @ stationary)
-    costs = chains_module.k_step_costs(chain.transition, chain.cost_vec, discount, k_max, 0.0)
+    costs = chains_module.k_step_costs(chain.transition, chain.cost_vec, discount, k_max)
     stepwise = np.zeros(k_max + 1)
     geom = discount ** np.arange(k_max)
     stepwise[1:] = 2.0 * cost_inf * np.cumsum(geom * profile.tv_by_step[:-1])
@@ -234,7 +234,7 @@ class TestMixingProfile:
             report = verify_mixing_bound(chain, discount, 200, dist)
             assert report.profile.envelope_b == 1.0
             assert report.profile.envelope_beta < 0.51
-            costs = k_step_costs(chain.transition, chain.cost_vec, discount, 200, 0.0)
+            costs = k_step_costs(chain.transition, chain.cost_vec, discount, 200)
             factors = (1.0 - discount ** np.arange(201.0)) / (1.0 - discount)
             largest_gap = np.abs(costs - factors[:, None] * float(chain.cost_vec @ dist)).max()
             assert 0.0 <= report.min_slack <= report.max_slack <= 10.0 * largest_gap
@@ -278,20 +278,14 @@ class TestCostToGoGap:
 class TestKStepCosts:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_forward_propagation(self, seed):
-        # Zero terminal: the k-step cost of finite_horizon_cost from each
-        # point mass; a terminal adds its discounted k-step expectation.
+        # Row k is the k-step cost of finite_horizon_cost from each point mass.
         chain = random_chain(seed)
-        terminal = np.linspace(1.0, 3.0, chain.n_states)
-        plain = k_step_costs(chain.transition, chain.cost_vec, 0.95, 40, 0.0)
-        tailed = k_step_costs(chain.transition, chain.cost_vec, 0.95, 40, terminal)
+        costs = k_step_costs(chain.transition, chain.cost_vec, 0.95, 40)
         for k in (0, 1, 7, 40):
-            power = np.linalg.matrix_power(chain.transition, k)
             for start in range(chain.n_states):
                 point = np.eye(chain.n_states)[start]
                 direct = finite_horizon_cost(chain, point, k, 0.95)
-                assert plain[k, start] == pytest.approx(direct, rel=1e-12, abs=1e-15)
-                expected = direct + 0.95**k * float(power[start] @ terminal)
-                assert tailed[k, start] == pytest.approx(expected, rel=1e-12)
+                assert costs[k, start] == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
 class TestVerifyMixingBound:

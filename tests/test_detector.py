@@ -105,6 +105,56 @@ class TestBeliefGrid:
             BeliefGrid(np.array([0.0, 0.7, 1.0]))
         with pytest.raises(ValueError):
             BeliefGrid(np.array([1.0]))
+        with pytest.raises(ValueError):
+            BeliefGrid(np.array([0.0, np.nan, 1.0]))
+
+    @pytest.mark.parametrize("size", [2, 3, 11, 51, 1000])
+    def test_locate_matches_the_knot_search(self, size):
+        grid = BeliefGrid.uniform(size)
+        points = grid.points
+        beliefs = np.concatenate(
+            [
+                points,
+                np.nextafter(points[1:], 0.0),
+                np.nextafter(points[:-1], 1.0),
+                np.random.default_rng(size).random(200),
+            ]
+        )
+        lower, blend = grid.locate(beliefs)
+        assert lower.dtype == np.intp
+        assert np.all((blend >= 0.0) & (blend <= 1.0))
+        eps = np.finfo(float).eps
+        rebuilt = (1.0 - blend) * points[lower] + blend * points[lower + 1]
+        assert np.allclose(rebuilt, beliefs, rtol=0.0, atol=2 * eps)
+        # The reference cell, except where rounding b*(size - 1) puts a belief
+        # within an ulp of a knot (at size 1000, 58 knots themselves) at the
+        # far end of the neighbouring cell, which interpolates the same value.
+        expected = np.minimum(np.searchsorted(points, beliefs, side="right") - 1, size - 2)
+        moved = lower != expected
+        up = moved & (lower == expected + 1)
+        down = moved & (lower == expected - 1)
+        assert np.array_equal(moved, up | down)
+        assert np.all(blend[up] == 0.0)
+        assert np.all(blend[down] >= 1.0 - 2 * eps * (size - 1))  # an ulp of the position
+        shared = points[np.maximum(lower, expected)[moved]]
+        assert np.all(np.abs(beliefs[moved] - shared) <= eps)
+        assert not moved[-200:].any()
+        top_lower, top_blend = grid.locate(np.array([0.0, 1.0]))
+        assert top_lower.tolist() == [0, size - 2] and top_blend.tolist() == [0.0, 1.0]
+
+
+class TestBeliefValueTableAt:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_column_interp_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        size, n_states = int(rng.integers(2, 60)), int(rng.integers(1, 6))
+        table = BeliefValueTable(BeliefGrid.uniform(size), rng.normal(size=(size, n_states)))
+        beliefs = np.concatenate([rng.random(300), table.grid.points, [0.0, 1.0]])
+        got = table.at(beliefs)
+        assert got.shape == (beliefs.size, n_states)
+        for state in range(n_states):
+            expected = np.interp(beliefs, table.grid.points, table.values[:, state])
+            assert np.array_equal(got[:, state], expected)
 
 
 def predictive_law(dyn, state, belief):

@@ -1130,11 +1130,18 @@ class TestExactRegret:
             totals = decomposition_loop(solved, records)
             assert totals.tobytes() == (batch.cost_cd - batch.cost_mo).tobytes()
 
-    def test_decomposition_agrees_with_direct_estimator(self, small_solved):
-        direct = estimate_exact_regret(small_solved, 1500, 250, 53)
-        totals = decomposition_loop(
-            small_solved, decomposition_records(small_solved, 1500, 250, 53)
+    def test_decomposition_agrees_with_direct_estimator(self):
+        # On this instance the closed-form regret-to-go averages about nine
+        # tolerances (the realized pre-switch part alone is 0.049 against a
+        # direct 0.183), so a decomposition that drops it fails here.
+        solved = solve_env(
+            random_env(
+                RandomMdpSpec(n_states=3, n_actions=2, seed=7, change_rate=0.1, discount=0.9)
+            ),
+            grid_size=301,
         )
+        direct = estimate_exact_regret(solved, 1500, 250, 53)
+        totals = decomposition_loop(solved, decomposition_records(solved, 1500, 250, 53))
         split_mean, split_err = float(totals.mean()), float(totals.std(ddof=1) / np.sqrt(1500))
         pooled = np.hypot(direct.stderr, split_err)
         assert abs(direct.mean - split_mean) <= 3 * pooled + 10 * direct.truncation_bound
