@@ -86,8 +86,6 @@ def _has_single_recurrent_class(transition: np.ndarray) -> bool:
     recurrent = np.array(
         [bool(np.all(~reach[i] | reach[:, i])) for i in range(reach.shape[0])]
     )
-    if not recurrent.any():
-        return False
     seeds = np.flatnonzero(recurrent)
     first = seeds[0]
     return bool(np.all(reach[seeds, first] & reach[first, seeds]))

@@ -219,7 +219,16 @@ def _build_env(config: ExperimentConfig, rho: float | None = None) -> SwitchingE
     if kind == "inventory":
         return build_inventory(spec)
     uniform = np.full(spec.n_states, 1.0 / spec.n_states)
-    return SwitchingEnv(spec, spec.stage_cost, spec.stage_cost, uniform, "custom-kernels")
+    return SwitchingEnv(spec, spec.stage_cost, uniform, "custom-kernels")
+
+
+def _solve(config: ExperimentConfig, command: str, rho: float | None = None) -> SolvedEnv:
+    """Build the environment at ``rho`` (the config's rate if None), then
+    solve it in the stage ``"{command} rho={rate}"``; a failure while building
+    stays in the command's own stage."""
+    env = _build_env(config, rho)
+    with _stage(f"{command} rho={env.mdp.change_rate}"):
+        return solve_env(env, config.grid_size)
 
 
 #: Rows formatted and written at a time by :func:`_write_csv`.
@@ -269,9 +278,8 @@ def _solved_summary(solved: SolvedEnv) -> dict:
 
 
 def cmd_solve(config: ExperimentConfig, out: Path) -> None:
-    env = _build_env(config)
-    solved = solve_env(env, config.grid_size)
-    n = env.mdp.n_states
+    solved = _solve(config, "solve")
+    n = solved.env.mdp.n_states
     states = np.arange(n)
     _write_csv(
         out / "policies.csv",
@@ -304,7 +312,7 @@ def cmd_solve(config: ExperimentConfig, out: Path) -> None:
         ],
     )
     _write_csv(out / "thresholds.csv", ["state", "threshold"], [states, solved.thresholds])
-    _manifest(config, out, {"solve": _solved_summary(solved), "label": env.label})
+    _manifest(config, out, {"solve": _solved_summary(solved), "label": solved.env.label})
 
 
 def _simulate_sweep(config: ExperimentConfig, command: str):
@@ -316,15 +324,9 @@ def _simulate_sweep(config: ExperimentConfig, command: str):
     # README sweep's peak RSS by about 0.4 MB.
     module = sys.modules[__name__]
     run_sweep, summarize = module.run_sweep, module.summarize
-    solveds = []
-    horizons = []
-    for rho in config.rho_sweep or (None,):
-        env = _build_env(config, rho)
-        rate = env.mdp.change_rate
-        with _stage(f"{command} rho={rate}"):
-            solveds.append(solve_env(env, config.grid_size))
-        horizons.append(config.horizon or math.ceil(2.0 / rate))
+    solveds = [_solve(config, command, rho) for rho in config.rho_sweep or (None,)]
     rates = [solved.env.mdp.change_rate for solved in solveds]
+    horizons = [config.horizon or math.ceil(2.0 / rate) for rate in rates]
     with _stage(f"{command} rho={','.join(map(str, rates))}"):
         batches = run_sweep(
             solveds, config.n_episodes, horizons, config.master_seed, config.workers
@@ -416,10 +418,10 @@ def cmd_figure1(config: ExperimentConfig, out: Path) -> None:
 
 
 def cmd_mixing(config: ExperimentConfig, out: Path) -> None:
-    env = _build_env(config)
+    solved = _solve(config, "mixing")
+    env = solved.env
     reports = {}
     with _stage(f"mixing rho={env.mdp.change_rate}"):
-        solved = solve_env(env, config.grid_size)
         for i, j in MODE_PAIRS:
             reports[i, j] = verify_mixing_bound(
                 solved.chains[i, j], env.mdp.discount, config.mixing_k_max, solved.stationary[i, j]

@@ -25,9 +25,8 @@ from .mdp import ConvergenceError, check_fits_in_memory, check_stochastic
 DEFAULT_FP_TOL = 1e-9
 DEFAULT_FP_MAX_ITER = 1_000_000
 
-#: The belief solvers stop once the sup-norm residual is at most
-#: ``DEFAULT_FP_TOL * change_rate / _STOP_MARGIN``, which puts the table
-#: about ``DEFAULT_FP_TOL / _STOP_MARGIN`` from the fixed point.
+#: How far inside ``DEFAULT_FP_TOL`` the belief solvers stop (see
+#: :func:`_stop_threshold`).
 _STOP_MARGIN = 100.0
 
 #: Residual differences the accelerated fixed-point loop combines.
@@ -145,10 +144,6 @@ class BeliefValueTable:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.ndim != 2 or self.values.shape[0] != self.grid.size:
             raise ValueError("values must have shape (grid size, n_states)")
-
-    @property
-    def n_states(self) -> int:
-        return self.values.shape[1]
 
     def at(self, beliefs: np.ndarray) -> np.ndarray:
         """The table interpolated linearly at each belief in ``beliefs``, for
@@ -341,14 +336,20 @@ class BeliefOperator:
 
         return step
 
-    def apply(self, values: np.ndarray, weight: float) -> np.ndarray:
-        """One application of min{weight*(1-p), p + continuation} to a table,
-        as a fresh array (one call of :meth:`stepper`'s step)."""
-        return self.stepper(weight)(values)
+
+def _stop_threshold(operator: BeliefOperator) -> float:
+    """The sup-norm residual at which the belief solvers stop.
+
+    The operator contracts with modulus (1 - change_rate) in the
+    (1-p)-weighted sup norm, so by the geometric-series bound a table whose
+    residual is at most this lies about ``DEFAULT_FP_TOL / _STOP_MARGIN``
+    from the fixed point, a hundredfold margin inside ``DEFAULT_FP_TOL``.
+    """
+    return DEFAULT_FP_TOL * operator.dyn.change_rate / _STOP_MARGIN
 
 
 def _iterate(
-    step: Callable, values: np.ndarray, threshold: float, max_iter: int, what: str
+    step: Callable, values: np.ndarray, threshold: float, what: str
 ) -> tuple[np.ndarray, int]:
     """Drive ``values`` to a fixed point of ``step`` with safeguarded type-II
     Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011).
@@ -374,7 +375,7 @@ def _iterate(
     Stops at the first g(x) whose residual is at most ``threshold`` and
     returns ``(g(x), applications)``; every call of ``step``, restarts
     included, is one application.  Raises :class:`ConvergenceError` after
-    ``max_iter`` applications.
+    ``DEFAULT_FP_MAX_ITER`` applications, the budget when it is called.
     """
     shape = values.shape
     cells = values.size
@@ -387,7 +388,7 @@ def _iterate(
     x = values.reshape(cells)
     previous_f = previous_g = None
     previous_residual = residual = np.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, DEFAULT_FP_MAX_ITER + 1):
         g = step(x.reshape(shape)).reshape(cells)
         f = g - x
         residual = float(np.abs(f, out=scratch).max())
@@ -427,13 +428,9 @@ def solve_fixed_point(
     Starts from the stopping payoff table unless ``start`` is given and
     accelerates the iteration with safeguarded Anderson mixing (see
     :func:`_iterate`), which needs a small fraction of the applications that
-    plain iteration does.  The operator contracts with modulus
-    (1 - change_rate) in the (1-p)-weighted sup norm, so iteration stops once
-    the sup-norm residual of one application is at most
-    ``DEFAULT_FP_TOL * change_rate / 100``; by the geometric-series bound the
-    returned table is then about ``DEFAULT_FP_TOL / 100`` from the fixed
-    point, a hundredfold margin inside ``DEFAULT_FP_TOL`` (and its Bellman
-    residual is well under it).
+    plain iteration does.  Iteration stops at :func:`_stop_threshold`, about
+    ``DEFAULT_FP_TOL / 100`` from the fixed point (and the table's Bellman
+    residual is well under ``DEFAULT_FP_TOL``).
 
     Without ``start``, a grid of more than 200 intervals
     (``_COARSE_FACTOR * (_COARSE_POINTS - 1)``) starts instead from the solve
@@ -455,14 +452,14 @@ def solve_fixed_point(
             enough, on the coarse grid or on this one.
     """
     grid = operator.grid
-    threshold = DEFAULT_FP_TOL * operator.dyn.change_rate / _STOP_MARGIN
+    threshold = _stop_threshold(operator)
     what = "stopping-operator iteration"
     if start is None and grid.size - 1 > _COARSE_FACTOR * (_COARSE_POINTS - 1):
         coarse_grid = BeliefGrid.uniform(_COARSE_POINTS)
         coarse, _ = _iterate(
             BeliefOperator(operator.dyn, coarse_grid).stepper(weight),
             stop_cost_table(coarse_grid, weight, operator.n_states).values,
-            _COARSE_SLACK * threshold, DEFAULT_FP_MAX_ITER, what,
+            _COARSE_SLACK * threshold, what,
         )
         values = BeliefValueTable(coarse_grid, coarse).at(grid.points)
     elif start is None:
@@ -471,9 +468,7 @@ def solve_fixed_point(
         if start.grid.size != grid.size:
             raise ValueError("start table lives on a different grid")
         values = start.values
-    values, iterations = _iterate(
-        operator.stepper(weight), values, threshold, DEFAULT_FP_MAX_ITER, what
-    )
+    values, iterations = _iterate(operator.stepper(weight), values, threshold, what)
     return BeliefValueTable(grid, values), iterations
 
 
@@ -542,13 +537,11 @@ def evaluate_switch_rule(
     thresholds = check_thresholds(thresholds, dyn.n_states)
     points = grid.points
     stop_mask = points[:, None] >= thresholds[None, :]
-    stop_values = weight * (1.0 - points)[:, None]
+    stop = stop_cost_table(grid, weight, dyn.n_states).values
     cap = weight + 1.0 / dyn.change_rate
 
     def step(values: np.ndarray) -> np.ndarray:
-        new_values = np.where(
-            stop_mask, stop_values, points[:, None] + operator.continuation(values)
-        )
+        new_values = np.where(stop_mask, stop, points[:, None] + operator.continuation(values))
         if float(new_values.max()) > cap:
             raise DivergenceError(
                 "rule evaluation exceeded the cap weight + 1/change_rate; "
@@ -556,7 +549,5 @@ def evaluate_switch_rule(
             )
         return new_values
 
-    values = np.broadcast_to(stop_values, (grid.size, dyn.n_states)).copy()
-    threshold = DEFAULT_FP_TOL * dyn.change_rate / _STOP_MARGIN
-    values, _ = _iterate(step, values, threshold, DEFAULT_FP_MAX_ITER, "switch-rule evaluation")
+    values, _ = _iterate(step, stop, _stop_threshold(operator), "switch-rule evaluation")
     return BeliefValueTable(grid, values)

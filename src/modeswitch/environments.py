@@ -84,10 +84,14 @@ class SwitchingEnv:
     """
 
     mdp: ModePairMdp
-    cost_pre: np.ndarray
     cost_post: np.ndarray
     initial_dist: np.ndarray
     label: str
+
+    @property
+    def cost_pre(self) -> np.ndarray:
+        """The pre-change stage costs: the model's validated ``stage_cost``."""
+        return self.mdp.stage_cost
 
 
 def gen_random_mdp(spec: RandomMdpSpec) -> ModePairMdp:
@@ -112,7 +116,6 @@ def random_env(spec: RandomMdpSpec) -> SwitchingEnv:
     uniform = np.full(spec.n_states, 1.0 / spec.n_states)
     return SwitchingEnv(
         mdp=mdp,
-        cost_pre=mdp.stage_cost,
         cost_post=mdp.stage_cost,
         initial_dist=uniform,
         label=f"random-mdp(seed={spec.seed}, rho={spec.change_rate:g})",
@@ -175,7 +178,6 @@ def build_inventory(spec: InventorySpec) -> SwitchingEnv:
     start[0] = 1.0
     return SwitchingEnv(
         mdp=mdp,
-        cost_pre=cost_pre,
         cost_post=cost_post,
         initial_dist=start,
         label=(

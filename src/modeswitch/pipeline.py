@@ -127,7 +127,7 @@ def solve_env(env: SwitchingEnv, grid_size: int = DEFAULT_GRID_SIZE) -> SolvedEn
     stencil_supports(dyn, grid_size)  # sizes grid and stencil before either exists
     operator = BeliefOperator(dyn, BeliefGrid.uniform(grid_size))
     table, iterations = solve_fixed_point(operator, weight)
-    fp_residual = float(np.max(np.abs(operator.apply(table.values, weight) - table.values)))
+    fp_residual = float(np.max(np.abs(operator.stepper(weight)(table.values) - table.values)))
     thresholds = extract_thresholds(table, operator, weight)
 
     return SolvedEnv(

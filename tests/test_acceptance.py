@@ -86,9 +86,10 @@ def test_criterion_04_operator_iterates_decrease_monotonically(canonical):
     """201 operator applications from the stop payoff never increase a cell."""
     operator = BeliefOperator(canonical.dyn, canonical.grid)
     values = stop_cost_table(canonical.grid, canonical.weight, canonical.dyn.n_states).values
+    step = operator.stepper(canonical.weight)
     violations = 0
     for _ in range(201):
-        nxt = operator.apply(values, canonical.weight)
+        nxt = step(values)
         violations += int(np.any(nxt > values))
         values = nxt
     assert violations == 0

@@ -508,7 +508,8 @@ class TestErrorPaths:
         )
         assert main(["solve", "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert "solve" in err and "numerator nonpositive" in err
+        assert err.startswith("error in stage 'solve rho=0.05': ")
+        assert "numerator nonpositive" in err
 
     @pytest.mark.parametrize(
         ("budget", "solver"),
@@ -525,7 +526,9 @@ class TestErrorPaths:
         config = write_config(tmp_path)
         assert main(["solve", "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error in stage 'solve': {solver} did not converge (last residual ")
+        assert err.startswith(
+            f"error in stage 'solve rho=0.05': {solver} did not converge (last residual "
+        )
         assert err.count("\n") == 1
 
     def test_oversized_belief_stencil_is_refused_up_front(self, tmp_path, capsys):
@@ -546,7 +549,7 @@ class TestErrorPaths:
         )
         assert main(["solve", "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert "error in stage 'solve'" in err
+        assert "error in stage 'solve rho=0.01'" in err
         assert f"needs {needed} bytes" in err
         assert "Traceback" not in err
 
@@ -568,7 +571,9 @@ class TestErrorPaths:
         config = write_config(tmp_path, grid_size=10**6)
         assert main(["solve", "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error in stage 'solve': belief operator stencil for grid 1000000")
+        assert err.startswith(
+            "error in stage 'solve rho=0.05': belief operator stencil for grid 1000000"
+        )
         assert "more than the 4194304 bytes of physical memory" in err
         assert err.count("\n") == 1
         assert 10**6 not in built
@@ -744,6 +749,12 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
         assert err.count("\n") == 1
+
+    def test_a_json_array_is_not_a_config(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]")
+        assert main(["solve", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "config error: config must be a JSON object\n"
 
     def test_the_largest_horizon_is_int64_max(self, tmp_path):
         # The Monte Carlo records a switch time as an int64, so 2**63 - 1

@@ -143,6 +143,30 @@ class TestBeliefGrid:
         assert top_lower.tolist() == [0, size - 2] and top_blend.tolist() == [0.0, 1.0]
 
 
+class TestBeliefDynamics:
+    @pytest.mark.parametrize(
+        ("pre", "post", "rate", "message"),
+        [
+            (np.full((2, 3), 0.5), np.full((2, 3), 0.5), 0.1, "kernel_pre must be square"),
+            (np.full(2, 0.5), np.full(2, 0.5), 0.1, "kernel_pre must be square"),
+            (np.eye(2), np.eye(3), 0.1, "kernel shapes must match"),
+            (np.eye(2), np.eye(2), 0.0, r"change_rate must lie in \(0, 1\), got 0.0"),
+            (np.eye(2), np.eye(2), 1.0, r"change_rate must lie in \(0, 1\), got 1.0"),
+        ],
+        ids=["not-square", "one-dimensional", "shapes-differ", "rate-zero", "rate-one"],
+    )
+    def test_rejects_bad_dynamics(self, pre, post, rate, message):
+        with pytest.raises(ValueError, match=message):
+            BeliefDynamics(pre, post, rate)
+
+
+class TestBeliefValueTable:
+    @pytest.mark.parametrize("shape", [(20, 3), (21,), (21, 3, 1)])
+    def test_rejects_values_that_do_not_fit_the_grid(self, shape):
+        with pytest.raises(ValueError, match=r"values must have shape \(grid size, n_states\)"):
+            BeliefValueTable(BeliefGrid.uniform(21), np.zeros(shape))
+
+
 class TestBeliefValueTableAt:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_column_interp_bit_for_bit(self, seed):
@@ -296,7 +320,7 @@ class TestBellmanApply:
         cont = operator.continuation(table.values)
         expected = weight * (1.0 - dyn.change_rate) * (1.0 - grid.points)
         assert np.abs(cont - expected[:, None]).max() <= 1e-12
-        applied = operator.apply(table.values, weight)
+        applied = operator.stepper(weight)(table.values)
         target = np.minimum(
             weight * (1.0 - grid.points), grid.points + expected
         )
@@ -309,7 +333,7 @@ class TestBellmanApply:
         operator = BeliefOperator(dyn, grid)
         table = stop_cost_table(grid, 4.0, dyn.n_states)
         for _ in range(3):
-            vectorized = BeliefValueTable(grid, operator.apply(table.values, 4.0))
+            vectorized = BeliefValueTable(grid, operator.stepper(4.0)(table.values))
             oracle = naive_bellman_apply(table, dyn, 4.0)
             assert np.abs(vectorized.values - oracle).max() <= 1e-12
             table = vectorized
@@ -320,7 +344,7 @@ class TestBellmanApply:
         dyn = BeliefDynamics(pre, post, 0.1)
         grid = BeliefGrid.uniform(21)
         table = stop_cost_table(grid, 3.0, 2)
-        vectorized = BeliefOperator(dyn, grid).apply(table.values, 3.0)
+        vectorized = BeliefOperator(dyn, grid).stepper(3.0)(table.values)
         oracle = naive_bellman_apply(table, dyn, 3.0)
         assert np.abs(vectorized - oracle).max() <= 1e-12
 
@@ -338,7 +362,7 @@ class TestBeliefOperator:
         rng = np.random.default_rng(grid_size)
         values = rng.uniform(0.0, 4.0, (grid_size, 3))
         for _ in range(3):
-            applied = operator.apply(values, 4.0)
+            applied = operator.stepper(4.0)(values)
             oracle = naive_bellman_apply(BeliefValueTable(grid, values), dyn, 4.0)
             assert np.abs(applied - oracle).max() <= 1e-12
             values = applied
@@ -362,14 +386,15 @@ class TestBeliefOperator:
         bump = rng.integers(0, 3, low.shape)
         high = np.where(bump == 1, np.nextafter(low, np.inf), low)
         high = np.where(bump == 2, low + rng.random(low.shape), high)
-        assert np.all(operator.apply(low, weight) <= operator.apply(high, weight))
+        step = operator.stepper(weight)
+        assert np.all(step(low) <= step(high))
 
         # The cone [0, weight*(1-p)] maps into itself exactly: every stencil
         # weight is nonnegative and the stop payoff caps each cell.
         points = operator.grid.points
         stop = weight * (1.0 - points)[:, None]
         inside = rng.random(low.shape) * stop
-        applied = operator.apply(inside, weight)
+        applied = step(inside)
         assert np.all(applied >= 0.0) and np.all(applied <= stop)
 
         for state, nxt in zip(*np.nonzero((dyn.kernel_pre > 0.0) | (dyn.kernel_post > 0.0))):
@@ -409,22 +434,21 @@ class TestBeliefOperator:
         step = operator.stepper(weight)
         for _ in range(3):
             expected = np.minimum(stop, points[:, None] + operator.continuation(values))
-            applied = operator.apply(values, weight)
+            applied = step(values)
             assert np.array_equal(applied, expected)
-            assert np.array_equal(step(values), expected)
             values = applied
 
     def test_each_application_returns_a_fresh_array(self):
         operator = BeliefOperator(make_positive_dyn(4), BeliefGrid.uniform(21))
         values = stop_cost_table(operator.grid, 5.0, 3).values
         step = operator.stepper(5.0)
-        first, second = operator.apply(values, 5.0), operator.apply(values, 5.0)
-        third, fourth = step(values), step(values)
-        results = (values, first, second, third, fourth)
+        first, second = step(values), step(values)
+        third = operator.stepper(5.0)(values)
+        results = (values, first, second, third)
         for i, a in enumerate(results):
             for b in results[i + 1:]:
                 assert not np.shares_memory(a, b)
-        assert np.array_equal(first, second) and np.array_equal(third, fourth)
+        assert np.array_equal(first, second) and np.array_equal(first, third)
 
 
 class TestSolveFixedPoint:
@@ -433,6 +457,13 @@ class TestSolveFixedPoint:
         table, iterations = solve_fixed_point(BeliefOperator(dyn, BeliefGrid.uniform(31)), 0.0)
         assert np.all(table.values == 0.0)
         assert iterations == 1
+
+    def test_rejects_a_start_on_another_grid(self):
+        dyn = make_positive_dyn(5)
+        operator = BeliefOperator(dyn, BeliefGrid.uniform(31))
+        start = stop_cost_table(BeliefGrid.uniform(21), 1.0, dyn.n_states)
+        with pytest.raises(ValueError, match="start table lives on a different grid"):
+            solve_fixed_point(operator, 1.0, start)
 
     def test_uninformative_observations_collapse_states(self, monkeypatch):
         monkeypatch.setattr("modeswitch.detector.DEFAULT_FP_TOL", 1e-10)
@@ -522,8 +553,9 @@ class TestSolveFixedPoint:
         weight = 6.0
         operator = BeliefOperator(dyn, grid)
         values = stop_cost_table(grid, weight, dyn.n_states).values
+        step = operator.stepper(weight)
         for _ in range(80):
-            nxt = operator.apply(values, weight)
+            nxt = step(values)
             assert np.all(nxt <= values)
             assert np.all(nxt >= 0.0)
             values = nxt
@@ -559,14 +591,14 @@ class TestIterate:
 
     def test_restart_after_a_residual_jump_takes_the_plain_step(self):
         step, inputs, outputs, _ = self.linear_map()
-        _iterate(step, np.zeros((20, 3)), 1e-12, 1000, "linear map")
+        _iterate(step, np.zeros((20, 3)), 1e-12, "linear map")
         # Undisturbed, only the first step is plain; every later input is
         # extrapolated and differs from the previous output.
         assert np.array_equal(inputs[1], outputs[0])
         assert not any(np.array_equal(x, g) for x, g in zip(inputs[2:], outputs[1:]))
 
         step, inputs, outputs, fixed = self.linear_map(kick_at=4)
-        values, applications = _iterate(step, np.zeros((20, 3)), 1e-12, 1000, "linear map")
+        values, applications = _iterate(step, np.zeros((20, 3)), 1e-12, "linear map")
         assert applications == len(inputs)
         # The kick multiplies the residual by far more than the restart
         # factor: the history is cleared and the next input is g(x) itself.
@@ -574,21 +606,25 @@ class TestIterate:
         assert not np.array_equal(inputs[5], outputs[4])
         assert np.abs(values.ravel() - fixed).max() <= 1e-10
 
-    def test_max_iter_bounds_the_applications(self):
+    def test_max_iter_bounds_the_applications(self, monkeypatch):
         step, inputs, _, _ = self.linear_map()
-        _, needed = _iterate(step, np.zeros((20, 3)), 1e-12, 1000, "linear map")
+        _, needed = _iterate(step, np.zeros((20, 3)), 1e-12, "linear map")
         assert needed == len(inputs)
 
+        # The budget is read when the loop is called, so a lowered one binds.
+        monkeypatch.setattr("modeswitch.detector.DEFAULT_FP_MAX_ITER", needed)
         step = self.linear_map()[0]
-        assert _iterate(step, np.zeros((20, 3)), 1e-12, needed, "linear map")[1] == needed
+        assert _iterate(step, np.zeros((20, 3)), 1e-12, "linear map")[1] == needed
 
+        monkeypatch.setattr("modeswitch.detector.DEFAULT_FP_MAX_ITER", needed - 1)
         step, inputs, outputs, _ = self.linear_map()
         with pytest.raises(ConvergenceError, match="linear map did not converge") as info:
-            _iterate(step, np.zeros((20, 3)), 1e-12, needed - 1, "linear map")
+            _iterate(step, np.zeros((20, 3)), 1e-12, "linear map")
         assert len(inputs) == needed - 1
         assert info.value.residual == np.abs(outputs[-1] - inputs[-1]).max() > 1e-12
 
-    def test_a_step_that_never_settles_raises_with_its_residual(self):
+    def test_a_step_that_never_settles_raises_with_its_residual(self, monkeypatch):
+        monkeypatch.setattr("modeswitch.detector.DEFAULT_FP_MAX_ITER", 7)
         calls = []
 
         def drift(values):
@@ -596,7 +632,7 @@ class TestIterate:
             return values + 0.5
 
         with pytest.raises(ConvergenceError) as info:
-            _iterate(drift, np.zeros((2, 2)), 1e-9, 7, "drift")
+            _iterate(drift, np.zeros((2, 2)), 1e-9, "drift")
         assert len(calls) == 7
         assert info.value.residual == 0.5
 
@@ -618,6 +654,10 @@ class TestFiniteHorizonDp:
             grid.points + weight * (1.0 - 0.06) * (1.0 - grid.points),
         )
         assert np.abs(table.values - expected[:, None]).max() <= 1e-12
+
+    def test_rejects_a_negative_horizon(self):
+        with pytest.raises(ValueError, match="horizon must be nonnegative"):
+            finite_horizon_dp(make_positive_dyn(10), 3.0, BeliefGrid.uniform(21), -1)
 
     def test_tables_nonincreasing_in_horizon(self):
         dyn = make_positive_dyn(12, rate=0.1)
@@ -673,6 +713,15 @@ class TestExtractThresholds:
         table = stop_cost_table(BeliefGrid.uniform(21), 1.0, dyn.n_states)
         with pytest.raises(ValueError, match="grid"):
             extract_thresholds(table, BeliefOperator(dyn, BeliefGrid.uniform(31)), 1.0)
+
+    def test_a_state_that_never_stops_raises(self):
+        dyn = make_positive_dyn(13)
+        grid = BeliefGrid.uniform(21)
+        # Continuing from a table of -2 costs p - 2 < 0 <= weight*(1-p) at
+        # every belief, belief 1 included.
+        table = BeliefValueTable(grid, np.full((grid.size, dyn.n_states), -2.0))
+        with pytest.raises(ThresholdStructureError, match="state 0 never stops"):
+            extract_thresholds(table, BeliefOperator(dyn, grid), 1.0)
 
     def test_non_concave_table_raises(self):
         dyn = make_positive_dyn(16, n_states=2)

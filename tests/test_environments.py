@@ -140,6 +140,8 @@ class TestBuildInventory:
             InventorySpec(order_cost_basis="per-unit")
         with pytest.raises(ValueError):
             InventorySpec(demand_rate=0.0)
+        with pytest.raises(ValueError, match="unit costs must be nonnegative"):
+            InventorySpec(holding_cost=-1.0)
 
 
 class TestKernelSizing:

@@ -9,6 +9,8 @@ import pytest
 from modeswitch.mdp import (
     DEFAULT_VI_TOL,
     ConvergenceError,
+    InducedChain,
+    ModePairMdp,
     finite_horizon_cost,
     greedy_backup,
     induced_chain,
@@ -105,7 +107,38 @@ class TestValueIteration:
             value_iteration(kernel * 0.5, np.array([[1.0]]), 0.9)
 
 
+class TestModePairMdp:
+    @pytest.mark.parametrize(
+        ("pre", "post", "cost", "discount", "rate", "message"),
+        [
+            (np.ones((2, 2)), np.ones((2, 2)), np.zeros(2), 0.9, 0.1, "kernels must have shape"),
+            (np.ones((2, 1, 3)), np.ones((2, 1, 3)), np.zeros((2, 1)), 0.9, 0.1, "kernels must"),
+            (np.ones((1, 1, 1)), np.ones((1, 2, 1)), np.zeros((1, 1)), 0.9, 0.1, "share a shape"),
+            (np.ones((1, 1, 1)), np.ones((1, 1, 1)), np.zeros((1, 2)), 0.9, 0.1, "stage_cost must"),
+            (np.ones((1, 1, 1)), np.ones((1, 1, 1)), np.zeros((1, 1)), 1.0, 0.1, "discount must"),
+            (np.ones((1, 1, 1)), np.ones((1, 1, 1)), np.zeros((1, 1)), 0.9, 0.0, "change_rate"),
+        ],
+        ids=["two-axes", "not-square", "shapes-differ", "cost-shape", "discount-one", "rate-zero"],
+    )
+    def test_rejects_bad_models(self, pre, post, cost, discount, rate, message):
+        with pytest.raises(ValueError, match=message):
+            ModePairMdp(pre, post, cost, discount, rate)
+
+
 class TestInducedChain:
+    @pytest.mark.parametrize(
+        ("transition", "cost", "message"),
+        [
+            (np.full((1, 2), 0.5), np.zeros(1), "transition must be square"),
+            (np.eye(2), np.zeros(3), "cost_vec length must match the state count"),
+            (np.eye(2), np.array([0.0, np.inf]), "cost_vec must be finite"),
+        ],
+        ids=["not-square", "cost-length", "cost-infinite"],
+    )
+    def test_rejects_bad_chains(self, transition, cost, message):
+        with pytest.raises(ValueError, match=message):
+            InducedChain(transition, cost)
+
     def test_identity_kernel_gives_identity_chain(self):
         kernel = np.stack([np.eye(3), np.eye(3)], axis=1)
         cost = np.arange(6.0).reshape(3, 2)
@@ -135,6 +168,8 @@ class TestInducedChain:
         kernel = np.ones((2, 1, 2)) * 0.5
         with pytest.raises(ValueError):
             induced_chain(np.array([0, 1]), kernel, np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="policy length must match the state count"):
+            induced_chain(np.array([0]), kernel, np.zeros((2, 1)))
 
 
 class TestFiniteHorizonCost:
@@ -161,3 +196,10 @@ class TestFiniteHorizonCost:
         chain = induced_chain(np.array([0]), np.ones((1, 1, 1)), np.array([[1.0]]))
         with pytest.raises(ValueError):
             finite_horizon_cost(chain, np.array([0.9]), 10, 0.9)
+
+    def test_rejects_a_start_of_another_length_and_a_negative_horizon(self):
+        chain = induced_chain(np.array([0]), np.ones((1, 1, 1)), np.array([[1.0]]))
+        with pytest.raises(ValueError, match="initial_dist length must match the state count"):
+            finite_horizon_cost(chain, np.array([0.5, 0.5]), 10, 0.9)
+        with pytest.raises(ValueError, match="horizon must be nonnegative"):
+            finite_horizon_cost(chain, np.array([1.0]), -1, 0.9)

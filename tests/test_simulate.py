@@ -55,7 +55,6 @@ def degenerate_solved():
     flat = ModePairMdp(mdp.kernel_pre, mdp.kernel_pre.copy(), mdp.stage_cost, 0.9, 0.1)
     env = SwitchingEnv(
         mdp=flat,
-        cost_pre=flat.stage_cost,
         cost_post=flat.stage_cost,
         initial_dist=np.full(3, 1.0 / 3.0),
         label="degenerate",
@@ -133,7 +132,6 @@ def small_instances(draw, base):
     )
     env = SwitchingEnv(
         mdp=mdp,
-        cost_pre=mdp.stage_cost,
         cost_post=rng.random((n_states, n_actions)),
         initial_dist=rng.dirichlet(np.ones(n_states)),
         label="property",
@@ -1095,6 +1093,10 @@ class TestExactRegret:
         estimate = estimate_exact_regret(degenerate_solved, 300, 120, 29)
         assert estimate.mean == 0.0
 
+    def test_one_episode_has_zero_stderr(self, small_solved):
+        estimate = estimate_exact_regret(small_solved, 1, 60, 1)
+        assert estimate.stderr == 0.0 and math.isfinite(estimate.mean)
+
     def test_truncation_bound_reported(self, small_solved):
         estimate = estimate_exact_regret(small_solved, 50, 60, 1)
         assert estimate.truncation_bound == pytest.approx(
@@ -1130,18 +1132,42 @@ class TestExactRegret:
             totals = decomposition_loop(solved, records)
             assert totals.tobytes() == (batch.cost_cd - batch.cost_mo).tobytes()
 
-    def test_decomposition_agrees_with_direct_estimator(self):
-        # On this instance the closed-form regret-to-go averages about nine
-        # tolerances (the realized pre-switch part alone is 0.049 against a
-        # direct 0.183), so a decomposition that drops it fails here.
-        solved = solve_env(
+    @pytest.fixture(scope="class")
+    def seed_7(self):
+        """Random MDP seed 7 at change rate 0.1 and discount 0.9, grid 301."""
+        return solve_env(
             random_env(
                 RandomMdpSpec(n_states=3, n_actions=2, seed=7, change_rate=0.1, discount=0.9)
             ),
             grid_size=301,
         )
+
+    @staticmethod
+    def assert_decomposition_agrees(solved):
+        """The decomposition of 1500 episodes at horizon 250 agrees with
+        :func:`estimate_exact_regret` on the same episodes; returns their
+        records."""
         direct = estimate_exact_regret(solved, 1500, 250, 53)
-        totals = decomposition_loop(solved, decomposition_records(solved, 1500, 250, 53))
+        records = decomposition_records(solved, 1500, 250, 53)
+        totals = decomposition_loop(solved, records)
         split_mean, split_err = float(totals.mean()), float(totals.std(ddof=1) / np.sqrt(1500))
         pooled = np.hypot(direct.stderr, split_err)
         assert abs(direct.mean - split_mean) <= 3 * pooled + 10 * direct.truncation_bound
+        return records
+
+    def test_decomposition_agrees_with_direct_estimator(self, seed_7):
+        # On this instance the closed-form regret-to-go averages about nine
+        # tolerances (the realized pre-switch part alone is 0.049 against a
+        # direct 0.183), so a decomposition that drops it fails here.
+        self.assert_decomposition_agrees(seed_7)
+
+    def test_decomposition_agrees_on_a_rule_that_fires_early(self, seed_7):
+        # At 0.3 times the optimal thresholds about two thirds of the episodes
+        # are false alarms, so a decomposition that drops the regret-to-go of
+        # the false-alarm branch (tau < gamma) reads about six tolerances off
+        # (5.96-6.49 at masters 53 and 1-5; 0.81-1.04 at the optimal rule).
+        records = self.assert_decomposition_agrees(
+            replace(seed_7, thresholds=0.3 * seed_7.thresholds)
+        )
+        false_alarms = records["switch_time"] < records["change_point"]
+        assert 0.5 < false_alarms.mean() < 0.8
