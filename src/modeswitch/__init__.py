@@ -62,7 +62,6 @@ _MONTE_CARLO = (
     "estimate_exact_regret",
     "regret_consistency",
     "run_batch",
-    "run_episode",
     "run_sweep",
     "summarize",
 )

@@ -37,8 +37,8 @@ not fired, a lane whose two controllers share a key (most of them, once
 switched and past the change) steps one row for both, and a rate's lanes
 stop at its horizon.  The kernel seeds its generators from SeedSequence
 words hashed for a whole chunk at once; :func:`episode_rng` builds the same
-streams one episode at a time and, with :func:`run_episode`, is the
-independent scalar reference the kernel must match bit for bit.
+streams one episode at a time, as the tests' scalar episode loop, which the
+kernel must match bit for bit, reads them.
 
 The kernel keeps no step uniform as a float.  Each episode draws its step
 uniforms ``_BLOCK`` (512) at a time and stores each as a *code*: the number
@@ -50,7 +50,7 @@ episode.  A step's next state depends on its uniform only through that
 code, so each lane steps by one ``take`` from a (code, key) table of next
 keys; a pass whose table would exceed
 ``_TABLE_BYTES`` counts codes against the cut rows' ranks instead.  The
-kernel compares codes where :func:`run_episode` compares floats.
+kernel compares codes where a scalar loop compares floats.
 """
 
 from __future__ import annotations
@@ -178,101 +178,6 @@ def episode_rng(master_seed: int, index: int) -> np.random.Generator:
     )
 
 
-def _inverse_cdf(cumulative: np.ndarray, u: float) -> int:
-    """Smallest index whose cumulative probability exceeds ``u``."""
-    return min(int(np.searchsorted(cumulative, u, side="right")), cumulative.size - 1)
-
-
-def run_episode(
-    solved: SolvedEnv,
-    change_point: int,
-    horizon: int,
-    rng: np.random.Generator,
-) -> EpisodeBatch:
-    """Simulate one coupled episode (scalar reference implementation) and
-    return it as a one-episode batch.
-
-    Consumes one uniform for the start state and then exactly one uniform per
-    step.  The detection controller follows the pre-change policy until its
-    belief crosses the per-state threshold (ties stop) and the post-change
-    policy afterwards; the baseline switches exactly at the change point.
-    If the rule never fires within ``horizon`` the switch time is recorded as
-    ``horizon`` and the episode flagged truncated.
-
-    It reads the kernels, costs and policies from ``solved.env`` and the
-    policy arrays, never from ``solved.chains``, so matching it checks the
-    chains the batch kernel steps through as well.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if change_point < 1:
-        raise ValueError("change_point must be at least 1")
-    env = solved.env
-    mdp = env.mdp
-    thresholds = check_thresholds(solved.thresholds, mdp.n_states)
-    weight = solved.weight
-    cum_initial = np.cumsum(env.initial_dist)
-    cum_pre = np.cumsum(mdp.kernel_pre, axis=2)
-    cum_post = np.cumsum(mdp.kernel_post, axis=2)
-
-    start_u = float(rng.random())
-    step_u = rng.random(horizon)
-
-    state_cd = _inverse_cdf(cum_initial, start_u)
-    state_mo = state_cd
-    belief = 0.0
-    switched = False
-    switch_time = horizon
-    cost_cd = 0.0
-    cost_mo = 0.0
-    objective = 0.0
-    disc = 1.0
-    for t in range(horizon):
-        if not switched and belief >= thresholds[state_cd]:
-            switched = True
-            switch_time = t
-            if change_point >= t:
-                objective += weight
-        pre_change = t < change_point
-        kernel_cum = cum_pre if pre_change else cum_post
-        cost_table = env.cost_pre if pre_change else env.cost_post
-        action_cd = (solved.policy_post if switched else solved.policy_pre)[state_cd]
-        action_mo = (solved.policy_pre if pre_change else solved.policy_post)[state_mo]
-        cost_cd += disc * cost_table[state_cd, action_cd]
-        cost_mo += disc * cost_table[state_mo, action_mo]
-        if not switched and change_point < t:
-            objective += 1.0
-        u = float(step_u[t])
-        next_cd = _inverse_cdf(kernel_cum[state_cd, action_cd], u)
-        next_mo = _inverse_cdf(kernel_cum[state_mo, action_mo], u)
-        if not switched:
-            belief = float(
-                bayes_step(
-                    belief,
-                    mdp.kernel_pre[state_cd, action_cd, next_cd],
-                    mdp.kernel_post[state_cd, action_cd, next_cd],
-                    mdp.change_rate,
-                )[0]
-            )
-        state_cd = next_cd
-        state_mo = next_mo
-        disc *= mdp.discount
-    truncated = not switched
-    if truncated and change_point >= horizon:
-        objective += weight
-    record = dict(
-        change_point=change_point,
-        switch_time=switch_time,
-        cost_cd=cost_cd,
-        cost_mo=cost_mo,
-        false_alarm=switch_time < change_point,
-        delay=max(switch_time - change_point, 0),
-        objective_realized=objective,
-        truncated=truncated,
-    )
-    return EpisodeBatch(**{name: np.array([value]) for name, value in record.items()})
-
-
 def _code_dtype(n_cuts: int) -> np.dtype:
     """Dtype of the codes of a pass with up to ``n_cuts`` cut points: it
     holds the codes 0 to ``n_cuts`` and, above them, the guide table's mark
@@ -305,7 +210,7 @@ class _CodedTransitions:
     ``base[k]`` (the intp base of key ``k``'s block) plus the state.  It
     reads a (code, key) table of next keys when that fits ``_TABLE_BYTES``;
     otherwise it counts the codes against the rows' entries coded as ranks
-    among the cut points, ``run_episode``'s comparison done on integers.
+    among the cut points, the float comparison done on integers.
     """
 
     def __init__(self, cum_rows: np.ndarray, base: np.ndarray):
@@ -420,10 +325,10 @@ def _run_chunk(
     decreasing horizon order, the lane-block order.
 
     A *lane* is one (rate, episode) pair, at index ``r * (hi - lo) + i``.
-    Each lane produces the record :func:`run_episode` returns at its rate,
-    bit for bit: the same comparisons and the same cost additions in the
-    same order.  Its generators are built from vectorized seed words in the
-    states :func:`episode_rng` gives them, one per episode.  The rates of a
+    Each lane produces the record that stepping its episode alone at its
+    rate gives, bit for bit: the same comparisons and the same cost
+    additions in the same order.  Its generators are built from vectorized
+    seed words in the states :func:`episode_rng` gives them, one per episode.  The rates of a
     pass of several are below 1/3, where numpy's ``geometric`` is
     ``ceil(-E / log1p(-rate))`` of one exponential draw ``E``
     (:func:`_change_points`), so every rate reads the same start uniform and
@@ -618,8 +523,8 @@ def _join(
 
     joined = {name: np.concatenate(list(chunk_columns(name)), axis=1) for name in _STEPPED}
     change_point, switch_time = joined["change_point"], joined["switch_time"]
-    # run_episode adds either the weight once or 1.0 per step, never both, so
-    # its stepwise sum is exactly this closed form.
+    # An episode earns either the weight once or 1.0 per late step, never
+    # both, so a stepwise sum is exactly this closed form.
     joined["objective_realized"] = np.where(
         change_point >= switch_time,
         np.array([[solved.weight] for solved in solveds]),

@@ -249,6 +249,22 @@ class TestMixingProfile:
                 np.array([0.5, 0.4]), envelope_b=0.01, envelope_beta=0.5
             )
 
+    @pytest.mark.parametrize(
+        ("tv", "b", "beta", "message"),
+        [
+            ([1.5, 0.2], 2.0, 0.5, r"lie in \[0, 1\]"),
+            ([0.5, -0.1], 1.0, 0.5, r"lie in \[0, 1\]"),
+            ([0.2, 0.4], 1.0, 0.5, "nonincreasing"),
+            ([0.5, 0.4], 0.0, 0.5, "b > 0"),
+            ([0.5, 0.4], 1.0, 0.0, "beta in"),
+            ([0.5, 0.4], 1.0, 1.0, "beta in"),
+        ],
+        ids=["above-one", "negative", "rising", "zero-b", "zero-beta", "unit-beta"],
+    )
+    def test_profile_validation_rejects_bad_profiles(self, tv, b, beta, message):
+        with pytest.raises(ValueError, match=message):
+            MixingProfile(np.array(tv), envelope_b=b, envelope_beta=beta)
+
 
 class TestCostToGoGap:
     def test_stationary_start_has_no_gap(self):

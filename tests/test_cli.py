@@ -299,8 +299,7 @@ def child_peak_rss(command, config):
 #: The package's Monte Carlo names, all of them from ``modeswitch.simulate``.
 MONTE_CARLO_NAMES = (
     "EpisodeBatch", "RegretCheck", "RegretEstimate", "SimReport", "episode_rng",
-    "estimate_exact_regret", "regret_consistency", "run_batch", "run_episode",
-    "run_sweep", "summarize",
+    "estimate_exact_regret", "regret_consistency", "run_batch", "run_sweep", "summarize",
 )
 
 
@@ -491,6 +490,17 @@ class TestErrorPaths:
         )
         assert err.count("\n") == 1
         assert not (tmp_path / "out" / "report.csv").exists()
+
+    def test_a_demand_rate_too_large_to_truncate_exits_2(self, tmp_path, capsys):
+        # The spec is valid; its Poisson demand pmf fails while the kernels
+        # are built.
+        config = write_config(
+            tmp_path, environment={"kind": "inventory", "capacity": 3, "demand_rate": 1e6}
+        )
+        assert main(["solve", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "error in stage 'solve': demand pmf truncation did not terminate; rate too large\n"
+        )
 
     def test_undefined_weight_is_numerical_error(self, tmp_path, capsys):
         # Identical kernels give identical policies, so the numerator gap is zero.

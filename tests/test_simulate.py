@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modeswitch import simulate
-from modeswitch._seeding import episode_generators, seed_words
+from modeswitch._seeding import _PresetWords, episode_generators, seed_words
 from modeswitch.detector import BeliefGrid, BeliefOperator, bayes_step, evaluate_switch_rule
 from modeswitch.environments import (
     InventorySpec,
@@ -32,7 +32,6 @@ from modeswitch.simulate import (
     estimate_exact_regret,
     regret_consistency,
     run_batch,
-    run_episode,
     summarize,
 )
 
@@ -92,20 +91,6 @@ def degenerate_solved():
     )
 
 
-def assert_batch_matches_oracle(batch, solved, horizon, master):
-    """Every batch column equals :func:`run_episode` on the same episode
-    stream, bit for bit."""
-    records = []
-    for index in range(batch.n_episodes):
-        rng = episode_rng(master, index)
-        gamma = int(rng.geometric(solved.env.mdp.change_rate))
-        records.append(run_episode(solved, gamma, horizon, rng))
-    for field in fields(EpisodeBatch):
-        column = getattr(batch, field.name)
-        expected = np.concatenate([getattr(r, field.name) for r in records]).astype(column.dtype)
-        assert column.tobytes() == expected.tobytes(), field.name
-
-
 @st.composite
 def small_instances(draw, base):
     """A random 2-6 state instance with sparse kernels, mode-dependent costs,
@@ -159,15 +144,11 @@ def _run_batch(solved, thresholds):
     run_batch(replace(solved, thresholds=thresholds), 4, 10, 0)
 
 
-def _run_episode(solved, thresholds):
-    run_episode(replace(solved, thresholds=thresholds), 3, 10, episode_rng(0, 0))
-
-
 def _evaluate_switch_rule(solved, thresholds):
     evaluate_switch_rule(thresholds, BeliefOperator(solved.dyn, solved.grid), solved.weight)
 
 
-@pytest.mark.parametrize("entry", [_run_batch, _run_episode, _evaluate_switch_rule])
+@pytest.mark.parametrize("entry", [_run_batch, _evaluate_switch_rule])
 @pytest.mark.parametrize(
     ("thresholds", "message"),
     [
@@ -186,26 +167,32 @@ def test_threshold_vectors_are_checked(small_solved, entry, thresholds, message)
         entry(small_solved, thresholds)
 
 
-#: The columns of :func:`decomposition_records`.
-DECOMPOSITION_FIELDS = (
-    "change_point", "switch_time", "cost_cd", "cost_mo", "truncated",
-    "state_at_switch", "state_at_change", "regret_pre_switch",
-)
+def stepped_episodes(solved, n_episodes, horizon, master):
+    """Episodes ``0 .. n_episodes - 1`` under ``solved.thresholds``, stepped
+    one at a time from the documented streams: the scalar reference the lane
+    kernel must match bit for bit.  Returns a column per
+    :class:`EpisodeBatch` field and three that the regret decomposition
+    reads: ``state_at_switch``, the detection controller's state when the
+    rule fired (-1 if it never fired); ``state_at_change``, its state at the
+    change point (-1 if the change lies at or past the horizon); and
+    ``regret_pre_switch``, ``cost_cd - cost_mo`` as it stood when the rule
+    fired (at the horizon if it never fired).
 
+    Each episode draws its change point, one uniform for the start state and
+    one uniform per step.  The detection controller follows the pre-change
+    policy until its belief reaches its state's threshold and the post-change
+    policy afterwards; the baseline switches at the change point.  A rule
+    that never fires records the horizon as its switch time.  The objective
+    is summed step by step: the weight once, at the switch or at the horizon,
+    if the change had not come before it, and 1.0 for every pre-switch step
+    after the step the change governs; the batch writes it in closed form.
 
-def decomposition_records(solved, n_episodes, horizon, master):
-    """Episodes ``0 .. n_episodes - 1`` stepped one at a time as
-    :func:`run_episode` steps them, from the same streams, as arrays of the
-    batch's stepped fields and ``truncated`` plus what the regret
-    decomposition reads: ``state_at_switch``, the detection controller's
-    state when the rule fired (-1 if it never fired); ``state_at_change``,
-    its state at the change point (-1 if the change lies at or past the
-    horizon); and ``regret_pre_switch``, ``cost_cd - cost_mo`` as it stood
-    when the rule fired (at the horizon if it never fired).
-
-    Tables are read as Python lists, and a transition is found with
-    ``bisect_right``, which counts the cumulative entries at or below a
-    uniform as ``searchsorted(..., side="right")`` does."""
+    The kernels, costs and policies are read from ``solved.env`` and the
+    policy arrays, never from ``solved.chains``, so a match also checks the
+    chains the kernel steps through.  Tables are read as Python lists, and a
+    transition is found with ``bisect_right``, which counts the cumulative
+    entries at or below a uniform as ``searchsorted(..., side="right")``
+    does."""
     env, mdp = solved.env, solved.env.mdp
     last = mdp.n_states - 1
     cum_initial = np.cumsum(env.initial_dist).tolist()
@@ -215,6 +202,7 @@ def decomposition_records(solved, n_episodes, horizon, master):
     kernel_pre, kernel_post = mdp.kernel_pre.tolist(), mdp.kernel_post.tolist()
     policy = {True: solved.policy_pre.tolist(), False: solved.policy_post.tolist()}
     thresholds = np.asarray(solved.thresholds, dtype=float).tolist()
+    weight = solved.weight
     rows = []
     for index in range(n_episodes):
         rng = episode_rng(master, index)
@@ -224,7 +212,7 @@ def decomposition_records(solved, n_episodes, horizon, master):
         state_cd = state_mo = min(bisect.bisect_right(cum_initial, start_u), last)
         belief, switched, switch_time = 0.0, False, horizon
         state_at_switch = state_at_change = -1
-        cost_cd = cost_mo = 0.0
+        cost_cd = cost_mo = objective = 0.0
         disc = 1.0
         for t in range(horizon):
             if t == change_point:
@@ -232,11 +220,15 @@ def decomposition_records(solved, n_episodes, horizon, master):
             if not switched and belief >= thresholds[state_cd]:
                 switched, switch_time, state_at_switch = True, t, state_cd
                 regret_pre_switch = cost_cd - cost_mo
+                if change_point >= t:
+                    objective += weight
             pre_change = t < change_point
             action_cd = policy[not switched][state_cd]
             action_mo = policy[pre_change][state_mo]
             cost_cd += disc * cost[pre_change][state_cd][action_cd]
             cost_mo += disc * cost[pre_change][state_mo][action_mo]
+            if not switched and change_point < t:
+                objective += 1.0
             u = step_u[t]
             next_cd = min(bisect.bisect_right(cum[pre_change][state_cd][action_cd], u), last)
             next_mo = min(bisect.bisect_right(cum[pre_change][state_mo][action_mo], u), last)
@@ -251,19 +243,27 @@ def decomposition_records(solved, n_episodes, horizon, master):
             disc *= mdp.discount
         if not switched:
             regret_pre_switch = cost_cd - cost_mo
-        rows.append((
-            change_point, switch_time, cost_cd, cost_mo, not switched,
-            state_at_switch, state_at_change, regret_pre_switch,
+            if change_point >= horizon:
+                objective += weight
+        rows.append(dict(
+            change_point=change_point, switch_time=switch_time, cost_cd=cost_cd,
+            cost_mo=cost_mo, false_alarm=switch_time < change_point,
+            delay=max(switch_time - change_point, 0), objective_realized=objective,
+            truncated=not switched, state_at_switch=state_at_switch,
+            state_at_change=state_at_change, regret_pre_switch=regret_pre_switch,
         ))
-    return {name: np.array(column) for name, column in zip(DECOMPOSITION_FIELDS, zip(*rows))}
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
 
 
-def assert_records_match_batch(records, batch):
-    """The stepped fields of :func:`decomposition_records` equal the batch's,
-    bit for bit, so the decomposition reads the episodes the batch ran."""
-    for name in ("change_point", "switch_time", "cost_cd", "cost_mo", "truncated"):
-        column = getattr(batch, name)
-        assert records[name].astype(column.dtype).tobytes() == column.tobytes(), name
+def assert_batch_matches_oracle(batch, solved, horizon, master):
+    """Every field of ``batch`` equals :func:`stepped_episodes` of the same
+    episodes, bit for bit; returns the stepped records, so a decomposition
+    reads the episodes the batch ran."""
+    records = stepped_episodes(solved, batch.n_episodes, horizon, master)
+    for field in fields(EpisodeBatch):
+        column = getattr(batch, field.name)
+        assert records[field.name].astype(column.dtype).tobytes() == column.tobytes(), field.name
+    return records
 
 
 def decomposition_loop(solved, records):
@@ -349,46 +349,6 @@ def assert_batches_identical(batch, reference):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field.name
 
 
-class TestRunEpisode:
-    def test_replay_is_identical(self, small_solved):
-        first = run_episode(small_solved, 12, 80, episode_rng(9, 4))
-        second = run_episode(small_solved, 12, 80, episode_rng(9, 4))
-        assert first == second
-
-    def test_no_switch_no_change_couples_exactly(self, small_solved):
-        horizon = 40
-        never = replace(small_solved, thresholds=np.ones(3))
-        record = run_episode(never, horizon + 5, horizon, episode_rng(3, 0))
-        assert record.truncated
-        assert record.switch_time == horizon
-        assert record.cost_cd == record.cost_mo
-
-    def test_degenerate_zero_threshold_matches_baseline(self, degenerate_solved):
-        # Identical kernels and policies: switching immediately changes nothing.
-        zero = replace(degenerate_solved, thresholds=np.zeros(3))
-        record = run_episode(zero, 7, 60, episode_rng(11, 2))
-        assert record.switch_time == 0
-        assert record.cost_cd == record.cost_mo
-
-    def test_objective_identity_every_episode(self, small_solved):
-        # Stepwise accumulation equals the closed form of the stopping payoff.
-        weight = small_solved.weight
-        for index in range(30):
-            rng = episode_rng(21, index)
-            gamma = int(rng.geometric(0.05))
-            record = run_episode(small_solved, gamma, 200, rng)
-            expected = max(record.switch_time - gamma - 1, 0) + weight * (
-                gamma >= record.switch_time
-            )
-            assert record.objective_realized == expected
-
-    def test_validation(self, small_solved):
-        with pytest.raises(ValueError):
-            run_episode(small_solved, 0, 10, episode_rng(0, 0))
-        with pytest.raises(ValueError):
-            run_episode(small_solved, 1, 0, episode_rng(0, 0))
-
-
 class TestRunBatch:
     def test_batch_matches_scalar_reference(self, small_solved):
         horizon, master = 90, 17
@@ -404,6 +364,12 @@ class TestRunBatch:
         for horizon in (1, block - 1, block, block + 1, 2 * block + 89):
             batch = run_batch(solved, 12, horizon, master)
             assert_batch_matches_oracle(batch, solved, horizon, master)
+
+    def test_degenerate_zero_threshold_matches_baseline(self, degenerate_solved):
+        # Identical kernels and policies: switching immediately changes nothing.
+        batch = run_batch(replace(degenerate_solved, thresholds=np.zeros(3)), 200, 60, 11)
+        assert np.all(batch.switch_time == 0)
+        assert batch.cost_cd.tobytes() == batch.cost_mo.tobytes()
 
     def test_batch_across_a_chunk_boundary_matches_oracle(self, small_solved):
         # One full chunk, then a chunk of three episodes.
@@ -539,8 +505,9 @@ class TestRunBatch:
         # and pre-switch regrets are the decomposition's records of the
         # batch's own episodes.
         horizon = 40
-        solved_rule = decomposition_records(small_solved, 600, horizon, 27)
-        assert_records_match_batch(solved_rule, run_batch(small_solved, 600, horizon, 27))
+        solved_rule = assert_batch_matches_oracle(
+            run_batch(small_solved, 600, horizon, 27), small_solved, horizon, 27
+        )
         early = solved_rule["switch_time"] <= solved_rule["change_point"]
         assert 0 < early.sum() < early.size
         assert np.all(solved_rule["regret_pre_switch"][early] == 0.0)
@@ -558,8 +525,9 @@ class TestRunBatch:
                 small_solved, env=replace(small_solved.env, initial_dist=np.eye(3)[start])
             )
             eager_rule = replace(pinned, thresholds=np.zeros(3))
-            eager = decomposition_records(eager_rule, 300, horizon, 27)
-            assert_records_match_batch(eager, run_batch(eager_rule, 300, horizon, 27))
+            eager = assert_batch_matches_oracle(
+                run_batch(eager_rule, 300, horizon, 27), eager_rule, horizon, 27
+            )
             assert np.all(eager["switch_time"] == 0)
             assert np.all(eager["state_at_switch"] == start)
             assert np.all(eager["regret_pre_switch"] == 0.0)
@@ -765,7 +733,7 @@ def probe_uniforms(cum_rows, extra=()):
 
 def assert_codes_give_the_searched_states(cum_rows, uniforms, budgets=(None, 0)):
     """For every key, the next state read from the uniforms' codes is
-    :func:`run_episode`'s ``min(searchsorted(row, u, 'right'), n - 1)``:
+    :func:`stepped_episodes`'s ``min(searchsorted(row, u, 'right'), n - 1)``:
     through the (code, key) table, and through the count on codes that a
     table over budget (here, a budget of 0) falls back to."""
     n_states = cum_rows.shape[1]
@@ -915,10 +883,8 @@ class TestSixteenStates:
     def test_batch_matches_oracle(self, inventory_pair, next_state_path):
         solved = inventory_pair[0]
         batch = run_batch(solved, 60, 300, 5)
-        records = decomposition_records(solved, 60, 300, 5)
-        assert_records_match_batch(records, batch)
+        records = assert_batch_matches_oracle(batch, solved, 300, 5)
         assert (~batch.truncated).any() and records["state_at_change"].max() == 15
-        assert_batch_matches_oracle(batch, solved, 300, 5)
 
     def test_sweep_equals_per_rate_batches(self, inventory_pair, next_state_path):
         horizons = [300, 200]
@@ -1033,6 +999,14 @@ class TestSeedWords:
         with pytest.raises(ValueError, match="non-negative"):
             run_batch(small_solved, 5, 10, -1)
 
+    def test_preset_words_hand_over_four_uint64_words_only(self):
+        words = seed_words(5, np.arange(2, dtype=np.uint64))
+        preset = _PresetWords(words, 1)
+        assert np.array_equal(preset.generate_state(4, np.uint64), words[1])
+        for n_words, dtype in ((4, np.uint32), (8, np.uint64), (2, np.uint64)):
+            with pytest.raises(ValueError, match="generate_state"):
+                preset.generate_state(n_words, dtype)
+
     def test_generators_continue_the_documented_streams(self):
         for master in (0, 2**64 + 5):
             generators = episode_generators(master, 2**32 - 2, 2**32 + 2)
@@ -1120,8 +1094,7 @@ class TestExactRegret:
         if thresholds is not None:
             solved = replace(small_solved, thresholds=thresholds)
         batch = run_batch(solved, n_episodes, horizon, master)
-        records = decomposition_records(solved, n_episodes, horizon, master)
-        assert_records_match_batch(records, batch)
+        records = assert_batch_matches_oracle(batch, solved, horizon, master)
         truncated = batch.truncated
         difference = batch.cost_cd[truncated] - batch.cost_mo[truncated]
         assert records["regret_pre_switch"][truncated].tobytes() == difference.tobytes()
@@ -1148,7 +1121,7 @@ class TestExactRegret:
         :func:`estimate_exact_regret` on the same episodes; returns their
         records."""
         direct = estimate_exact_regret(solved, 1500, 250, 53)
-        records = decomposition_records(solved, 1500, 250, 53)
+        records = stepped_episodes(solved, 1500, 250, 53)
         totals = decomposition_loop(solved, records)
         split_mean, split_err = float(totals.mean()), float(totals.std(ddof=1) / np.sqrt(1500))
         pooled = np.hypot(direct.stderr, split_err)
