@@ -553,14 +553,9 @@ def _chunk_width(n_rates: int, n_states: int) -> int:
     count on codes, which is more than a table lookup's one intp index.
 
     The width is set before the pass's table exists, so codes are sized from
-    the pass's entry count, a bound on its distinct cut points, and at two
-    bytes at least: a pass under 255 cut points codes in one byte, but its
-    chunks keep the two-byte width (3048 episodes for one rate of the README
-    instance, 2126 for its six-rate sweep).  Widening the six-rate chunks to
-    one-byte codes slowed the README sweep (0.912 to 0.968 s) and saved only
-    0.34 MB of peak memory, so the narrower codes halve the block instead."""
+    the pass's entry count, a bound on its distinct cut points."""
     bound = _code_dtype(4 * n_rates * n_states * (n_states - 1))
-    episode = _GENERATOR_BYTES + _BLOCK * max(2, bound.itemsize)
+    episode = _GENERATOR_BYTES + _BLOCK * bound.itemsize
     lane = _LANE_BYTES + 9 * (n_states - 1)
     return max(1, _CHUNK_BYTES // (episode + n_rates * lane))
 
@@ -570,14 +565,10 @@ def _plan(n_episodes: int, workers: int, width: int) -> list[list[tuple[int, int
     runs them; the groups follow one another in episode-index order.
 
     ``min(workers, n_episodes, available CPUs)`` processes run, one where
-    ``os.fork`` does not exist.  One process runs chunks of ``width``; more
-    each run the same number of near-equal chunks, no wider than ``width``.
+    ``os.fork`` does not exist.  Each process runs the same number of
+    near-equal chunks, no wider than ``width``.
     """
     n_procs = min(workers, n_episodes, _available_cpus()) if hasattr(os, "fork") else 1
-    # One process keeps full-width chunks: near-equal ones (a wider last chunk, run while the
-    # earlier outputs are held) took a memory test's peak from 7.42 to 7.86 MiB (bound 7.5).
-    if n_procs == 1:
-        return [[(lo, min(lo + width, n_episodes)) for lo in range(0, n_episodes, width)]]
     per_proc = -(-n_episodes // (width * n_procs))
     n_chunks = n_procs * per_proc
     bounds = [i * n_episodes // n_chunks for i in range(n_chunks + 1)]
@@ -733,11 +724,13 @@ def _run_pass(
     """Every chunk of ``n_episodes`` through the lane kernel, on ``workers``
     processes; one batch per solve of the pass, in its order.
 
-    With ``workers`` 1 the chunks run one after another in this process.
-    With more, ``min(workers, n_episodes, available CPUs)`` processes share
-    the chunks: this one runs the first share while forked children run the
-    others and send their records back through pipes.  A process allocates
-    its share's records once, and each chunk writes its lanes' into them.
+    The chunks are near-equal, and each process runs the same number of them
+    (:func:`_plan`).  With ``workers`` 1 they run one after another in this
+    process.  With more, ``min(workers, n_episodes, available CPUs)``
+    processes share them: this one runs the first share while forked
+    children run the others and send their records back through pipes.  A
+    process allocates its share's records once, and each chunk writes its
+    lanes' into them.
     Each chunk is a pure function of (master seed, episode indices), so the
     batches are the same, bit for bit, for every ``workers``.  Where ``os.fork`` does not exist
     the chunks run serially.  A child's exception is raised here again with

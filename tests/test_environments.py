@@ -9,6 +9,7 @@ import pytest
 from modeswitch.environments import (
     InventorySpec,
     RandomMdpSpec,
+    _demand_kernel_and_cost,
     _poisson_pmf_lumped,
     build_inventory,
     gen_random_mdp,
@@ -59,7 +60,50 @@ class TestPoissonPmf:
             assert pmf[w] == pytest.approx(direct, rel=1e-12)
 
 
+def per_cell_kernel_and_cost(spec, pmf):
+    """The inventory kernel and expected costs built one (stock, order) cell
+    at a time: the oracle for the build's one row per fill level."""
+    n = spec.capacity + 1
+    demand = np.arange(pmf.size)
+    kernel = np.zeros((n, n, n))
+    cost = np.zeros((n, n))
+    for stock in range(n):
+        for order in range(n):
+            filled = min(stock + order, spec.capacity)
+            leftover = np.maximum(filled - demand, 0)
+            unmet = np.maximum(demand - filled, 0)
+            np.add.at(kernel[stock, order], leftover, pmf)
+            base = spec.order_cost * (stock if spec.order_cost_basis == "stock" else order)
+            cost[stock, order] = (
+                base
+                + spec.holding_cost * float(pmf @ leftover)
+                + spec.shortfall_cost * float(pmf @ unmet)
+            )
+    return kernel, cost
+
+
 class TestBuildInventory:
+    @pytest.mark.parametrize(
+        ("capacity", "basis", "shortfall", "rate"),
+        [
+            (1, "stock", 100.0, 0.5),
+            (4, "order", 300.0, 7.3),
+            (15, "stock", 200.0, 2.0),
+            (15, "order", 100.0, 2.0),
+            (30, "stock", 300.0, 7.3),
+        ],
+    )
+    def test_fill_level_build_matches_per_cell_oracle(self, capacity, basis, shortfall, rate):
+        spec = InventorySpec(
+            capacity=capacity, order_cost_basis=basis, shortfall_cost=shortfall, demand_rate=rate
+        )
+        uniform = np.full(capacity + 1, 1.0 / (capacity + 1))
+        for pmf in (_poisson_pmf_lumped(rate), uniform):
+            built_pair = _demand_kernel_and_cost(spec, pmf)
+            for built, oracle in zip(built_pair, per_cell_kernel_and_cost(spec, pmf)):
+                assert built.shape == oracle.shape and built.dtype == oracle.dtype
+                assert built.tobytes() == oracle.tobytes()
+
     def test_vanishing_demand_keeps_empty_stock_free(self):
         spec = InventorySpec(capacity=4, demand_rate=1e-12)
         env = build_inventory(spec)

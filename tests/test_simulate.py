@@ -372,7 +372,7 @@ class TestRunBatch:
         assert batch.cost_cd.tobytes() == batch.cost_mo.tobytes()
 
     def test_batch_across_a_chunk_boundary_matches_oracle(self, small_solved):
-        # One full chunk, then a chunk of three episodes.
+        # Three episodes more than one chunk holds: two near-equal chunks.
         horizon, master = 20, 2**40 + 3
         batch = run_batch(small_solved, simulate._chunk_width(1, 3) + 3, horizon, master)
         assert_batch_matches_oracle(batch, small_solved, horizon, master)
@@ -421,9 +421,8 @@ class TestRunBatch:
 
     def test_plan_caps_processes_and_chunk_widths(self, monkeypatch):
         width = simulate._chunk_width(1, 5)
-        assert simulate._plan(2 * width + 1, 1, width) == [
-            [(0, width), (width, 2 * width), (2 * width, 2 * width + 1)]
-        ]
+        n = 2 * width + 1
+        assert simulate._plan(n, 1, width) == [[(0, n // 3), (n // 3, 2 * n // 3), (2 * n // 3, n)]]
         for cpus in (1, 2, 3, 8):
             monkeypatch.setattr(simulate, "_available_cpus", lambda cpus=cpus: cpus)
             for n_episodes in (1, 2, 5, 6000, 3 * width + 1, 20000):
@@ -434,7 +433,9 @@ class TestRunBatch:
                     chunks = [chunk for share in shares for chunk in share]
                     assert chunks[0][0] == 0 and chunks[-1][1] == n_episodes
                     assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-                    assert all(1 <= hi - lo <= width for lo, hi in chunks)
+                    sizes = [hi - lo for lo, hi in chunks]
+                    assert 1 <= min(sizes) and max(sizes) <= width
+                    assert max(sizes) - min(sizes) <= 1
         monkeypatch.delattr(os, "fork")
         assert len(simulate._plan(6000, 4, width)) == 1
 
@@ -599,7 +600,8 @@ class TestRunSweep:
     def test_sweep_equals_per_rate_batches(self, small_solved, rates, horizons, n_episodes):
         solveds = [at_rate(small_solved, rate) for rate in rates]
         if n_episodes is None:
-            # One full chunk of the three-rate pass, then a chunk of three.
+            # Three episodes more than one chunk of the three-rate pass
+            # holds: two near-equal chunks.
             n_episodes = simulate._chunk_width(len(rates), 3) + 3
         master = 2**40 + 3
         batches = simulate.run_sweep(solveds, n_episodes, list(horizons), master)
@@ -838,10 +840,11 @@ class TestCodedTransitions:
         assert simulate._code_dtype(2**32 - 2) == np.uint32
         with pytest.raises(ValueError, match="too many"):
             simulate._code_dtype(2**32 - 1)
-        # Widths budget two bytes a code even where the codes take one:
-        # mc-long's 6000 episodes stay two chunks of 3000 on two processes,
-        # and the README sweep's run as chunks of 2126, 2126 and 1748.
-        assert simulate._chunk_width(1, 5) == 3048
+        # Widths budget the bytes a code takes: one rate of the README
+        # instance codes in one byte, so mc-long's 6000 episodes stay two
+        # chunks of 3000 on two processes, and its six-rate sweep codes in
+        # two, so the README sweep runs as three chunks of 2000.
+        assert simulate._chunk_width(1, 5) == 4179
         assert simulate._chunk_width(6, 5) == 2126
 
     def test_count_on_codes_gives_the_tables_batches(self, small_solved, readme_sweep, monkeypatch):
