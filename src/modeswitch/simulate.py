@@ -4,27 +4,30 @@ estimate and the check of the realized detection cost against the DP.
 
 Per-episode randomness comes from its own stream,
 ``SeedSequence(entropy=master_seed, spawn_key=(episode_index,))``, consumed in
-a fixed order (change point, one uniform for the start state, one uniform per
-step), so results are a pure function of (master seed, episode index) no
-matter how episodes are chunked or how many uniforms are drawn at a time.
+a fixed order (one standard-exponential draw for the change point, one
+uniform for the start state, one uniform per step), so results are a pure
+function of (master seed, episode index) no matter how episodes are chunked
+or how many uniforms are drawn at a time.
 Both controllers' transitions are driven by the same per-step uniform through
 inverse-CDF sampling over the natural state order, so their trajectories (and
 cost accumulations, operation for operation) coincide until the first time
 their policies diverge.
 
-A sweep's rates share each episode's stream as well.  Below 1/3, numpy's
-``geometric(rate)`` is ``ceil(-E / log1p(-rate))`` of one standard-exponential
-draw ``E``, which does not depend on the rate; so every rate's change point
-comes from the same draw, and the start uniform and step uniforms after it
-are the same numbers at every rate (common random numbers across the sweep).
-:func:`run_sweep` therefore steps the rates below 1/3 as one pass of *lanes*,
-one per (rate, episode): each episode's generator and uniform blocks serve
-all its lanes, and each chunk-step steps them all.  A rate from 1/3 on, where
-numpy draws by search, runs alone.  :func:`run_batch` is a sweep of one solve.
-A lane's one position is its *chain key*, its state's index in the pass's
-flat table of induced chains, so a pass of one rate and a pass of many take
-the same path: costs, thresholds, next keys and filter rows are read by key.
-A lane holds its key, two cost sums, records and, until it fires, a belief.
+A sweep's rates share each episode's stream as well.  An episode's change
+point at rate ``rho`` is ``ceil(-E / log1p(-rho))`` of its one
+standard-exponential draw ``E``, an exact geometric draw at every rate (for
+rates below 1/3 it is what numpy's ``geometric`` draws).  ``E`` does not
+depend on the rate, so every rate's change point comes from the same draw,
+and the start uniform and step uniforms after it are the same numbers at
+every rate (common random numbers across the sweep).  :func:`run_sweep`
+therefore steps all its rates as one pass of *lanes*, one per (rate,
+episode): each episode's generator and uniform blocks serve all its lanes,
+and each chunk-step steps them all.  :func:`run_batch` is a sweep of one
+solve.  A lane's one position is its *chain key*, its state's index in the
+pass's flat table of induced chains, so a pass of one rate and a pass of
+many take the same path: costs, thresholds, next keys and filter rows are
+read by key.  A lane holds its key, two cost sums, records and, until it
+fires, a belief.
 
 Chunks of episodes step through one vectorized kernel; a byte budget caps
 the chunk width, which therefore shrinks with the number of rates in a pass
@@ -93,9 +96,6 @@ _CHUNK_BYTES = 11 * 2**19  # 5.5 MiB
 #: Memory budget of a pass's (code, key) table of next states, on top of the
 #: chunk's buffers; a pass whose table would be larger counts codes instead.
 _TABLE_BYTES = 2**20
-#: numpy's ``Generator.geometric(p)`` inverts one standard-exponential draw
-#: below this rate and searches with one uniform from it on.
-_INVERSION_BELOW = 1.0 / 3.0
 #: Bytes of one episode's record in an :class:`EpisodeBatch`: six eight-byte
 #: fields and the two bool flags.
 _RECORD_BYTES = 6 * 8 + 2
@@ -172,7 +172,10 @@ class RegretEstimate:
 
 
 def episode_rng(master_seed: int, index: int) -> np.random.Generator:
-    """The documented per-episode stream: spawn key = episode index."""
+    """The documented per-episode stream: spawn key = episode index.  An
+    episode draws from it one standard-exponential ``E``, which gives its
+    change point ``ceil(-E / log1p(-rate))`` at every rate, then the start
+    state's uniform, then one uniform per step."""
     return np.random.default_rng(
         np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
     )
@@ -298,16 +301,19 @@ def _fill_codes(
         codes[:count, lo : lo + len(part)] = code.T
 
 
-def _change_points(exponential: np.ndarray, rates: np.ndarray | list[float]) -> np.ndarray:
-    """``(rates, episodes)`` change points, each what ``geometric(rate)``
-    draws below 1/3 from the episode's standard-exponential draw ``E``:
-    ``ceil(-E / log1p(-rate))``, or ``INT64_MAX`` where that reaches 2**63."""
-    scale = np.array([math.log1p(-rate) for rate in rates])
-    drawn = np.ceil(-exponential / scale[:, None])
-    huge = drawn >= 2.0**63
-    change_point = np.where(huge, 0.0, drawn).astype(np.int64)
-    change_point[huge] = np.iinfo(np.int64).max
-    return change_point
+def _change_points(exponential: np.ndarray, rates: np.ndarray, out: np.ndarray) -> None:
+    """Write into row r of the ``(rates, episodes)`` int64 array ``out`` the
+    change points at ``rates[r]`` of the episodes' standard-exponential
+    draws ``exponential``: ``ceil(-E / log1p(-rate))``, or ``INT64_MAX``
+    where that reaches 2**63.  One float temporary serves every row."""
+    drawn = np.empty_like(exponential)
+    for rate, row in zip(rates.tolist(), out):
+        np.divide(exponential, -math.log1p(-rate), out=drawn)
+        np.ceil(drawn, out=drawn)
+        huge = drawn >= 2.0**63
+        drawn[huge] = 0.0
+        row[:] = drawn
+        row[huge] = np.iinfo(np.int64).max
 
 
 def _run_chunk(
@@ -328,12 +334,10 @@ def _run_chunk(
     Each lane produces the record that stepping its episode alone at its
     rate gives, bit for bit: the same comparisons and the same cost
     additions in the same order.  Its generators are built from vectorized
-    seed words in the states :func:`episode_rng` gives them, one per episode.  The rates of a
-    pass of several are below 1/3, where numpy's ``geometric`` is
-    ``ceil(-E / log1p(-rate))`` of one exponential draw ``E``
-    (:func:`_change_points`), so every rate reads the same start uniform and
-    step uniforms after it; a pass of one rate draws ``geometric`` itself,
-    at any rate.  That draw is the one place the number of rates matters.
+    seed words in the states :func:`episode_rng` gives them, one per
+    episode.  Every rate's change points come from the episode's one
+    exponential draw (:func:`_change_points`), so every rate reads the same
+    start uniform and step uniforms after it.
 
     A lane's one position is its detection controller's *key*,
     ``4 * n * r + (policy_mode + 2 * kernel_mode) * n + state`` with
@@ -380,11 +384,11 @@ def _run_chunk(
 
     rngs = episode_generators(master_seed, lo, hi)
     change_point = records["change_point"]
-    if n_rates > 1:
-        exponential = np.array([rng.standard_exponential() for rng in rngs])
-        change_point[:] = _change_points(exponential, rates).ravel()
-    else:
-        change_point[:] = [rng.geometric(rates[0]) for rng in rngs]
+    # The exponential draws are not kept: they are freed before any step.
+    _change_points(
+        np.array([rng.standard_exponential() for rng in rngs]), rates,
+        change_point.reshape(n_rates, width),
+    )
     start_u = np.array([rng.random() for rng in rngs])
 
     # Per-key tables.  Block r of the flat chain table holds rate r's four
@@ -666,12 +670,9 @@ def _run_forked(shares: list[list[tuple[int, int]]], run) -> list:
             os.waitpid(pid, 0)
 
 
-def _check_streams(master_seed: int, shared_rates: list[float]) -> None:
-    """Refuse to run if the first episode's stream is not the documented
-    one: if the vectorized seeding gives it another generator than
-    :func:`episode_rng` does, or if, at a rate of ``shared_rates`` (those
-    that share a pass), the change point :func:`_change_points` derives or
-    the uniform after it differs from what numpy's ``geometric`` gives."""
+def _check_streams(master_seed: int) -> None:
+    """Refuse to run if the vectorized seeding gives the first episode
+    another generator than :func:`episode_rng` does."""
     from ._seeding import episode_generators
 
     rng = episode_rng(master_seed, 0)
@@ -680,17 +681,6 @@ def _check_streams(master_seed: int, shared_rates: list[float]) -> None:
             f"numpy {np.__version__} seeds episode streams differently from "
             "modeswitch._seeding; the Monte Carlo would not reproduce the documented streams"
         )
-    if not shared_rates:
-        return
-    derived = _change_points(np.array([rng.standard_exponential()]), shared_rates)[:, 0]
-    start_u = rng.random()
-    for rate, change_point in zip(shared_rates, derived.tolist()):
-        oracle = episode_rng(master_seed, 0)
-        if oracle.geometric(rate) != change_point or oracle.random() != start_u:
-            raise RuntimeError(
-                f"numpy {np.__version__} draws geometric({rate}) differently from "
-                "modeswitch.simulate._change_points; the rates of a sweep cannot share streams"
-            )
 
 
 def _check_run(
@@ -704,6 +694,12 @@ def _check_run(
         raise ValueError("horizon must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    # The lanes of a pass read one flat table of chains and one discount.
+    shape = {(solved.env.mdp.n_states, solved.env.mdp.discount) for solved in solveds}
+    if len(shape) > 1:
+        raise ValueError(
+            f"the solves of a sweep must share a state count and discount, got {sorted(shape)}"
+        )
     for solved in solveds:
         check_thresholds(solved.thresholds, solved.env.mdp.n_states)
     # A pass holds its records once and one joined field beside them; twice
@@ -712,48 +708,6 @@ def _check_run(
     check_fits_in_memory(
         needed, f"{len(solveds)} x {n_episodes} episode records need {needed} bytes"
     )
-
-
-def _run_pass(
-    solveds: list[SolvedEnv],
-    horizons: list[int],
-    n_episodes: int,
-    master_seed: int,
-    workers: int,
-) -> list[EpisodeBatch]:
-    """Every chunk of ``n_episodes`` through the lane kernel, on ``workers``
-    processes; one batch per solve of the pass, in its order.
-
-    The chunks are near-equal, and each process runs the same number of them
-    (:func:`_plan`).  With ``workers`` 1 they run one after another in this
-    process.  With more, ``min(workers, n_episodes, available CPUs)``
-    processes share them: this one runs the first share while forked
-    children run the others and send their records back through pipes.  A
-    process allocates its share's records once, and each chunk writes its
-    lanes' into them.
-    Each chunk is a pure function of (master seed, episode indices), so the
-    batches are the same, bit for bit, for every ``workers``.  Where ``os.fork`` does not exist
-    the chunks run serially.  A child's exception is raised here again with
-    its episode range, and a child that dies without a result raises
-    :class:`RuntimeError`.  Threads would not help: the kernel's numpy calls
-    on chunk-sized arrays hold the interpreter lock most of the time.
-    """
-
-    n_rates = len(solveds)
-
-    def run(share: list[tuple[int, int]]) -> dict[str, np.ndarray]:
-        # Each chunk's lanes take one contiguous slice of the share's records.
-        start = share[0][0]
-        size = n_rates * (share[-1][1] - start)
-        records = {name: np.empty(size, dtype) for name, dtype in _STEPPED.items()}
-        for lo, hi in share:
-            lanes = slice(n_rates * (lo - start), n_rates * (hi - start))
-            chunk = {name: column[lanes] for name, column in records.items()}
-            _run_chunk(solveds, horizons, master_seed, lo, hi, chunk)
-        return records
-
-    shares = _plan(n_episodes, workers, _chunk_width(n_rates, solveds[0].env.mdp.n_states))
-    return _join(shares, _run_forked(shares, run), solveds, horizons)
 
 
 def run_batch(
@@ -782,44 +736,57 @@ def run_sweep(
     per solve, in sweep order, each equal bit for bit to the batch a sweep
     of that solve alone gives.
 
-    Episode ``i`` reads the same stream at every rate, so the rates below
-    1/3 that share a state count and discount run as one pass of the lane
-    kernel: each episode's generator and uniform blocks serve all of them,
-    and each chunk-step steps them all.  Each rate from 1/3 on runs alone,
-    since numpy draws its ``geometric`` by search.  The chunk width follows
-    the number of rates in the pass and the state count.  With ``workers``
-    above 1 the chunks of each pass are shared among forked processes
-    (:func:`_run_pass`).
+    Episode ``i`` reads the same stream at every rate, so the solves, which
+    must share a state count and discount, run as one pass of the lane
+    kernel in decreasing horizon order: each episode's generator and uniform
+    blocks serve all of them, and each chunk-step steps them all.  The chunk
+    width follows the number of rates and the state count.
+
+    The chunks are near-equal, and each process runs the same number of them
+    (:func:`_plan`).  With ``workers`` 1 they run one after another in this
+    process.  With more, ``min(workers, n_episodes, available CPUs)``
+    processes share them: this one runs the first share while forked
+    children run the others and send their records back through pipes.  A
+    process allocates its share's records once, and each chunk writes its
+    lanes' into them.  Each chunk is a pure function of (master seed,
+    episode indices), so the batches are the same, bit for bit, for every
+    ``workers``.  Where ``os.fork`` does not exist the chunks run serially.
+    A child's exception is raised here again with its episode range, and a
+    child that dies without a result raises :class:`RuntimeError`.  Threads
+    would not help: the kernel's numpy calls on chunk-sized arrays hold the
+    interpreter lock most of the time.
 
     The arguments and every solve's thresholds are checked first, and a bad
-    one raises :class:`ValueError`, as do records of every rate and episode
-    that, counted twice for the shares and their join, would not fit in
-    physical memory.  Then, before any pass runs, one stream check compares the
-    first episode's generator with :func:`episode_rng`'s and, at every rate
-    of a shared pass, its derived change point with ``geometric``; a
-    mismatch raises :class:`RuntimeError` naming the numpy version.
+    one raises :class:`ValueError`, as do solves that differ in state count
+    or discount and records of every rate and episode that, counted twice
+    for the shares and their join, would not fit in physical memory.  Then,
+    before any chunk runs, one stream check compares the first episode's
+    generator with :func:`episode_rng`'s; a mismatch raises
+    :class:`RuntimeError` naming the numpy version.
     """
     _check_run(solveds, n_episodes, horizons, workers)
-    # Rates that share a pass, keyed by what their chain tables must share
-    # (a rate from 1/3 on by its own position), in decreasing horizon order:
-    # the lane-block order.
-    passes: dict = {}
-    for k in sorted(range(len(solveds)), key=lambda k: -horizons[k]):
-        mdp = solveds[k].env.mdp
-        shared = mdp.change_rate < _INVERSION_BELOW
-        passes.setdefault((mdp.n_states, mdp.discount) if shared else k, []).append(k)
-    _check_streams(
-        master_seed,
-        [solveds[k].env.mdp.change_rate for m in passes.values() if len(m) > 1 for k in m],
-    )
-    batches: dict = {}
-    for members in passes.values():
-        pass_batches = _run_pass(
-            [solveds[k] for k in members], [horizons[k] for k in members],
-            n_episodes, master_seed, workers,
-        )
-        batches.update(zip(members, pass_batches))
-    return [batches[k] for k in range(len(solveds))]
+    _check_streams(master_seed)
+    # Decreasing horizon order is the lane-block order.
+    order = sorted(range(len(solveds)), key=lambda k: -horizons[k])
+    pass_solveds = [solveds[k] for k in order]
+    pass_horizons = [horizons[k] for k in order]
+    n_rates = len(solveds)
+
+    def run(share: list[tuple[int, int]]) -> dict[str, np.ndarray]:
+        # Each chunk's lanes take one contiguous slice of the share's records.
+        start = share[0][0]
+        size = n_rates * (share[-1][1] - start)
+        records = {name: np.empty(size, dtype) for name, dtype in _STEPPED.items()}
+        for lo, hi in share:
+            lanes = slice(n_rates * (lo - start), n_rates * (hi - start))
+            chunk = {name: column[lanes] for name, column in records.items()}
+            _run_chunk(pass_solveds, pass_horizons, master_seed, lo, hi, chunk)
+        return records
+
+    shares = _plan(n_episodes, workers, _chunk_width(n_rates, solveds[0].env.mdp.n_states))
+    batches = _join(shares, _run_forked(shares, run), pass_solveds, pass_horizons)
+    by_solve = dict(zip(order, batches))
+    return [by_solve[k] for k in range(n_rates)]
 
 
 def _stderr(values: np.ndarray) -> float:

@@ -475,22 +475,6 @@ class TestErrorPaths:
         assert err.count("\n") == 1
         assert not (tmp_path / "out" / "report.csv").exists()
 
-    def test_change_points_that_drift_from_numpy_write_nothing(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        from modeswitch import simulate
-
-        derive = simulate._change_points
-        monkeypatch.setattr(simulate, "_change_points", lambda *args: derive(*args) + 1)
-        config = write_config(tmp_path, rho_sweep=[0.05, 0.08])
-        assert main(["simulate", "--config", str(config)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(
-            f"error in stage 'simulate rho=0.05,0.08': numpy {np.__version__} draws geometric(0.05)"
-        )
-        assert err.count("\n") == 1
-        assert not (tmp_path / "out" / "report.csv").exists()
-
     def test_a_demand_rate_too_large_to_truncate_exits_2(self, tmp_path, capsys):
         # The spec is valid; its Poisson demand pmf fails while the kernels
         # are built.

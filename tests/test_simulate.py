@@ -178,7 +178,9 @@ def stepped_episodes(solved, n_episodes, horizon, master):
     ``regret_pre_switch``, ``cost_cd - cost_mo`` as it stood when the rule
     fired (at the horizon if it never fired).
 
-    Each episode draws its change point, one uniform for the start state and
+    Each episode draws one standard exponential ``E``, whose change point at
+    rate ``rho`` is ``ceil(-E / log1p(-rho))`` clamped at ``INT64_MAX``,
+    derived here in plain Python; then one uniform for the start state and
     one uniform per step.  The detection controller follows the pre-change
     policy until its belief reaches its state's threshold and the post-change
     policy afterwards; the baseline switches at the change point.  A rule
@@ -206,7 +208,9 @@ def stepped_episodes(solved, n_episodes, horizon, master):
     rows = []
     for index in range(n_episodes):
         rng = episode_rng(master, index)
-        change_point = int(rng.geometric(mdp.change_rate))
+        change_point = min(
+            math.ceil(-rng.standard_exponential() / math.log1p(-mdp.change_rate)), 2**63 - 1
+        )
         start_u = float(rng.random())
         step_u = rng.random(horizon).tolist()
         state_cd = state_mo = min(bisect.bisect_right(cum_initial, start_u), last)
@@ -351,9 +355,22 @@ def assert_batches_identical(batch, reference):
 
 class TestRunBatch:
     def test_batch_matches_scalar_reference(self, small_solved):
+        # 0.5 lies where numpy's ``geometric`` searches instead of inverting.
         horizon, master = 90, 17
-        batch = run_batch(small_solved, 40, horizon, master)
-        assert_batch_matches_oracle(batch, small_solved, horizon, master)
+        for solved in (small_solved, at_rate(small_solved, 0.5)):
+            batch = run_batch(solved, 40, horizon, master)
+            assert_batch_matches_oracle(batch, solved, horizon, master)
+
+    @pytest.mark.parametrize("rate", [0.5, 0.9])
+    def test_change_points_are_geometric(self, small_solved, rate):
+        # 20,000 fixed-seed streams: each of the frequencies of change points
+        # 1, 2 and 3 lies within 4 standard errors of rate * (1 - rate)**(k - 1).
+        n_episodes = 20_000
+        change_point = run_batch(at_rate(small_solved, rate), n_episodes, 1, 23).change_point
+        for k in (1, 2, 3):
+            p = rate * (1.0 - rate) ** (k - 1)
+            frequency = np.count_nonzero(change_point == k) / n_episodes
+            assert abs(frequency - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n_episodes), k
 
     @given(data=st.data(), master=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -650,12 +667,16 @@ class TestRunSweep:
         assert peak < simulate._CHUNK_BYTES + 2 * 2**20
 
     def test_derived_change_points_are_numpys(self):
+        # Below 1/3 numpy's ``geometric`` inverts the same exponential draw,
+        # so this proves every stream at those rates, and so every stored
+        # reference, is the one earlier versions drew with ``geometric``.
         # 1e-300 draws past 2**63, where numpy returns INT64_MAX.
         rates = np.array([0.3, 0.05, 0.0028, 1e-9, 1e-300])
+        derived = np.empty((rates.size, 1), dtype=np.int64)
         for master in (0, 1, 2**64 + 5):
             for index in range(200):
                 rng = episode_rng(master, index)
-                derived = simulate._change_points(np.array([rng.standard_exponential()]), rates)
+                simulate._change_points(np.array([rng.standard_exponential()]), rates, derived)
                 start_u = rng.random()
                 for rate, change_point in zip(rates, derived[:, 0]):
                     oracle = episode_rng(master, index)
@@ -674,6 +695,19 @@ class TestRunSweep:
             simulate.run_sweep([], 10, [], 0)
         with pytest.raises(ValueError, match="horizon must be at least 1"):
             simulate.run_sweep([small_solved, small_solved], 10, [10, 0], 0)
+
+    def test_solves_of_another_shape_are_refused(self, small_solved):
+        other_states = solve_env(
+            random_env(RandomMdpSpec(n_states=4, n_actions=2, seed=9, discount=0.9)),
+            grid_size=51,
+        )
+        mdp = small_solved.env.mdp
+        other_discount = replace(
+            small_solved, env=replace(small_solved.env, mdp=replace(mdp, discount=0.95))
+        )
+        for other in (other_states, other_discount):
+            with pytest.raises(ValueError, match="share a state count and discount"):
+                simulate.run_sweep([small_solved, other], 10, [10, 10], 0)
 
 
 #: Width of a guide-table bin.
@@ -1016,7 +1050,7 @@ class TestSeedWords:
             for index, generator in zip(range(2**32 - 2, 2**32 + 2), generators):
                 oracle = episode_rng(master, index)
                 assert generator.bit_generator.state == oracle.bit_generator.state
-                assert generator.geometric(0.01) == oracle.geometric(0.01)
+                assert generator.standard_exponential() == oracle.standard_exponential()
                 assert np.array_equal(generator.random(300), oracle.random(300))
 
 
