@@ -29,9 +29,11 @@ many take the same path: costs, thresholds, next keys and filter rows are
 read by key.  A lane holds its key, two cost sums, records and, until it
 fires, a belief.
 
-Chunks of episodes step through one vectorized kernel; a byte budget caps
-the chunk width, which therefore shrinks with the number of rates in a pass
-and with the state count.  With ``workers`` above 1 the chunks are run by
+A pass's tables (:class:`_Pass`) are built once, before its chunks are
+planned or forked.  Chunks of episodes step through one vectorized kernel; a
+byte budget caps the chunk width, which therefore shrinks with the number of
+rates in a pass, with the state count and with the bytes of the codes the
+built pass holds.  With ``workers`` above 1 the chunks are run by
 forked worker processes (where ``os.fork`` exists) beside the calling
 process, and joined in episode-index order, so every batch is the same, bit
 for bit, for any ``workers``.  The kernel's per-step cost follows the work
@@ -51,9 +53,9 @@ uint8 below 255 distinct cut points, then uint16 up to 65,534, then uint32;
 the README instance's passes have 44, so a block costs 512 bytes per
 episode.  A step's next state depends on its uniform only through that
 code, so each lane steps by one ``take`` from a (code, key) table of next
-keys; a pass whose table would exceed
-``_TABLE_BYTES`` counts codes against the cut rows' ranks instead.  The
-kernel compares codes where a scalar loop compares floats.
+keys; a pass whose table would exceed ``_TABLE_BYTES`` counts codes against
+the cut rows' ranks instead.  The kernel compares codes where a scalar loop
+compares floats.
 """
 
 from __future__ import annotations
@@ -316,28 +318,67 @@ def _change_points(exponential: np.ndarray, rates: np.ndarray, out: np.ndarray) 
         row[huge] = np.iinfo(np.int64).max
 
 
+class _Pass:
+    """A sweep's solves as one pass of lanes, built once by :func:`run_sweep`
+    before its chunks are planned or forked, so forked children inherit it.
+
+    ``solveds`` and ``horizons`` come in decreasing horizon order, the
+    lane-block order, and ``back[k]`` is the pass index of sweep entry ``k``.
+    The per-key tables are :func:`_run_chunk`'s; a key's threshold and filter
+    rows are row ``r * n + state`` of the rates' stacked thresholds and
+    ``dyn`` rows, less its base for a filter.
+    """
+
+    def __init__(self, solveds: list[SolvedEnv], horizons: list[int]):
+        order = sorted(range(len(solveds)), key=lambda k: -horizons[k])
+        self.back = sorted(range(len(solveds)), key=order.__getitem__)
+        self.solveds = [solveds[k] for k in order]
+        self.horizons = [horizons[k] for k in order]
+        self.n_states = n_states = solveds[0].env.mdp.n_states
+        self.discount = solveds[0].env.mdp.discount
+        self.rates = np.array([solved.env.mdp.change_rate for solved in self.solveds])
+        chains = [solved.chains[pair] for solved in self.solveds for pair in MODE_PAIRS]
+        self.flat_cost = np.concatenate([chain.cost_vec for chain in chains])
+        keys = np.arange(self.flat_cost.size, dtype=np.intp)
+        key_state = keys % n_states
+        base = keys - key_state
+        self.transitions = _CodedTransitions(
+            np.cumsum(np.concatenate([chain.transition for chain in chains]), axis=1), base
+        )
+        key_row = keys // (4 * n_states) * n_states + key_state
+        stacked = np.array([solved.thresholds for solved in self.solveds], dtype=float)
+        self.thresholds = stacked.ravel()[key_row]
+        self.key_rate = np.repeat(self.rates, 4 * n_states)
+        self.filter_row = key_row * n_states - base
+        self.pre_rows = np.concatenate([solved.dyn.kernel_pre.ravel() for solved in self.solveds])
+        self.post_rows = np.concatenate([solved.dyn.kernel_post.ravel() for solved in self.solveds])
+        self.initial_cum = [np.cumsum(solved.env.initial_dist) for solved in self.solveds]
+
+    def chunk_width(self) -> int:
+        """Episodes per chunk under ``_CHUNK_BYTES``: an episode holds its
+        generator and a block of the pass's codes and, per rate, one lane
+        with the ``n_states - 1`` compared entries (an intp rank and a bool
+        each) of a count on codes, more than a table lookup's one index."""
+        episode = _GENERATOR_BYTES + _BLOCK * self.transitions.dtype.itemsize
+        lane = _LANE_BYTES + 9 * (self.n_states - 1)
+        return max(1, _CHUNK_BYTES // (episode + len(self.solveds) * lane))
+
+
 def _run_chunk(
-    solveds: list[SolvedEnv],
-    horizons: list[int],
-    master_seed: int,
-    lo: int,
-    hi: int,
-    records: dict[str, np.ndarray],
+    lanes: _Pass, master_seed: int, lo: int, hi: int, records: dict[str, np.ndarray]
 ) -> None:
     """Vectorized episode runner for indices [lo, hi), each solve of the
-    pass under its ``thresholds``, writing its lanes' ``_STEPPED`` fields
-    into the flat arrays of ``records`` in lane order (:func:`_join` derives
-    the rest).  The solves share a state count and discount and come in
-    decreasing horizon order, the lane-block order.
+    pass ``lanes`` under its ``thresholds``, writing its lanes' ``_STEPPED``
+    fields into the flat arrays of ``records`` in lane order (:func:`_join`
+    derives the rest).  The chunk only seeds its episodes and steps their
+    lanes: every table it reads is the pass's.
 
     A *lane* is one (rate, episode) pair, at index ``r * (hi - lo) + i``.
     Each lane produces the record that stepping its episode alone at its
     rate gives, bit for bit: the same comparisons and the same cost
     additions in the same order.  Its generators are built from vectorized
     seed words in the states :func:`episode_rng` gives them, one per
-    episode.  Every rate's change points come from the episode's one
-    exponential draw (:func:`_change_points`), so every rate reads the same
-    start uniform and step uniforms after it.
+    episode.
 
     A lane's one position is its detection controller's *key*,
     ``4 * n * r + (policy_mode + 2 * kernel_mode) * n + state`` with
@@ -365,18 +406,13 @@ def _run_chunk(
     rate that reaches its horizon shortens it and its lanes leave the live
     and split sets.
 
-    Each episode's step uniforms come from its own generator, ``_BLOCK``
-    (512) steps at a time (:func:`_fill_codes`), stored as codes in a
-    (block, chunk) array whose rows the episode's lanes share.  ``random(k)``
-    then ``random(m)`` gives the values of ``random(k + m)``, so the draws do
-    not depend on the block length and memory does not grow with the horizon.
+    Step codes fill a (block, chunk) array whose rows an episode's lanes
+    share (:func:`_fill_codes`).  ``random(k)`` then ``random(m)`` gives the
+    values of ``random(k + m)``, so the draws do not depend on the block
+    length and memory does not grow with the horizon.
     """
-    mdp = solveds[0].env.mdp
-    n_states = mdp.n_states
-    discount = mdp.discount
-    rates = np.array([solved.env.mdp.change_rate for solved in solveds])
-    n_rates = rates.size
-    width = hi - lo
+    n_states, discount, horizons = lanes.n_states, lanes.discount, lanes.horizons
+    n_rates, width = len(horizons), hi - lo
 
     # numpy.random loads here, not at import: commands without a Monte
     # Carlo never pay for it.
@@ -386,38 +422,16 @@ def _run_chunk(
     change_point = records["change_point"]
     # The exponential draws are not kept: they are freed before any step.
     _change_points(
-        np.array([rng.standard_exponential() for rng in rngs]), rates,
+        np.array([rng.standard_exponential() for rng in rngs]), lanes.rates,
         change_point.reshape(n_rates, width),
     )
     start_u = np.array([rng.random() for rng in rngs])
-
-    # Per-key tables.  Block r of the flat chain table holds rate r's four
-    # chains; a key's threshold and filter rows are row r * n + state of the
-    # rates' stacked thresholds and ``dyn`` rows, less its base for a filter.
-    chains = [solved.chains[pair] for solved in solveds for pair in MODE_PAIRS]
-    flat_cost = np.concatenate([chain.cost_vec for chain in chains])
-    keys = np.arange(flat_cost.size, dtype=np.intp)
-    key_state = keys % n_states
-    base = keys - key_state
-    transitions = _CodedTransitions(
-        np.cumsum(np.concatenate([chain.transition for chain in chains]), axis=1), base
-    )
-    next_state = transitions.next_state
-    key_row = keys // (4 * n_states) * n_states + key_state
-    thresholds = np.array([solved.thresholds for solved in solveds], dtype=float).ravel()[key_row]
-    key_rate = np.repeat(rates, 4 * n_states)
-    filter_row = key_row * n_states - base
-    pre_rows = np.concatenate([solved.dyn.kernel_pre.ravel() for solved in solveds])
-    post_rows = np.concatenate([solved.dyn.kernel_post.ravel() for solved in solveds])
-
+    transitions, next_state = lanes.transitions, lanes.transitions.next_state
     key = np.concatenate(
         [
             4 * n_states * r
-            + np.minimum(
-                np.searchsorted(np.cumsum(solved.env.initial_dist), start_u, side="right"),
-                n_states - 1,
-            )
-            for r, solved in enumerate(solveds)
+            + np.minimum(np.searchsorted(cum, start_u, side="right"), n_states - 1)
+            for r, cum in enumerate(lanes.initial_cum)
         ]
     )
     cost_cd, cost_mo, switch_time = records["cost_cd"], records["cost_mo"], records["switch_time"]
@@ -467,7 +481,7 @@ def _run_chunk(
         fired = None
         if live.size:
             live_key = key.take(live)
-            fire = belief >= thresholds.take(live_key)
+            fire = belief >= lanes.thresholds.take(live_key)
             if fire.any():
                 fired = live[fire]
                 waiting = ~fire
@@ -486,7 +500,7 @@ def _run_chunk(
             split = np.concatenate((split, entering))
             split_key = np.concatenate((split_key, key.take(entering) + n_states))
 
-        step_cost = disc * flat_cost
+        step_cost = disc * lanes.flat_cost
         increment = step_cost.take(key)
         active_cd += increment
         if split.size:
@@ -500,30 +514,29 @@ def _run_chunk(
                 split, split_key = split[~rejoined], split_key[~rejoined]
 
         if live.size:
-            moved = filter_row.take(live_key) + key.take(live)
+            moved = lanes.filter_row.take(live_key) + key.take(live)
             belief, _ = bayes_step(
-                belief, pre_rows.take(moved), post_rows.take(moved), key_rate.take(live_key)
+                belief, lanes.pre_rows.take(moved), lanes.post_rows.take(moved),
+                lanes.key_rate.take(live_key),
             )
         disc *= discount
 
 
 def _join(
-    shares: list[list[tuple[int, int]]],
-    records: list[dict[str, np.ndarray]],
-    solveds: list[SolvedEnv],
-    horizons: list[int],
+    shares: list[list[tuple[int, int]]], records: list[dict[str, np.ndarray]], lanes: _Pass
 ) -> list[EpisodeBatch]:
-    """One batch per solve of the pass from the records :func:`_run_chunk`
-    wrote for each share's chunks, joined a field at a time, each field's
-    share arrays dropped once joined; then the closed-form fields."""
-    n_rates = len(solveds)
+    """One batch per solve of the pass ``lanes``, in sweep order, from the
+    records :func:`_run_chunk` wrote for each share's chunks, joined a field
+    at a time, each field's share arrays dropped once joined; then the
+    closed-form fields."""
+    n_rates = len(lanes.solveds)
 
     def chunk_columns(name):
         for share, columns in zip(shares, records):
             column, start = columns.pop(name), share[0][0]
             for lo, hi in share:
-                lanes = column[n_rates * (lo - start) : n_rates * (hi - start)]
-                yield lanes.reshape(n_rates, hi - lo)
+                part = column[n_rates * (lo - start) : n_rates * (hi - start)]
+                yield part.reshape(n_rates, hi - lo)
 
     joined = {name: np.concatenate(list(chunk_columns(name)), axis=1) for name in _STEPPED}
     change_point, switch_time = joined["change_point"], joined["switch_time"]
@@ -531,15 +544,15 @@ def _join(
     # both, so a stepwise sum is exactly this closed form.
     joined["objective_realized"] = np.where(
         change_point >= switch_time,
-        np.array([[solved.weight] for solved in solveds]),
+        np.array([[solved.weight] for solved in lanes.solveds]),
         np.maximum(switch_time - change_point - 1, 0),
     )
     joined["false_alarm"] = switch_time < change_point
     joined["delay"] = np.maximum(switch_time - change_point, 0)
-    joined["truncated"] = switch_time == np.array(horizons)[:, None]
+    joined["truncated"] = switch_time == np.array(lanes.horizons)[:, None]
     return [
         EpisodeBatch(**{f.name: joined[f.name][r] for f in fields(EpisodeBatch)})
-        for r in range(len(solveds))
+        for r in lanes.back
     ]
 
 
@@ -548,20 +561,6 @@ def _available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
         return os.cpu_count() or 1
-
-
-def _chunk_width(n_rates: int, n_states: int) -> int:
-    """Episodes per chunk under ``_CHUNK_BYTES``: an episode holds its
-    generator and code block and, per rate of the pass, one lane with the
-    ``n_states - 1`` compared entries (an intp rank and a bool each) of a
-    count on codes, which is more than a table lookup's one intp index.
-
-    The width is set before the pass's table exists, so codes are sized from
-    the pass's entry count, a bound on its distinct cut points."""
-    bound = _code_dtype(4 * n_rates * n_states * (n_states - 1))
-    episode = _GENERATOR_BYTES + _BLOCK * bound.itemsize
-    lane = _LANE_BYTES + 9 * (n_states - 1)
-    return max(1, _CHUNK_BYTES // (episode + n_rates * lane))
 
 
 def _plan(n_episodes: int, workers: int, width: int) -> list[list[tuple[int, int]]]:
@@ -739,8 +738,9 @@ def run_sweep(
     Episode ``i`` reads the same stream at every rate, so the solves, which
     must share a state count and discount, run as one pass of the lane
     kernel in decreasing horizon order: each episode's generator and uniform
-    blocks serve all of them, and each chunk-step steps them all.  The chunk
-    width follows the number of rates and the state count.
+    blocks serve all of them, and each chunk-step steps them all.  The pass
+    (:class:`_Pass`) is built once, before the chunks are planned or forked,
+    and sets the chunk width.
 
     The chunks are near-equal, and each process runs the same number of them
     (:func:`_plan`).  With ``workers`` 1 they run one after another in this
@@ -766,10 +766,7 @@ def run_sweep(
     """
     _check_run(solveds, n_episodes, horizons, workers)
     _check_streams(master_seed)
-    # Decreasing horizon order is the lane-block order.
-    order = sorted(range(len(solveds)), key=lambda k: -horizons[k])
-    pass_solveds = [solveds[k] for k in order]
-    pass_horizons = [horizons[k] for k in order]
+    lanes = _Pass(solveds, horizons)
     n_rates = len(solveds)
 
     def run(share: list[tuple[int, int]]) -> dict[str, np.ndarray]:
@@ -778,15 +775,13 @@ def run_sweep(
         size = n_rates * (share[-1][1] - start)
         records = {name: np.empty(size, dtype) for name, dtype in _STEPPED.items()}
         for lo, hi in share:
-            lanes = slice(n_rates * (lo - start), n_rates * (hi - start))
-            chunk = {name: column[lanes] for name, column in records.items()}
-            _run_chunk(pass_solveds, pass_horizons, master_seed, lo, hi, chunk)
+            part = slice(n_rates * (lo - start), n_rates * (hi - start))
+            chunk = {name: column[part] for name, column in records.items()}
+            _run_chunk(lanes, master_seed, lo, hi, chunk)
         return records
 
-    shares = _plan(n_episodes, workers, _chunk_width(n_rates, solveds[0].env.mdp.n_states))
-    batches = _join(shares, _run_forked(shares, run), pass_solveds, pass_horizons)
-    by_solve = dict(zip(order, batches))
-    return [by_solve[k] for k in range(n_rates)]
+    shares = _plan(n_episodes, workers, lanes.chunk_width())
+    return _join(shares, _run_forked(shares, run), lanes)
 
 
 def _stderr(values: np.ndarray) -> float:

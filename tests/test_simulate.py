@@ -391,7 +391,8 @@ class TestRunBatch:
     def test_batch_across_a_chunk_boundary_matches_oracle(self, small_solved):
         # Three episodes more than one chunk holds: two near-equal chunks.
         horizon, master = 20, 2**40 + 3
-        batch = run_batch(small_solved, simulate._chunk_width(1, 3) + 3, horizon, master)
+        width = simulate._Pass([small_solved], [horizon]).chunk_width()
+        batch = run_batch(small_solved, width + 3, horizon, master)
         assert_batch_matches_oracle(batch, small_solved, horizon, master)
 
     def test_full_width_batch_stays_within_the_chunk_budget(self, small_solved):
@@ -419,10 +420,11 @@ class TestRunBatch:
         assert peak < 16 * 2**20
 
     def test_worker_count_does_not_matter(self, small_solved, forks):
+        width = simulate._Pass([small_solved], [60]).chunk_width()
         cases = [
             (2100, small_solved),
             (2101, small_solved),  # does not divide evenly
-            (simulate._chunk_width(1, 3) * 2 + 7, small_solved),  # more chunks than processes
+            (width * 2 + 7, small_solved),  # more chunks than processes
             (3, small_solved),  # fewer episodes than workers
             (1, small_solved),
             (2101, replace(small_solved, thresholds=np.full(3, 0.3))),
@@ -437,7 +439,7 @@ class TestRunBatch:
             assert_batches_identical(forked, serial)
 
     def test_plan_caps_processes_and_chunk_widths(self, monkeypatch):
-        width = simulate._chunk_width(1, 5)
+        width = 4179  # one rate of the README instance
         n = 2 * width + 1
         assert simulate._plan(n, 1, width) == [[(0, n // 3), (n // 3, 2 * n // 3), (2 * n // 3, n)]]
         for cpus in (1, 2, 3, 8):
@@ -619,7 +621,7 @@ class TestRunSweep:
         if n_episodes is None:
             # Three episodes more than one chunk of the three-rate pass
             # holds: two near-equal chunks.
-            n_episodes = simulate._chunk_width(len(rates), 3) + 3
+            n_episodes = simulate._Pass(solveds, list(horizons)).chunk_width() + 3
         master = 2**40 + 3
         batches = simulate.run_sweep(solveds, n_episodes, list(horizons), master)
         for solved, horizon, batch in zip(solveds, horizons, batches):
@@ -652,6 +654,55 @@ class TestRunSweep:
             assert forks
         for batch, reference in zip(forked, serial):
             assert_batches_identical(batch, reference)
+
+    def test_the_pass_is_built_once_per_sweep(self, readme_sweep, monkeypatch):
+        # 6000 episodes of the six-rate pass run as three chunks, all
+        # reading the one pass run_sweep built.
+        coded, run_chunk = simulate._CodedTransitions, simulate._run_chunk
+        built, chunks = [], []
+
+        def recording(*args):
+            built.append(None)
+            return coded(*args)
+
+        def chunk(lanes, *args):
+            chunks.append(lanes)
+            return run_chunk(lanes, *args)
+
+        monkeypatch.setattr(simulate, "_CodedTransitions", recording)
+        monkeypatch.setattr(simulate, "_run_chunk", chunk)
+        simulate.run_sweep(readme_sweep, 6000, [3] * len(README_RATES), 0)
+        assert len(built) == 1
+        assert len(chunks) == 3 and chunks[0] is chunks[1] is chunks[2]
+
+    @needs_two_cpus
+    def test_forked_children_inherit_the_pass(self, readme_sweep, monkeypatch, forks):
+        # A child that built its own pass would raise, and _received would
+        # raise it again here.
+        parent, coded = os.getpid(), simulate._CodedTransitions
+
+        def parent_only(*args):
+            if os.getpid() != parent:
+                raise AssertionError("a forked child built the pass's transitions")
+            return coded(*args)
+
+        monkeypatch.setattr(simulate, "_CodedTransitions", parent_only)
+        horizons = [int(np.ceil(2.0 / rate)) for rate in README_RATES]
+        simulate.run_sweep(readme_sweep, 2101, horizons, 5, workers=2)
+        assert forks
+
+    def test_bench_chunk_plans(self, readme_sweep, monkeypatch):
+        # The benchmark's Monte Carlo workloads on two CPUs: random-sweep's
+        # six rates on one worker and mc-long's one rate (0.0028) on two, at
+        # their full and smoke sizes.  A pass's width does not depend on its
+        # grid, so the 101-point solves give the 1000-point sweep's plan.
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
+        sweep = simulate._Pass(readme_sweep, [3] * len(README_RATES)).chunk_width()
+        one_rate = simulate._Pass(readme_sweep[-1:], [3]).chunk_width()
+        assert simulate._plan(6000, 1, sweep) == [[(0, 2000), (2000, 4000), (4000, 6000)]]
+        assert simulate._plan(6000, 2, one_rate) == [[(0, 3000)], [(3000, 6000)]]
+        assert simulate._plan(300, 1, sweep) == [[(0, 300)]]
+        assert simulate._plan(2100, 2, one_rate) == [[(0, 1050)], [(1050, 2100)]]
 
     def test_full_width_sweep_stays_within_the_chunk_budget(self, small_solved):
         # The six-rate pass runs 6000 episodes as three chunks; the bound is
@@ -865,7 +916,7 @@ class TestCodedTransitions:
         run_batch(readme_sweep[-1], 2, 3, 0)
         assert dtypes == [np.uint8, np.uint8]
 
-    def test_code_dtype_and_chunk_width(self):
+    def test_code_dtype_and_chunk_width(self, readme_sweep):
         assert simulate._code_dtype(0) == np.uint8
         assert simulate._code_dtype(254) == np.uint8
         assert simulate._code_dtype(255) == np.uint16
@@ -874,12 +925,14 @@ class TestCodedTransitions:
         assert simulate._code_dtype(2**32 - 2) == np.uint32
         with pytest.raises(ValueError, match="too many"):
             simulate._code_dtype(2**32 - 1)
-        # Widths budget the bytes a code takes: one rate of the README
-        # instance codes in one byte, so mc-long's 6000 episodes stay two
-        # chunks of 3000 on two processes, and its six-rate sweep codes in
-        # two, so the README sweep runs as three chunks of 2000.
-        assert simulate._chunk_width(1, 5) == 4179
-        assert simulate._chunk_width(6, 5) == 2126
+        # Widths budget the bytes of the codes the built pass holds: the
+        # README sweep's pass and one rate of it have 44 cut points and code
+        # in one byte.
+        sweep = simulate._Pass(readme_sweep, [3] * len(README_RATES))
+        assert sweep.transitions.scaled_cuts.size == 44
+        assert sweep.transitions.dtype == np.uint8
+        assert sweep.chunk_width() == 2621
+        assert simulate._Pass(readme_sweep[-1:], [3]).chunk_width() == 4179
 
     def test_count_on_codes_gives_the_tables_batches(self, small_solved, readme_sweep, monkeypatch):
         horizons = [int(np.ceil(2.0 / rate)) for rate in README_RATES]
