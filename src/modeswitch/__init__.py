@@ -56,10 +56,8 @@ from .pipeline import SolvedEnv, mode_pair_chains, mode_pair_weight, solve_env
 _MONTE_CARLO = (
     "EpisodeBatch",
     "RegretCheck",
-    "RegretEstimate",
     "SimReport",
     "episode_rng",
-    "estimate_exact_regret",
     "regret_consistency",
     "run_batch",
     "run_sweep",

@@ -319,7 +319,7 @@ def _simulate_sweep(config: ExperimentConfig, command: str):
     """Solve every swept rate, each failure naming ``command`` and its rate,
     then run their Monte Carlo in one :func:`run_sweep`, a failure naming
     every rate.  Returns per rate its solve, batch, report and manifest
-    entry."""
+    entry, which carries the report's paired regret."""
     # Loaded before the solves: compiled after them, simulate.py raised the
     # README sweep's peak RSS by about 0.4 MB.
     module = sys.modules[__name__]
@@ -335,15 +335,19 @@ def _simulate_sweep(config: ExperimentConfig, command: str):
         (
             solved,
             batch,
-            summarize(batch),
+            report,
             {
                 "label": solved.env.label,
                 "rho": solved.env.mdp.change_rate,
                 "horizon": horizon,
+                "regret": report.regret,
+                "stderr_regret": report.stderr_regret,
                 **_solved_summary(solved),
             },
         )
-        for solved, batch, horizon in zip(solveds, batches, horizons)
+        for solved, batch, horizon, report in zip(
+            solveds, batches, horizons, map(summarize, batches)
+        )
     ]
 
 

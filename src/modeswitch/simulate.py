@@ -1,6 +1,7 @@
 """Coupled Monte Carlo of the change-detection controller against the
-mode-observing baseline, under common random numbers, plus the regret
-estimate and the check of the realized detection cost against the DP.
+mode-observing baseline, under common random numbers, plus the one reduction
+of a batch, :func:`summarize`, and the check of the realized detection cost
+against the DP.
 
 Per-episode randomness comes from its own stream,
 ``SeedSequence(entropy=master_seed, spawn_key=(episode_index,))``, consumed in
@@ -142,13 +143,20 @@ class EpisodeBatch:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Aggregates of one batch of episodes."""
+    """Aggregates of one batch of episodes.
+
+    ``regret`` is the mean of the paired difference ``cost_cd - cost_mo``,
+    discounted and cut at the horizon, and ``stderr_regret`` its standard
+    error; ``welch_t`` and ``welch_df`` treat the two cost samples as
+    independent, which the coupling makes them not."""
 
     n_episodes: int
     mean_cost_cd: float
     stderr_cost_cd: float
     mean_cost_mo: float
     stderr_cost_mo: float
+    regret: float
+    stderr_regret: float
     false_alarm_rate: float
     mean_delay: float
     welch_t: float
@@ -164,13 +172,6 @@ class RegretCheck:
     stderr: float
     tolerance: float
     consistent: bool
-
-
-@dataclass(frozen=True)
-class RegretEstimate:
-    mean: float
-    stderr: float
-    truncation_bound: float
 
 
 def episode_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -798,6 +799,8 @@ def summarize(batch: EpisodeBatch) -> SimReport:
     # Each variance is computed once; its root over sqrt(n) is _stderr's value.
     var_cd = float(batch.cost_cd.var(ddof=1)) if n > 1 else 0.0
     var_mo = float(batch.cost_mo.var(ddof=1)) if n > 1 else 0.0
+    difference = batch.cost_cd - batch.cost_mo
+    var_regret = float(difference.var(ddof=1)) if n > 1 else 0.0
     pooled = var_cd / n + var_mo / n
     if pooled > 0.0:
         welch_t = (mean_cd - mean_mo) / math.sqrt(pooled)
@@ -813,6 +816,8 @@ def summarize(batch: EpisodeBatch) -> SimReport:
         stderr_cost_cd=math.sqrt(var_cd) / math.sqrt(n),
         mean_cost_mo=mean_mo,
         stderr_cost_mo=math.sqrt(var_mo) / math.sqrt(n),
+        regret=float(difference.mean()),
+        stderr_regret=math.sqrt(var_regret) / math.sqrt(n),
         false_alarm_rate=float(batch.false_alarm.mean()),
         mean_delay=float(batch.delay.mean()),
         welch_t=welch_t,
@@ -845,24 +850,3 @@ def regret_consistency(
         consistent=abs(estimate - predicted) <= tolerance,
     )
 
-
-def estimate_exact_regret(
-    solved: SolvedEnv, n_episodes: int, horizon: int, master_seed: int
-) -> RegretEstimate:
-    """Monte Carlo mean of the discounted coupled cost difference, truncated at the horizon.
-
-    The per-episode regret is ``cost_cd - cost_mo`` of one coupled batch.
-    Before both the switch and the change the two trajectories coincide, so
-    every stage difference there is exactly zero.  The reported truncation
-    bound ``discount^horizon * max cost / (1 - discount)`` caps what the cut
-    tail could have contributed.
-    """
-    env = solved.env
-    mdp = env.mdp
-    batch = run_batch(solved, n_episodes, horizon, master_seed)
-    totals = batch.cost_cd - batch.cost_mo
-    cost_max = max(
-        float(np.max(np.abs(env.cost_pre))), float(np.max(np.abs(env.cost_post)))
-    )
-    bound = mdp.discount**horizon * cost_max / (1.0 - mdp.discount)
-    return RegretEstimate(float(totals.mean()), _stderr(totals), bound)

@@ -20,7 +20,13 @@ from hypothesis import strategies as st
 
 from modeswitch import cli
 from modeswitch.cli import ExperimentConfig, main
-from modeswitch.environments import InventorySpec, RandomMdpSpec, build_inventory, gen_random_mdp
+from modeswitch.environments import (
+    InventorySpec,
+    RandomMdpSpec,
+    build_inventory,
+    gen_random_mdp,
+    random_env,
+)
 from modeswitch.mdp import ModePairMdp
 from modeswitch.pipeline import solve_env
 
@@ -298,8 +304,8 @@ def child_peak_rss(command, config):
 
 #: The package's Monte Carlo names, all of them from ``modeswitch.simulate``.
 MONTE_CARLO_NAMES = (
-    "EpisodeBatch", "RegretCheck", "RegretEstimate", "SimReport", "episode_rng",
-    "estimate_exact_regret", "regret_consistency", "run_batch", "run_sweep", "summarize",
+    "EpisodeBatch", "RegretCheck", "SimReport", "episode_rng", "regret_consistency",
+    "run_batch", "run_sweep", "summarize",
 )
 
 
@@ -358,17 +364,33 @@ class TestMonteCarloLoading:
             cli.absent
 
     def test_a_replaced_summarize_is_the_one_simulate_calls(self, tmp_path, monkeypatch):
+        # simulate and figure1 write the paired regret that the replaced
+        # summarize returns for each rate's batch into that rate's manifest
+        # run, the same on one worker and on two.
         summarize = cli.summarize
-        summarized = []
+        expected = []
+        for rho in (0.05, 0.08):
+            spec = RandomMdpSpec(n_states=3, n_actions=2, seed=3, change_rate=rho, discount=0.9)
+            report = summarize(cli.run_batch(solve_env(random_env(spec), 101), 16, 60, 11))
+            expected.append((report.regret, report.stderr_regret))
+        reports = []
 
-        def counting(batch):
-            summarized.append(batch.n_episodes)
-            return summarize(batch)
+        def recording(batch):
+            reports.append(summarize(batch))
+            return reports[-1]
 
-        monkeypatch.setattr(cli, "summarize", counting)
+        monkeypatch.setattr(cli, "summarize", recording)
         config = write_config(tmp_path, rho_sweep=[0.05, 0.08], n_episodes=16)
-        assert main(["simulate", "--config", str(config)]) == 0
-        assert summarized == [16, 16]
+        for command in ("simulate", "figure1"):
+            for workers in ("1", "2"):
+                reports.clear()
+                assert main([command, "--config", str(config), "--workers", workers]) == 0
+                assert [report.n_episodes for report in reports] == [16, 16]
+                runs = json.loads((tmp_path / "out" / "manifest.json").read_text())[command]
+                paired = [(run["regret"], run["stderr_regret"]) for run in runs]
+                assert paired == [(report.regret, report.stderr_regret) for report in reports]
+                assert paired == expected
+        assert all(stderr > 0.0 for _, stderr in expected)
 
 
 class TestCsvWriter:

@@ -564,6 +564,21 @@ class TestSolveFixedPoint:
         middle = values[1:-1]
         assert np.all(values[:-2] + values[2:] <= 2 * middle + 1e-9)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ConvergenceError,
+        reason="ROADMAP N22: random MDP seed 20 at rho 0.0028 stalls the accelerated loop "
+        "at residual 4.35 on the 51-point coarse grid; plain iteration converges",
+    )
+    def test_seed_20_at_the_smallest_readme_rate_converges(self, monkeypatch):
+        # A valid instance (weight 1560).  Plain iteration takes 11,716
+        # applications on the coarse grid and 11,751 on the fine one, within
+        # this budget, which the loop reads when it is called; unpatched, the
+        # stall spends the default budget, about 30 s on a 2-vCPU machine.
+        monkeypatch.setattr("modeswitch.detector.DEFAULT_FP_MAX_ITER", 30_000)
+        solved = solve_env(random_env(RandomMdpSpec(seed=20, change_rate=0.0028)), 1000)
+        assert solved.fp_residual <= DEFAULT_FP_TOL
+
 
 class TestIterate:
     """The accelerated loop shared by both belief solvers, on a linear map."""

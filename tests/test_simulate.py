@@ -29,7 +29,6 @@ from modeswitch.pipeline import mode_pair_chains, solve_env
 from modeswitch.simulate import (
     EpisodeBatch,
     episode_rng,
-    estimate_exact_regret,
     regret_consistency,
     run_batch,
     summarize,
@@ -1115,14 +1114,20 @@ class TestSummaries:
         assert report.mean_cost_cd == batch.cost_cd[0]
         assert report.mean_cost_mo == batch.cost_mo[0]
         assert report.stderr_cost_cd == 0.0
+        assert report.regret == batch.cost_cd[0] - batch.cost_mo[0]
         assert report.false_alarm_rate == float(batch.false_alarm[0])
 
     def test_summarize_aggregates_a_batch(self, small_solved):
-        report = summarize(run_batch(small_solved, 600, 80, 3))
+        batch = run_batch(small_solved, 600, 80, 3)
+        report = summarize(batch)
         assert report.n_episodes == 600
         assert 0.0 <= report.false_alarm_rate <= 1.0
         assert report.mean_delay >= 0.0
         assert np.isfinite(report.welch_t)
+        # The paired regret is the plain reduction of the same batch, bit for bit.
+        difference = batch.cost_cd - batch.cost_mo
+        assert report.regret == float(difference.mean())
+        assert report.stderr_regret == float(difference.std(ddof=1) / np.sqrt(600)) > 0.0
 
 
 class TestRegretConsistency:
@@ -1154,18 +1159,11 @@ class TestRegretConsistency:
 
 class TestExactRegret:
     def test_degenerate_modes_have_zero_regret(self, degenerate_solved):
-        estimate = estimate_exact_regret(degenerate_solved, 300, 120, 29)
-        assert estimate.mean == 0.0
+        assert summarize(run_batch(degenerate_solved, 300, 120, 29)).regret == 0.0
 
     def test_one_episode_has_zero_stderr(self, small_solved):
-        estimate = estimate_exact_regret(small_solved, 1, 60, 1)
-        assert estimate.stderr == 0.0 and math.isfinite(estimate.mean)
-
-    def test_truncation_bound_reported(self, small_solved):
-        estimate = estimate_exact_regret(small_solved, 50, 60, 1)
-        assert estimate.truncation_bound == pytest.approx(
-            0.9**60 * np.max(small_solved.env.cost_pre) / 0.1, rel=1e-9
-        )
+        report = summarize(run_batch(small_solved, 1, 60, 1))
+        assert report.stderr_regret == 0.0 and math.isfinite(report.regret)
 
     @pytest.mark.parametrize(
         ("thresholds", "n_episodes", "horizon", "master"),
@@ -1208,14 +1206,19 @@ class TestExactRegret:
     @staticmethod
     def assert_decomposition_agrees(solved):
         """The decomposition of 1500 episodes at horizon 250 agrees with
-        :func:`estimate_exact_regret` on the same episodes; returns their
-        records."""
-        direct = estimate_exact_regret(solved, 1500, 250, 53)
-        records = stepped_episodes(solved, 1500, 250, 53)
+        :func:`summarize`'s regret on the same episodes, up to what the tail
+        cut at the horizon could have added, ``discount^H * max cost / (1 -
+        discount)``; returns their records."""
+        horizon = 250
+        direct = summarize(run_batch(solved, 1500, horizon, 53))
+        records = stepped_episodes(solved, 1500, horizon, 53)
         totals = decomposition_loop(solved, records)
         split_mean, split_err = float(totals.mean()), float(totals.std(ddof=1) / np.sqrt(1500))
-        pooled = np.hypot(direct.stderr, split_err)
-        assert abs(direct.mean - split_mean) <= 3 * pooled + 10 * direct.truncation_bound
+        pooled = np.hypot(direct.stderr_regret, split_err)
+        env, discount = solved.env, solved.env.mdp.discount
+        cost_max = max(np.abs(env.cost_pre).max(), np.abs(env.cost_post).max())
+        truncation_bound = discount**horizon * cost_max / (1.0 - discount)
+        assert abs(direct.regret - split_mean) <= 3 * pooled + 10 * truncation_bound
         return records
 
     def test_decomposition_agrees_with_direct_estimator(self, seed_7):
