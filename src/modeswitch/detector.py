@@ -31,8 +31,6 @@ _STOP_MARGIN = 100.0
 
 #: Residual differences the accelerated fixed-point loop combines.
 _ANDERSON_DEPTH = 5
-#: A residual this many times the previous one restarts the acceleration.
-_RESTART_GROWTH = 10.0
 
 #: Points of the coarse grid on which a solve from the stopping payoff first
 #: settles its stop region; only grids with more than ``_COARSE_FACTOR``
@@ -351,17 +349,17 @@ def _stop_threshold(operator: BeliefOperator) -> float:
 def _iterate(
     step: Callable, values: np.ndarray, threshold: float, what: str
 ) -> tuple[np.ndarray, int]:
-    """Drive ``values`` to a fixed point of ``step`` with safeguarded type-II
-    Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011).
+    """Drive ``values`` to a fixed point of ``step`` with type-II Anderson
+    acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011).
 
     Each pass applies ``step`` once to the current iterate x, giving g(x) and
     the residual f = g(x) - x.  The next iterate is g(x) minus the
     combination of the last ``_ANDERSON_DEPTH`` differences of g whose
     matching combination of residual differences best cancels f in least
-    squares.  The sup-norm residual is not monotone under extrapolation, so
-    only a residual more than ``_RESTART_GROWTH`` times the previous one
-    clears the history and takes the plain step g(x) instead (a restart
-    safeguard after Zhang, O'Donoghue & Boyd, SIAM J. Optim. 2020).
+    squares.  The sup-norm residual is not monotone under extrapolation, but
+    the history is never cleared (a restart on residual growth stalled valid
+    solves at small change rates); a difference leaves it
+    ``_ANDERSON_DEPTH`` passes after it entered.
 
     The history lives in preallocated (depth, cells) ring buffers, and the
     least-squares weights come from the at most depth x depth normal
@@ -373,8 +371,8 @@ def _iterate(
     do not depend on the BLAS thread count.
 
     Stops at the first g(x) whose residual is at most ``threshold`` and
-    returns ``(g(x), applications)``; every call of ``step``, restarts
-    included, is one application.  Raises :class:`ConvergenceError` after
+    returns ``(g(x), applications)``; every call of ``step`` is one
+    application.  Raises :class:`ConvergenceError` after
     ``DEFAULT_FP_MAX_ITER`` applications, the budget when it is called.
     """
     shape = values.shape
@@ -387,16 +385,13 @@ def _iterate(
     filled = slot = 0
     x = values.reshape(cells)
     previous_f = previous_g = None
-    previous_residual = residual = np.inf
+    residual = np.inf
     for iteration in range(1, DEFAULT_FP_MAX_ITER + 1):
         g = step(x.reshape(shape)).reshape(cells)
         f = g - x
         residual = float(np.abs(f, out=scratch).max())
         if residual <= threshold:
             return g.reshape(shape), iteration
-        if residual > _RESTART_GROWTH * previous_residual:
-            filled = slot = 0
-            previous_f = None
         if previous_f is not None:
             np.subtract(f, previous_f, out=delta_f[slot])
             np.subtract(g, previous_g, out=delta_g[slot])
@@ -405,7 +400,7 @@ def _iterate(
             gram[slot, :filled] = row
             gram[:filled, slot] = row
             slot = (slot + 1) % depth
-        previous_f, previous_g, previous_residual = f, g, residual
+        previous_f, previous_g = f, g
         x = g
         if filled:
             try:
@@ -426,7 +421,7 @@ def solve_fixed_point(
     """Iterate the stopping operator to its fixed point.
 
     Starts from the stopping payoff table unless ``start`` is given and
-    accelerates the iteration with safeguarded Anderson mixing (see
+    accelerates the iteration with Anderson mixing (see
     :func:`_iterate`), which needs a small fraction of the applications that
     plain iteration does.  Iteration stops at :func:`_stop_threshold`, about
     ``DEFAULT_FP_TOL / 100`` from the fixed point (and the table's Bellman
@@ -443,8 +438,7 @@ def solve_fixed_point(
 
     Returns:
         ``(table, iterations)``, where ``iterations`` counts operator
-        applications on this grid, including the plain steps the safeguard
-        takes (not those of the coarse pass).
+        applications on this grid (not those of the coarse pass).
 
     Raises:
         ValueError: ``start`` lives on a different grid.

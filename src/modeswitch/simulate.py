@@ -231,10 +231,15 @@ class _CodedTransitions:
         # Scaling by a power of two is exact, so scaled uniforms and scaled
         # cut points compare as the unscaled ones do.
         self.scaled_cuts = cuts * _GUIDE_BINS
-        edges = np.arange(_GUIDE_BINS + 1, dtype=np.float64)
-        at_edge = np.searchsorted(self.scaled_cuts, edges[:-1], side="right")
-        below_next = np.searchsorted(self.scaled_cuts, edges[1:], side="left")
-        self.guide = np.where(below_next > at_edge, self.search_mark, at_edge).astype(self.dtype)
+        self.guide = np.searchsorted(
+            self.scaled_cuts, np.arange(_GUIDE_BINS, dtype=np.float64), side="right"
+        ).astype(self.dtype)
+        # A bin with a cut point strictly inside is searched.  Cumulative rows
+        # can pass 1 by rounding, so cuts at or past the last bin's end have
+        # no bin.
+        floors = np.floor(self.scaled_cuts)
+        inside = (self.scaled_cuts < _GUIDE_BINS) & (floors != self.scaled_cuts)
+        self.guide[floors[inside].astype(np.intp)] = self.search_mark
         # An entry's rank is the code of the uniforms from it to the next cut.
         ranks = np.searchsorted(cuts, entries, side="right")
         n_codes = cuts.size + 1

@@ -875,6 +875,31 @@ class TestCodedTransitions:
             cum_rows, probe_uniforms(cum_rows, extra=rng.random(200))
         )
 
+    @given(seed=st.integers(0, 2**32 - 1), n_keys=st.integers(1, 6), n_cuts=st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_guide_is_the_edge_search(self, seed, n_keys, n_cuts):
+        # Cut points anywhere, on bin edges, several in one bin, in the last
+        # bin, and at or a rounding past 1, where cumulative rows can land.
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate(
+            [
+                rng.random(4),
+                rng.integers(0, 2**14, 4) * BIN,
+                (rng.integers(0, 2**14) + rng.random(3)) * BIN,
+                [1.0 - BIN / 2, 1.0, 1.0 + 2.0**-52, 1.0 + BIN],
+            ]
+        )
+        entries = rng.choice(pool, (n_keys, n_cuts))
+        cum_rows = np.column_stack([np.sort(entries, axis=1), np.ones(n_keys)])
+        transitions = simulate._CodedTransitions(cum_rows, zero_base(cum_rows))
+        scaled = transitions.scaled_cuts
+        edges = np.arange(2**14 + 1, dtype=np.float64)
+        at_edge = np.searchsorted(scaled, edges[:-1], side="right")
+        below_next = np.searchsorted(scaled, edges[1:], side="left")
+        expected = np.where(below_next > at_edge, transitions.search_mark, at_edge)
+        assert transitions.guide.dtype == transitions.dtype
+        assert np.array_equal(transitions.guide, expected)
+
     def test_many_cut_points_take_wider_codes(self):
         # 300 keys of 220 states hold more distinct cut points than a uint16
         # code can number, and their table would be far over budget.
