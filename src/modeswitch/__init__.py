@@ -55,10 +55,8 @@ from .pipeline import SolvedEnv, mode_pair_chains, mode_pair_weight, solve_env
 #: ``mixing`` commands, never load ``simulate``.
 _MONTE_CARLO = (
     "EpisodeBatch",
-    "RegretCheck",
     "SimReport",
     "episode_rng",
-    "regret_consistency",
     "run_batch",
     "run_sweep",
     "summarize",

@@ -80,10 +80,6 @@ class BeliefGrid:
     def size(self) -> int:
         return self.points.size
 
-    @property
-    def spacing(self) -> float:
-        return 1.0 / (self.points.size - 1)
-
     def locate(self, beliefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The grid cell around each belief in [0, 1], as ``(lower, blend)``.
 

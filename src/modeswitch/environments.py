@@ -4,6 +4,7 @@ inventory model whose demand law switches from Poisson to uniform."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,14 @@ class InventorySpec:
             raise ValueError("unit costs must be nonnegative")
         if self.demand_rate <= 0.0:
             raise ValueError("demand_rate must be positive")
+        if math.exp(-self.demand_rate) < sys.float_info.min:
+            # The Poisson pmf's recurrence starts at exp(-demand_rate); a
+            # subnormal start loses the pmf's mass (above about 708.4).
+            raise ValueError(
+                f"demand_rate {self.demand_rate!r} is too large: exp(-demand_rate) "
+                "is below the smallest normal float64, so the Poisson demand pmf "
+                "cannot be computed"
+            )
         if self.order_cost_basis not in ("stock", "order"):
             raise ValueError("order_cost_basis must be 'stock' or 'order'")
         _check_kernels_fit(self.capacity + 1, self.capacity + 1)

@@ -59,11 +59,6 @@ class SolvedEnv:
         """The belief grid, the value table's."""
         return self.value_table.grid
 
-    @property
-    def grid_slack(self) -> float:
-        """Interpolation slack unit: weight times the grid spacing."""
-        return self.weight * self.grid.spacing
-
     def start_value(self) -> float:
         """DP-predicted detection cost from zero belief and the start-state law."""
         return float(self.env.initial_dist @ self.value_table.values[0])

@@ -1,7 +1,6 @@
 """Coupled Monte Carlo of the change-detection controller against the
 mode-observing baseline, under common random numbers, plus the one reduction
-of a batch, :func:`summarize`, and the check of the realized detection cost
-against the DP.
+of a batch, :func:`summarize`.
 
 Per-episode randomness comes from its own stream,
 ``SeedSequence(entropy=master_seed, spawn_key=(episode_index,))``, consumed in
@@ -150,7 +149,6 @@ class SimReport:
     error; ``welch_t`` and ``welch_df`` treat the two cost samples as
     independent, which the coupling makes them not."""
 
-    n_episodes: int
     mean_cost_cd: float
     stderr_cost_cd: float
     mean_cost_mo: float
@@ -162,16 +160,6 @@ class SimReport:
     welch_t: float
     welch_df: float
     truncated_frac: float
-
-
-@dataclass(frozen=True)
-class RegretCheck:
-    """Empirical detection cost against its DP prediction."""
-
-    estimate: float
-    stderr: float
-    tolerance: float
-    consistent: bool
 
 
 def episode_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -790,18 +778,11 @@ def run_sweep(
     return _join(shares, _run_forked(shares, run), lanes)
 
 
-def _stderr(values: np.ndarray) -> float:
-    if values.size < 2:
-        return 0.0
-    return float(values.std(ddof=1) / math.sqrt(values.size))
-
-
 def summarize(batch: EpisodeBatch) -> SimReport:
     """Aggregate a batch in episode order into a report."""
     n = batch.n_episodes
     mean_cd = float(batch.cost_cd.mean())
     mean_mo = float(batch.cost_mo.mean())
-    # Each variance is computed once; its root over sqrt(n) is _stderr's value.
     var_cd = float(batch.cost_cd.var(ddof=1)) if n > 1 else 0.0
     var_mo = float(batch.cost_mo.var(ddof=1)) if n > 1 else 0.0
     difference = batch.cost_cd - batch.cost_mo
@@ -816,7 +797,6 @@ def summarize(batch: EpisodeBatch) -> SimReport:
         welch_t = 0.0
         welch_df = float(n - 1)
     return SimReport(
-        n_episodes=n,
         mean_cost_cd=mean_cd,
         stderr_cost_cd=math.sqrt(var_cd) / math.sqrt(n),
         mean_cost_mo=mean_mo,
@@ -828,30 +808,5 @@ def summarize(batch: EpisodeBatch) -> SimReport:
         welch_t=welch_t,
         welch_df=float(welch_df),
         truncated_frac=float(batch.truncated.mean()),
-    )
-
-
-def regret_consistency(
-    batch: EpisodeBatch, predicted: float, slack: float
-) -> RegretCheck:
-    """Compare the realized detection cost with its DP prediction.
-
-    Requires the horizon to have been long enough that rule truncation is
-    negligible (fewer than one episode in 10^4).
-    """
-    truncated_frac = float(batch.truncated.mean())
-    if truncated_frac >= 1e-4:
-        raise RuntimeError(
-            f"{truncated_frac:.2%} of episodes hit the horizon before switching; "
-            "increase the horizon until that rate is below 1e-4"
-        )
-    estimate = float(batch.objective_realized.mean())
-    stderr = _stderr(batch.objective_realized)
-    tolerance = 3.0 * stderr + slack
-    return RegretCheck(
-        estimate=estimate,
-        stderr=stderr,
-        tolerance=tolerance,
-        consistent=abs(estimate - predicted) <= tolerance,
     )
 

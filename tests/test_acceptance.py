@@ -27,7 +27,7 @@ from modeswitch.detector import (
 from modeswitch.environments import InventorySpec, build_inventory
 from modeswitch.mdp import induced_chain, value_iteration
 from modeswitch.pipeline import mode_pair_weight
-from modeswitch.simulate import regret_consistency, run_batch, run_sweep, summarize
+from modeswitch.simulate import run_batch, run_sweep, summarize
 
 from conftest import (
     CANONICAL_SEED,
@@ -181,20 +181,25 @@ def test_criterion_09_monte_carlo_matches_dp_value(canonical):
     rate = canonical.env.mdp.change_rate
     horizon = 2500
     batch = run_batch(canonical, 6000, horizon, MASTER_SEED)
-    check = regret_consistency(
-        batch, predicted=canonical.start_value(), slack=2.0 * canonical.grid_slack
-    )
+    # A truncated episode is charged a forced stop at the horizon, which
+    # biases the mean upward, so the horizon must leave (almost) none.
+    assert batch.truncated.mean() < 1e-4
+    realized = batch.objective_realized
+    estimate = float(realized.mean())
+    stderr = float(realized.std(ddof=1)) / math.sqrt(realized.size)
+    predicted = canonical.start_value()
+    tolerance = 3.0 * stderr + 2.0 * canonical.weight / (canonical.grid.size - 1)
     print(
-        f"\n  criterion 9: empirical {check.estimate:.4f} vs DP {canonical.start_value():.4f}"
-        f" (tolerance {check.tolerance:.4f}, change rate {rate:g})"
+        f"\n  criterion 9: empirical {estimate:.4f} vs DP {predicted:.4f}"
+        f" (tolerance {tolerance:.4f}, change rate {rate:g})"
     )
-    assert check.consistent
+    assert abs(estimate - predicted) <= tolerance
 
 
 def test_criterion_10_perturbed_rules_cost_at_least_the_optimum(canonical):
     """Twenty perturbed threshold rules never beat the fixed point."""
     rng = np.random.default_rng(MASTER_SEED)
-    slack = 2.0 * canonical.grid_slack
+    slack = 2.0 * canonical.weight / (canonical.grid.size - 1)
     top = canonical.grid.points[-2]
     operator = BeliefOperator(canonical.dyn, canonical.grid)
     for trial in range(20):

@@ -304,8 +304,7 @@ def child_peak_rss(command, config):
 
 #: The package's Monte Carlo names, all of them from ``modeswitch.simulate``.
 MONTE_CARLO_NAMES = (
-    "EpisodeBatch", "RegretCheck", "SimReport", "episode_rng", "regret_consistency",
-    "run_batch", "run_sweep", "summarize",
+    "EpisodeBatch", "SimReport", "episode_rng", "run_batch", "run_sweep", "summarize",
 )
 
 
@@ -345,9 +344,19 @@ class TestMonteCarloLoading:
             "print('modeswitch.simulate' in sys.modules)\n"
         )
         assert fresh_interpreter(code) == "False\nTrue\n"
+        # A star import resolves every public name, so none is left dangling.
+        code = (
+            "import modeswitch\n"
+            "from modeswitch import *\n"
+            "print(all(name in globals() for name in modeswitch.__all__))\n"
+        )
+        assert fresh_interpreter(code) == "True\n"
         import modeswitch
         from modeswitch import simulate
 
+        assert MONTE_CARLO_NAMES == modeswitch._MONTE_CARLO
+        for name in modeswitch.__all__:
+            getattr(modeswitch, name)
         for name in MONTE_CARLO_NAMES:
             assert name in modeswitch.__all__ and name in dir(modeswitch)
             assert getattr(modeswitch, name) is getattr(simulate, name)
@@ -373,9 +382,10 @@ class TestMonteCarloLoading:
             spec = RandomMdpSpec(n_states=3, n_actions=2, seed=3, change_rate=rho, discount=0.9)
             report = summarize(cli.run_batch(solve_env(random_env(spec), 101), 16, 60, 11))
             expected.append((report.regret, report.stderr_regret))
-        reports = []
+        reports, sizes = [], []
 
         def recording(batch):
+            sizes.append(batch.n_episodes)
             reports.append(summarize(batch))
             return reports[-1]
 
@@ -384,8 +394,9 @@ class TestMonteCarloLoading:
         for command in ("simulate", "figure1"):
             for workers in ("1", "2"):
                 reports.clear()
+                sizes.clear()
                 assert main([command, "--config", str(config), "--workers", workers]) == 0
-                assert [report.n_episodes for report in reports] == [16, 16]
+                assert sizes == [16, 16]
                 runs = json.loads((tmp_path / "out" / "manifest.json").read_text())[command]
                 paired = [(run["regret"], run["stderr_regret"]) for run in runs]
                 assert paired == [(report.regret, report.stderr_regret) for report in reports]
@@ -497,15 +508,17 @@ class TestErrorPaths:
         assert err.count("\n") == 1
         assert not (tmp_path / "out" / "report.csv").exists()
 
-    def test_a_demand_rate_too_large_to_truncate_exits_2(self, tmp_path, capsys):
-        # The spec is valid; its Poisson demand pmf fails while the kernels
-        # are built.
+    def test_a_demand_rate_float64_cannot_represent_exits_1(self, tmp_path, capsys):
+        # exp(-1e6) underflows to 0, so the spec refuses the rate before any
+        # kernel is built.
         config = write_config(
             tmp_path, environment={"kind": "inventory", "capacity": 3, "demand_rate": 1e6}
         )
-        assert main(["solve", "--config", str(config)]) == 2
+        assert main(["solve", "--config", str(config)]) == 1
         assert capsys.readouterr().err == (
-            "error in stage 'solve': demand pmf truncation did not terminate; rate too large\n"
+            "config error: environment (inventory): demand_rate 1000000.0 is too large: "
+            "exp(-demand_rate) is below the smallest normal float64, so the Poisson "
+            "demand pmf cannot be computed\n"
         )
 
     def test_undefined_weight_is_numerical_error(self, tmp_path, capsys):
@@ -779,6 +792,17 @@ class TestErrorPaths:
         assert cli.load_config(write_config(tmp_path, horizon=largest)).horizon == largest
         with pytest.raises(cli.ConfigError, match=r"at most 2\*\*63 - 1, got 9223372036854775808$"):
             cli.load_config(write_config(tmp_path, horizon=largest + 1))
+
+    def test_the_largest_demand_rate_keeps_exp_minus_rate_normal(self, tmp_path):
+        # The Poisson pmf's recurrence starts at exp(-demand_rate), which is
+        # subnormal from about 708.4 on.
+        environment = {"kind": "inventory", "capacity": 3}
+        config = write_config(tmp_path, environment={**environment, "demand_rate": 708})
+        assert cli.load_config(config).environment["demand_rate"] == 708
+        for rate in (709, 745, 1e300):
+            config = write_config(tmp_path, environment={**environment, "demand_rate": rate})
+            with pytest.raises(cli.ConfigError, match="demand_rate .* is too large"):
+                cli.load_config(config)
 
     @pytest.mark.parametrize(
         ("overrides", "message"),

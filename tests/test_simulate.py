@@ -29,7 +29,6 @@ from modeswitch.pipeline import mode_pair_chains, solve_env
 from modeswitch.simulate import (
     EpisodeBatch,
     episode_rng,
-    regret_consistency,
     run_batch,
     summarize,
 )
@@ -1135,7 +1134,6 @@ class TestSummaries:
     def test_single_episode_report_matches_record(self, small_solved):
         batch = run_batch(small_solved, 1, 50, 13)
         report = summarize(batch)
-        assert report.n_episodes == 1
         assert report.mean_cost_cd == batch.cost_cd[0]
         assert report.mean_cost_mo == batch.cost_mo[0]
         assert report.stderr_cost_cd == 0.0
@@ -1145,7 +1143,6 @@ class TestSummaries:
     def test_summarize_aggregates_a_batch(self, small_solved):
         batch = run_batch(small_solved, 600, 80, 3)
         report = summarize(batch)
-        assert report.n_episodes == 600
         assert 0.0 <= report.false_alarm_rate <= 1.0
         assert report.mean_delay >= 0.0
         assert np.isfinite(report.welch_t)
@@ -1153,33 +1150,6 @@ class TestSummaries:
         difference = batch.cost_cd - batch.cost_mo
         assert report.regret == float(difference.mean())
         assert report.stderr_regret == float(difference.std(ddof=1) / np.sqrt(600)) > 0.0
-
-
-class TestRegretConsistency:
-    def test_flags_agreement_with_dp_value(self, small_solved):
-        batch = run_batch(small_solved, 3000, 700, 41)
-        check = regret_consistency(
-            batch,
-            predicted=small_solved.start_value(),
-            slack=2.0 * small_solved.grid_slack,
-        )
-        assert check.consistent, (check.estimate, small_solved.start_value(), check.tolerance)
-
-    def test_truncation_precondition(self, small_solved):
-        batch = run_batch(replace(small_solved, thresholds=np.ones(3)), 200, 25, 7)
-        with pytest.raises(RuntimeError, match="horizon"):
-            regret_consistency(batch, predicted=0.0, slack=0.0)
-
-    def test_truncation_boundary_is_one_in_ten_thousand(self):
-        # Fewer than one truncated episode in 10^4 passes; exactly one does not.
-        n = 10_000
-        columns = {field.name: np.zeros(n) for field in fields(EpisodeBatch)}
-        truncated = np.zeros(n, dtype=bool)
-        check = regret_consistency(EpisodeBatch(**{**columns, "truncated": truncated}), 0.0, 0.0)
-        assert check.consistent
-        truncated[0] = True
-        with pytest.raises(RuntimeError, match="below 1e-4"):
-            regret_consistency(EpisodeBatch(**{**columns, "truncated": truncated}), 0.0, 0.0)
 
 
 class TestExactRegret:
